@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import evaluation, neighbors, retrieval, threshold, uncertainty
+from .csvio import format_csv, write_csv
 from .embeddings import ModelEnsemble, load_model
 from .textproc import Pipeline
 
@@ -114,13 +115,11 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     if (thr is None) == (k is None):
         raise ValueError("pass exactly one of --threshold or --k")
     found = model.neighbors_above(term, thr) if thr is not None else model.knn(term, k)
-    lines = ["token,similarity"] + [f"{t},{s!r}" for t, s in found]
     out = cfg.get("out")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(out, ["token", "similarity"], found)
     else:
-        print("\n".join(lines))
+        sys.stdout.write(format_csv(["token", "similarity"], found))
     return 0
 
 
@@ -176,9 +175,11 @@ def cmd_synonym_stats(args: argparse.Namespace) -> int:
     target = threshold.synonym_statistics(cfg.require("synsets"))
     out = cfg.get("out")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("mean_synonyms,std_synonyms,term_count\n")
-            fh.write(f"{target.mean_synonyms!r},{target.std_synonyms!r},{target.term_count}\n")
+        write_csv(
+            out,
+            ["mean_synonyms", "std_synonyms", "term_count"],
+            [(target.mean_synonyms, target.std_synonyms, target.term_count)],
+        )
     print(
         f"synonyms: mean={target.mean_synonyms:.4f} std={target.std_synonyms:.4f} "
         f"terms={target.term_count}"

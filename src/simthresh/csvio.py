@@ -1,0 +1,62 @@
+"""The one CSV layout every report in the package is written and read in.
+
+A file is an optional preamble of ``# key=value`` comment lines, a header row,
+and one comma-separated row per record. Floats are written as
+``repr(float(x))`` so they read back bit for bit; ``None`` is written as an
+empty field (a missing value). There is no quoting: fields never contain
+commas.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+__all__ = ["format_csv", "write_csv", "read_csv"]
+
+
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(x)
+
+
+def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Iterable[str] = ()) -> str:
+    """The file text: ``# comment`` lines, the header, then the rows."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], comments: Iterable[str] = ()) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_csv(header, rows, comments))
+
+
+def read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
+    """(comments, rows): comment texts without their ``#``, and one
+    header-keyed dict of raw fields per row. Blank lines are skipped; a row
+    whose field count differs from the header's raises ``ValueError`` naming
+    the file and line."""
+    comments: list[str] = []
+    header: list[str] | None = None
+    rows: list[dict[str, str]] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            elif not line:
+                continue
+            elif header is None:
+                header = line.split(",")
+            else:
+                fields = line.split(",")
+                if len(fields) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+                rows.append(dict(zip(header, fields)))
+    return comments, rows

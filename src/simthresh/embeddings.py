@@ -98,10 +98,8 @@ class EmbeddingModel:
     def _ranked_others(self, token: str) -> tuple[np.ndarray, np.ndarray]:
         """All other tokens ordered by similarity desc, token asc on ties."""
         row = self.row(token)
-        sims = self.similarities_to(token)
-        keep = np.arange(len(sims)) != row
-        sims = sims[keep]
-        tokens = self._token_array[keep]
+        sims = np.delete(self.similarities_to(token), row)
+        tokens = np.delete(self._token_array, row)
         order = np.lexsort((tokens, -sims))
         return tokens[order], sims[order]
 
@@ -125,10 +123,16 @@ class EmbeddingModel:
 
 @dataclass(eq=False)
 class ModelEnsemble:
-    """Replicas trained identically except for random initialization."""
+    """Replicas trained identically except for random initialization.
+
+    The shared vocabulary keeps the first replica's order; each replica's rows
+    for it are looked up once, here, so per-term queries only gather.
+    """
 
     replicas: list[EmbeddingModel]
     shared_vocabulary: list[str] = field(init=False)
+    _rows: np.ndarray = field(init=False, repr=False)  # (R, S) row of each shared term per replica
+    _position: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.replicas) < 2:
@@ -140,6 +144,8 @@ class ModelEnsemble:
         if not shared:
             raise ValueError("replica vocabularies have an empty intersection")
         self.shared_vocabulary = shared
+        self._rows = np.array([[m.row(t) for t in shared] for m in self.replicas], dtype=np.int64)
+        self._position = {t: i for i, t in enumerate(shared)}
 
     @property
     def dimensionality(self) -> int:
@@ -153,6 +159,13 @@ class ModelEnsemble:
         for m in self.replicas:
             if token not in m:
                 raise KeyError(f"token {token!r} missing from replica {m.model_id!r}")
+
+    def similarities(self, token: str) -> np.ndarray:
+        """(R, S-1) cosines of ``token`` against every other shared term, one
+        row per replica, columns in ``shared_vocabulary`` order without it."""
+        self.require_shared(token)
+        rows = np.delete(self._rows, self._position[token], axis=1)
+        return np.stack([m.similarities_to(token)[r] for m, r in zip(self.replicas, rows)])
 
 
 def _parse_header(line: bytes, path: str) -> tuple[int, int]:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
+from .csvio import read_csv, write_csv
+
 __all__ = [
     "Qrels",
     "RunScores",
@@ -208,37 +210,27 @@ def write_metric_report(path: str, scores: list[RunScores]) -> None:
     for s in scores[1:]:
         if sorted(s.per_topic) != topics:
             raise ValueError("metric reports must share a topic set")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("topic," + ",".join(s.metric for s in scores) + "\n")
-        for topic_id in topics:
-            cells = ",".join(repr(s.per_topic[topic_id]) for s in scores)
-            fh.write(f"{topic_id},{cells}\n")
-        fh.write("all," + ",".join(repr(s.mean) for s in scores) + "\n")
+    write_csv(
+        path,
+        ["topic"] + [s.metric for s in scores],
+        [[t] + [s.per_topic[t] for s in scores] for t in topics] + [["all"] + [s.mean for s in scores]],
+    )
 
 
 def read_metric_report(path: str) -> dict[str, dict[str, float]]:
     """topic -> metric -> value (the 'all' row included)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "topic":
-            raise ValueError(f"{path}: not a metric report")
-        metrics = header[1:]
-        out: dict[str, dict[str, float]] = {}
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            out[cells[0]] = {m: float(v) for m, v in zip(metrics, cells[1:])}
-    return out
+    _, rows = read_csv(path)
+    if not rows or "topic" not in rows[0]:
+        raise ValueError(f"{path}: not a metric report")
+    return {r["topic"]: {m: float(v) for m, v in r.items() if m != "topic"} for r in rows}
 
 
 def write_comparison_report(
     path: str, metric: str, a_mean: float, b_mean: float, result: SignificanceResult
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric,mean_a,mean_b,t_statistic,p_value,significant,n_topics\n")
-        fh.write(
-            f"{metric},{a_mean!r},{b_mean!r},{result.t_statistic!r},"
-            f"{result.p_value!r},{str(result.significant).lower()},{result.n_topics}\n"
-        )
+    write_csv(
+        path,
+        ["metric", "mean_a", "mean_b", "t_statistic", "p_value", "significant", "n_topics"],
+        [(metric, a_mean, b_mean, result.t_statistic, result.p_value,
+          str(result.significant).lower(), result.n_topics)],
+    )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .csvio import read_csv, write_csv
 from .embeddings import ModelEnsemble
 
 __all__ = [
@@ -80,24 +81,17 @@ class NeighborCurve:
 
 def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Means and stds of cosine(term, u) across replicas, for every other
-    shared-vocabulary term u.
-
-    Accumulates per-replica sums and squared sums, so only two vocabulary-size
-    arrays are alive at once regardless of replica count.
-    """
-    ensemble.require_shared(term)
-    shared = ensemble.shared_vocabulary
-    others = [t for t in shared if t != term]
+    shared-vocabulary term u, from per-replica sums and squared sums."""
+    sims = ensemble.similarities(term)
+    others = [t for t in ensemble.shared_vocabulary if t != term]
     if not others:
         raise ValueError("shared vocabulary has no other terms")
     r = ensemble.replica_count
     acc = np.zeros(len(others), dtype=np.float64)
     acc_sq = np.zeros(len(others), dtype=np.float64)
-    for model in ensemble.replicas:
-        rows = np.array([model.row(t) for t in others], dtype=np.int64)
-        sims = np.clip(model.vectors[rows] @ model.vector(term), -1.0, 1.0)
-        acc += sims
-        acc_sq += sims * sims
+    for row in sims:
+        acc += row
+        acc_sq += row * row
     means = acc / r
     # n-1 denominator; cancellation noise can push the numerator a hair
     # negative, which the floor absorbs.
@@ -170,51 +164,38 @@ def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> N
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_curve_csv(curve: NeighborCurve, path: str) -> None:
     """One row per grid point: grid_s, expected, band_low, band_high
     (band fields empty for per-term curves)."""
     label = f"term={curve.term}" if curve.term is not None else f"n_terms={curve.n_terms}"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# source {label}\n")
-        fh.write("grid_s,expected,band_low,band_high\n")
-        for i in range(len(curve.grid)):
-            lo = "" if curve.band_low is None else _fmt(curve.band_low[i])
-            hi = "" if curve.band_high is None else _fmt(curve.band_high[i])
-            fh.write(f"{_fmt(curve.grid[i])},{_fmt(curve.expected[i])},{lo},{hi}\n")
+    n = len(curve.grid)
+    lows = [None] * n if curve.band_low is None else curve.band_low
+    highs = [None] * n if curve.band_high is None else curve.band_high
+    write_csv(
+        path,
+        ["grid_s", "expected", "band_low", "band_high"],
+        zip(curve.grid, curve.expected, lows, highs),
+        [f"source {label}"],
+    )
 
 
 def read_curve_csv(path: str) -> NeighborCurve:
-    grid, expected, lows, highs = [], [], [], []
-    term = None
-    n_terms = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# source term="):
-                term = line.split("term=", 1)[1]
-                continue
-            if line.startswith("# source n_terms="):
-                n_terms = int(line.split("n_terms=", 1)[1])
-                continue
-            if not line or line.startswith("grid_s") or line.startswith("#"):
-                continue
-            s, e, lo, hi = line.split(",")
-            grid.append(float(s))
-            expected.append(float(e))
-            lows.append(float(lo) if lo else np.nan)
-            highs.append(float(hi) if hi else np.nan)
-    if not grid:
+    comments, rows = read_csv(path)
+    if not rows:
         raise ValueError(f"{path}: no grid points found")
-    has_band = not all(np.isnan(lows))
+    source = dict(c.split("=", 1) for c in comments if "=" in c)
+    n_terms = source.get("source n_terms")
+
+    def column(name: str) -> np.ndarray:
+        return np.array([float(r[name] or "nan") for r in rows])
+
+    lows, highs = column("band_low"), column("band_high")
+    has_band = not np.all(np.isnan(lows))
     return NeighborCurve(
-        grid=np.asarray(grid),
-        expected=np.asarray(expected),
-        band_low=np.asarray(lows) if has_band else None,
-        band_high=np.asarray(highs) if has_band else None,
-        term=term,
-        n_terms=n_terms,
+        grid=column("grid_s"),
+        expected=column("expected"),
+        band_low=lows if has_band else None,
+        band_high=highs if has_band else None,
+        term=source.get("source term"),
+        n_terms=None if n_terms is None else int(n_terms),
     )

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from .csvio import read_csv, write_csv
 from .neighbors import NeighborCurve
 
 __all__ = [
@@ -192,37 +192,16 @@ def synonym_statistics(synsets: list[list[str]] | str, source_label: str = "") -
 
 
 def write_threshold_csv(results: list[ThresholdResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dimensionality,lower,main,upper\n")
-        for r in results:
-            fh.write(f"{r.dimensionality},{r.lower!r},{r.main!r},{r.upper!r}\n")
+    write_csv(
+        path,
+        ["dimensionality", "lower", "main", "upper"],
+        [(r.dimensionality, r.lower, r.main, r.upper) for r in results],
+    )
 
 
 def read_threshold_csv(path: str) -> list[tuple[int, float, float, float]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("dimensionality") or line.startswith("#"):
-                continue
-            dim, lower, main, upper = line.split(",")
-            rows.append((int(dim), float(lower), float(main), float(upper)))
-    return rows
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal inverse CDF (handy for closed-form threshold checks)."""
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0, 1)")
-    return float(ndtri(p))
-
-
-def survival_curve_fn(means: np.ndarray, stds: np.ndarray) -> Callable[[float], float]:
-    """Continuous mixture-survival evaluator, e.g. for bisection refinement."""
-    means = np.asarray(means, dtype=np.float64)
-    stds = np.asarray(stds, dtype=np.float64)
-
-    def fn(s: float) -> float:
-        return float((1.0 - ndtr((s - means) / stds)).sum())
-
-    return fn
+    _, rows = read_csv(path)
+    return [
+        (int(r["dimensionality"]), float(r["lower"]), float(r["main"]), float(r["upper"]))
+        for r in rows
+    ]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingModel
+from .csvio import read_csv, write_csv
+from .embeddings import EmbeddingModel, ModelEnsemble
 
 __all__ = [
     "HistogramConfig",
@@ -96,11 +97,6 @@ class SimilarityHistogram:
         return int(self.counts.sum()) + self.out_of_domain_count
 
 
-def _pair_sims(model: EmbeddingModel, rows: np.ndarray, probe: str) -> np.ndarray:
-    sims = model.vectors[rows] @ model.vector(probe)
-    return np.clip(sims, -1.0, 1.0)
-
-
 def uncertainty_curve(
     reference: EmbeddingModel,
     other: EmbeddingModel,
@@ -115,29 +111,15 @@ def uncertainty_curve(
     """
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
-    if reference.dimensionality != other.dimensionality:
-        raise ValueError("models disagree on dimensionality")
+    ensemble = ModelEnsemble([reference, other])
     for t in probe_terms:
-        if t not in reference:
-            raise KeyError(f"probe term {t!r} missing from model {reference.model_id!r}")
-        if t not in other:
-            raise KeyError(f"probe term {t!r} missing from model {other.model_id!r}")
-
-    shared = [t for t in reference.vocabulary if t in other]
-    if not shared:
-        raise ValueError("models share no vocabulary")
-    ref_rows = np.array([reference.row(t) for t in shared], dtype=np.int64)
-    oth_rows = np.array([other.row(t) for t in shared], dtype=np.int64)
-    pos_in_shared = {t: i for i, t in enumerate(shared)}
+        ensemble.require_shared(t)
 
     counts = np.zeros(config.bin_count, dtype=np.int64)
     diff_sums = np.zeros(config.bin_count, dtype=np.float64)
     out_of_domain = 0
     for probe in probe_terms:
-        sims_ref = _pair_sims(reference, ref_rows, probe)
-        sims_oth = _pair_sims(other, oth_rows, probe)
-        keep = np.arange(len(shared)) != pos_in_shared[probe]
-        sims_ref, sims_oth = sims_ref[keep], sims_oth[keep]
+        sims_ref, sims_oth = ensemble.similarities(probe)
         idx = config.bin_indices(sims_ref)
         out_of_domain += int(np.count_nonzero(idx < 0))
         ok = idx >= 0
@@ -160,20 +142,26 @@ def similarity_histogram(
     """Histogram of cosine(probe, y) over every probe term and every y != probe."""
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
-    all_rows = np.arange(len(model), dtype=np.int64)
     counts = np.zeros(config.bin_count, dtype=np.int64)
     out_of_domain = 0
     for probe in probe_terms:
-        sims = _pair_sims(model, all_rows, probe)
-        sims = np.delete(sims, model.row(probe))
+        sims = np.delete(model.similarities_to(probe), model.row(probe))
         idx = config.bin_indices(sims)
         out_of_domain += int(np.count_nonzero(idx < 0))
         counts += np.bincount(idx[idx >= 0], minlength=config.bin_count)
     return SimilarityHistogram(config=config, counts=counts, out_of_domain_count=out_of_domain)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _config_from_rows(path: str, rows: list[dict[str, str]]) -> HistogramConfig:
+    if not rows:
+        raise ValueError(f"{path}: no bins found")
+    return HistogramConfig(
+        domain_low=float(rows[0]["bin_low"]), domain_high=float(rows[-1]["bin_high"]), bin_count=len(rows)
+    )
+
+
+def _comment_count(comments: list[str], key: str) -> int:
+    return int(dict(c.split("=", 1) for c in comments if "=" in c).get(key, 0))
 
 
 def write_uncertainty_csv(curve: UncertaintyCurve, path: str) -> None:
@@ -182,68 +170,39 @@ def write_uncertainty_csv(curve: UncertaintyCurve, path: str) -> None:
     The mean field is empty for unpopulated bins. A leading comment line
     records the out-of-domain pair count.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# out_of_domain_pairs={curve.out_of_domain_count}\n")
-        fh.write("bin_low,bin_high,pair_count,mean_abs_diff\n")
-        for low, high, count, mean in curve.rows():
-            mean_s = "" if count == 0 else _fmt(mean)
-            fh.write(f"{_fmt(low)},{_fmt(high)},{count},{mean_s}\n")
+    write_csv(
+        path,
+        ["bin_low", "bin_high", "pair_count", "mean_abs_diff"],
+        [(low, high, count, None if count == 0 else mean) for low, high, count, mean in curve.rows()],
+        [f"out_of_domain_pairs={curve.out_of_domain_count}"],
+    )
 
 
 def read_uncertainty_csv(path: str) -> UncertaintyCurve:
-    lows, counts, means, out_of_domain = [], [], [], 0
-    highs: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# out_of_domain_pairs="):
-                out_of_domain = int(line.split("=", 1)[1])
-                continue
-            if not line or line.startswith("bin_low") or line.startswith("#"):
-                continue
-            low, high, count, mean = line.split(",")
-            lows.append(float(low))
-            highs.append(float(high))
-            counts.append(int(count))
-            means.append(float(mean) if mean else np.nan)
-    if not lows:
-        raise ValueError(f"{path}: no bins found")
-    config = HistogramConfig(domain_low=lows[0], domain_high=highs[-1], bin_count=len(lows))
+    comments, rows = read_csv(path)
+    config = _config_from_rows(path, rows)
     return UncertaintyCurve(
         config=config,
-        pair_counts=np.asarray(counts, dtype=np.int64),
-        mean_abs_diff=np.asarray(means, dtype=np.float64),
-        out_of_domain_count=out_of_domain,
+        pair_counts=np.array([int(r["pair_count"]) for r in rows], dtype=np.int64),
+        mean_abs_diff=np.array([float(r["mean_abs_diff"] or "nan") for r in rows]),
+        out_of_domain_count=_comment_count(comments, "out_of_domain_pairs"),
     )
 
 
 def write_histogram_csv(hist: SimilarityHistogram, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# out_of_domain_count={hist.out_of_domain_count}\n")
-        fh.write("bin_low,bin_high,count\n")
-        edges = hist.config.edges
-        for i in range(hist.config.bin_count):
-            fh.write(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(hist.counts[i])}\n")
+    edges = hist.config.edges
+    write_csv(
+        path,
+        ["bin_low", "bin_high", "count"],
+        [(edges[i], edges[i + 1], int(hist.counts[i])) for i in range(hist.config.bin_count)],
+        [f"out_of_domain_count={hist.out_of_domain_count}"],
+    )
 
 
 def read_histogram_csv(path: str) -> SimilarityHistogram:
-    lows, counts, out_of_domain = [], [], 0
-    highs: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# out_of_domain_count="):
-                out_of_domain = int(line.split("=", 1)[1])
-                continue
-            if not line or line.startswith("bin_low") or line.startswith("#"):
-                continue
-            low, high, count = line.split(",")
-            lows.append(float(low))
-            highs.append(float(high))
-            counts.append(int(count))
-    if not lows:
-        raise ValueError(f"{path}: no bins found")
-    config = HistogramConfig(domain_low=lows[0], domain_high=highs[-1], bin_count=len(lows))
+    comments, rows = read_csv(path)
     return SimilarityHistogram(
-        config=config, counts=np.asarray(counts, dtype=np.int64), out_of_domain_count=out_of_domain
+        config=_config_from_rows(path, rows),
+        counts=np.array([int(r["count"]) for r in rows], dtype=np.int64),
+        out_of_domain_count=_comment_count(comments, "out_of_domain_count"),
     )

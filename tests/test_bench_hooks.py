@@ -1,0 +1,72 @@
+"""The traced benchmark run patches names in ``simthresh`` by attribute name.
+
+``perfbench/traced_cli.py`` replaces module functions and methods by
+wrappers before the CLI runs. A rename in ``src/`` would make it fail, or
+silently stop timing a layer, so every name it reaches for is checked here by
+reading the script's syntax tree (the script itself is never imported or run).
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+
+
+def _modules(tree: ast.Module) -> dict[str, str]:
+    """Local name -> simthresh module path, from the script's imports."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("simthresh"):
+                    names[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "simthresh":
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"simthresh.{alias.name}"
+    return names
+
+
+def _dotted(node: ast.expr) -> list[str] | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id, *reversed(parts)]
+
+
+def _hooks(tree: ast.Module, modules: dict[str, str]) -> list[tuple[str, ...]]:
+    """Dotted names handed to ``t.patch``/``t.wrap`` or assigned over."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "patch":
+                owner = _dotted(node.args[0])
+                found.append([*owner, node.args[1].value])
+            elif node.func.attr == "wrap":
+                found.append(_dotted(node.args[1]))
+        elif isinstance(node, ast.Assign):
+            found.extend(_dotted(target) for target in node.targets if isinstance(target, ast.Attribute))
+    return list(dict.fromkeys(tuple(path) for path in found if path and path[0] in modules))
+
+
+TREE = ast.parse(TRACED_CLI.read_text(encoding="utf-8"))
+MODULES = _modules(TREE)
+HOOKS = _hooks(TREE, MODULES)
+
+
+def test_hooks_found():
+    names = {".".join(path) for path in HOOKS}
+    assert {"neighbors.pair_statistics", "uncertainty.uncertainty_curve", "cli.main"} <= names
+
+
+@pytest.mark.parametrize("path", HOOKS, ids=[".".join(p) for p in HOOKS])
+def test_hook_resolves(path):
+    obj = importlib.import_module(MODULES[path[0]])
+    for attr in path[1:]:
+        assert hasattr(obj, attr), f"{TRACED_CLI.name} patches {'.'.join(path)}, which no longer exists"
+        obj = getattr(obj, attr)

@@ -1,0 +1,82 @@
+import numpy as np
+import pytest
+
+from simthresh.csvio import format_csv, read_csv, write_csv
+from simthresh.evaluation import RunScores, read_metric_report, write_metric_report
+from simthresh.neighbors import NeighborCurve, read_curve_csv, write_curve_csv
+from simthresh.threshold import SynonymTarget, ThresholdResult, read_threshold_csv, write_threshold_csv
+from simthresh.uncertainty import (
+    HistogramConfig,
+    SimilarityHistogram,
+    UncertaintyCurve,
+    read_histogram_csv,
+    read_uncertainty_csv,
+    write_histogram_csv,
+    write_uncertainty_csv,
+)
+
+
+class TestCodec:
+    def test_layout(self):
+        text = format_csv(["name", "x", "n", "gap"], [("a", 0.1, 3, None), ("b", np.float64(1e-300), 0, 2.5)],
+                          ["source=test"])
+        assert text == "# source=test\nname,x,n,gap\na,0.1,3,\nb,1e-300,0,2.5\n"
+
+    def test_round_trip(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        values = [1 / 3, -0.0, 1e-17, 12345.678901234567]
+        write_csv(path, ["i", "v", "blank"], [(i, v, None) for i, v in enumerate(values)], ["k=v", "n=2"])
+        comments, rows = read_csv(path)
+        assert comments == ["k=v", "n=2"]
+        assert [float(r["v"]) for r in rows] == values
+        assert [r["blank"] for r in rows] == [""] * len(values)
+
+    def test_skips_blank_lines_and_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# a=1\n\na,b\n\n1,2\n# late\n3,4\n")
+        comments, rows = read_csv(str(path))
+        assert comments == ["a=1", "late"]
+        assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
+
+
+def _uncertainty(path):
+    config = HistogramConfig(bin_count=2)
+    write_uncertainty_csv(UncertaintyCurve(config, np.array([1, 0]), np.array([0.5, np.nan])), path)
+
+
+def _histogram(path):
+    write_histogram_csv(SimilarityHistogram(HistogramConfig(bin_count=2), np.array([1, 2])), path)
+
+
+def _curve(path):
+    write_curve_csv(NeighborCurve(grid=np.array([0.0, 1.0]), expected=np.array([2.0, 1.0]), term="x"), path)
+
+
+def _threshold(path):
+    write_threshold_csv([ThresholdResult(300, 0.7, 0.6, 0.8, SynonymTarget(1.6))], path)
+
+
+def _metric_report(path):
+    write_metric_report(path, [RunScores("map", {"1": 0.5, "2": 0.25})])
+
+
+READERS = {
+    "uncertainty": (_uncertainty, read_uncertainty_csv, 4),
+    "histogram": (_histogram, read_histogram_csv, 3),
+    "curve": (_curve, read_curve_csv, 4),
+    "threshold": (_threshold, read_threshold_csv, 4),
+    "metric_report": (_metric_report, read_metric_report, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_malformed_row_names_file_and_line(tmp_path, kind):
+    write, read, fields = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    write(str(path))
+    read(str(path))  # the file as written reads back
+    lines = path.read_text().splitlines() + [",".join(["1"] * (fields + 1))]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        read(str(path))
+    assert str(excinfo.value) == f"{path}:{len(lines)}: expected {fields} fields, got {fields + 1}"

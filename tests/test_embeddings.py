@@ -222,3 +222,37 @@ class TestEnsemble:
         ensemble.require_shared("p")
         with pytest.raises(KeyError, match="second|first"):
             ensemble.require_shared("zzz")
+
+
+class TestEnsembleSimilarities:
+    """Replicas with permuted vocabulary order and a token missing from one."""
+
+    @staticmethod
+    def replicas(rng):
+        base = random_model(rng, 30, 6, "base")
+        out = []
+        for r in range(3):
+            order = rng.permutation(len(base)) if r else np.arange(len(base))
+            if r == 2:
+                order = order[order != base.row("t0007")]
+            noisy = base.vectors[order] + 0.05 * rng.standard_normal((len(order), 6))
+            out.append(EmbeddingModel.from_arrays([base.vocabulary[i] for i in order], noisy, f"r{r}"))
+        return out
+
+    def test_matches_pairwise_cosine(self, rng):
+        replicas = self.replicas(rng)
+        ensemble = ModelEnsemble(replicas)
+        assert "t0007" not in ensemble.shared_vocabulary
+        assert len(ensemble.shared_vocabulary) == 29
+        for t in ("t0000", "t0013", "t0029"):
+            others = [u for u in ensemble.shared_vocabulary if u != t]
+            sims = ensemble.similarities(t)
+            assert sims.shape == (3, len(others))
+            for r, model in enumerate(replicas):
+                for j, u in enumerate(others):
+                    assert abs(sims[r, j] - model.cosine(t, u)) <= 1e-12
+
+    def test_missing_term(self, rng):
+        ensemble = ModelEnsemble(self.replicas(rng))
+        with pytest.raises(KeyError, match="t0007.*r2"):
+            ensemble.similarities("t0007")

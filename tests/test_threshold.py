@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from simthresh.neighbors import NeighborCurve, default_grid
+from simthresh.neighbors import NeighborCurve, default_grid, mixture_survival
 from simthresh.threshold import (
     SynonymTarget,
     TargetUnreachableError,
@@ -10,7 +10,6 @@ from simthresh.threshold import (
     parse_synsets,
     read_threshold_csv,
     solve_threshold,
-    survival_curve_fn,
     synonym_statistics,
     write_threshold_csv,
 )
@@ -115,8 +114,9 @@ class TestSolve:
         stds = np.array([0.04, 0.08, 0.02])
         expected = mixture(grid, means, stds)
         curve = NeighborCurve(grid=grid, expected=expected)
-        fn = survival_curve_fn(means, stds)
-        refined = solve_threshold(curve, 1.5, expected_fn=fn)
+        refined = solve_threshold(
+            curve, 1.5, expected_fn=lambda s: float(mixture_survival(np.array([s]), means, stds)[0])
+        )
         oracle = scan_crossing(lambda s: mixture(s, means, stds), 1.5)
         assert refined.main == pytest.approx(oracle, abs=2e-4)
 

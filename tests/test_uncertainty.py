@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simthresh.embeddings import EmbeddingModel
 from simthresh.uncertainty import (
     HistogramConfig,
     read_histogram_csv,
@@ -56,6 +57,24 @@ class TestUncertaintyCurve:
         assert curve.pair_counts[bin_01] == 1
         assert curve.mean_abs_diff[bin_01] == pytest.approx(0.20, abs=1e-12)
         assert curve.pair_counts.sum() == 2
+
+    def test_permuted_vocabulary_matches_reordered_copies(self, rng):
+        reference = random_model(rng, 60, 5, "M")
+        order = rng.permutation(60)
+        order = order[order != reference.row("t0031")]
+        noisy = reference.vectors[order] + 0.1 * rng.standard_normal((59, 5))
+        other = EmbeddingModel.from_arrays([reference.vocabulary[i] for i in order], noisy, "P")
+        shared = [t for t in reference.vocabulary if t != "t0031"]
+        ref_copy = EmbeddingModel.from_arrays(shared, np.stack([reference.vector(t) for t in shared]), "M2")
+        oth_copy = EmbeddingModel.from_arrays(shared, np.stack([other.vector(t) for t in shared]), "P2")
+        config = HistogramConfig(bin_count=40)
+        probes = ["t0000", "t0007", "t0059"]
+        permuted = uncertainty_curve(reference, other, probes, config)
+        aligned = uncertainty_curve(ref_copy, oth_copy, probes, config)
+        np.testing.assert_array_equal(permuted.pair_counts, aligned.pair_counts)
+        assert permuted.out_of_domain_count == aligned.out_of_domain_count
+        assert permuted.pair_counts.sum() + permuted.out_of_domain_count == 3 * 58
+        np.testing.assert_allclose(permuted.mean_abs_diff, aligned.mean_abs_diff, rtol=0, atol=1e-12)
 
     def test_probe_missing_from_other(self, rng):
         reference = hub_model({"b": 0.5, "c": 0.5})
