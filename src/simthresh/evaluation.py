@@ -58,9 +58,6 @@ class Qrels:
     def judged(self, topic_id: str) -> dict[str, int]:
         return self.grades.get(topic_id, {})
 
-    def relevant_count(self, topic_id: str) -> int:
-        return sum(1 for g in self.judged(topic_id).values() if g >= 1)
-
 
 def read_qrels(path: str) -> Qrels:
     """TREC qrels format: whitespace-separated 'topic_id 0 doc_id grade'."""
@@ -73,7 +70,10 @@ def read_qrels(path: str) -> Qrels:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields")
             topic_id, _, doc_id, grade = parts
-            qrels.add(topic_id, doc_id, int(grade))
+            try:
+                qrels.add(topic_id, doc_id, int(grade))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not qrels.grades:
         raise ValueError(f"{path}: no judgments found")
     return qrels

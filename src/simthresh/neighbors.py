@@ -74,10 +74,6 @@ class NeighborCurve:
         if len(self.grid) != len(self.expected):
             raise ValueError("grid and expected lengths differ")
 
-    @property
-    def is_aggregated(self) -> bool:
-        return self.n_terms is not None
-
 
 def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Means and stds of cosine(term, u) across replicas, for every other

@@ -9,13 +9,17 @@ exactly.
 
 from __future__ import annotations
 
-import gzip
 import json
 import logging
-import math
 import re
+import zipfile
+import zlib
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .embeddings import EmbeddingModel
 from .textproc import Pipeline
@@ -56,75 +60,111 @@ class LmConfig:
 
 @dataclass(eq=False)
 class Index:
-    """Inverted index plus the collection statistics the scorers need."""
+    """Inverted index as compressed sparse rows: ``terms[i]`` occurs in the
+    documents ``docs[offsets[i]:offsets[i + 1]]`` (ascending) with frequencies
+    ``tfs``. ``terms`` and ``doc_ids`` are sorted, so document index order is
+    doc_id order. Lengths and collection statistics derive from the postings."""
 
-    postings: dict[str, list[tuple[str, int]]]
-    doc_lengths: dict[str, int]
-    collection_term_counts: dict[str, int]
-    total_tokens: int
-    doc_count: int
+    terms: list[str]
+    offsets: np.ndarray  # int64, len(terms) + 1
+    docs: np.ndarray  # int64
+    tfs: np.ndarray  # int64
+    doc_ids: list[str]
+    doc_lengths: np.ndarray = field(init=False, repr=False)  # int64, one per document
+    _slot: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._slot = {t: i for i, t in enumerate(self.terms)}
+        self.doc_lengths = np.bincount(self.docs, self.tfs, len(self.doc_ids)).astype(np.int64)
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
+
+    @cached_property  # collection_prob reads it once per expansion term
+    def total_tokens(self) -> int:
+        return int(self.tfs.sum())
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(document indices, term frequencies); empty for an unknown term."""
+        slot = self._slot.get(term)
+        lo, hi = (0, 0) if slot is None else self.offsets[slot : slot + 2]
+        return self.docs[lo:hi], self.tfs[lo:hi]
 
     def collection_prob(self, term: str) -> float:
-        if self.total_tokens == 0:
-            return 0.0
-        return self.collection_term_counts.get(term, 0) / self.total_tokens
+        return int(self.postings(term)[1].sum()) / max(self.total_tokens, 1)
 
 
 def build_index(corpus: Iterable[tuple[str, str]], pipeline: Pipeline) -> Index:
     """Index a stream of (doc_id, text). Empty documents are legal (length 0);
     duplicate ids are not."""
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
-    collection: dict[str, int] = {}
-    total = 0
+    slots: dict[str, int] = {}  # term -> number in order of first use
+    seen: dict[str, int] = {}  # doc_id -> number in corpus order
+    rows: list[int] = []  # flat (term number, doc number, tf) triples
     for doc_id, text in corpus:
-        if doc_id in doc_lengths:
+        if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
-        terms = pipeline.process(text)
-        doc_lengths[doc_id] = len(terms)
-        total += len(terms)
-        tf: dict[str, int] = {}
-        for t in terms:
-            tf[t] = tf.get(t, 0) + 1
-        for t, n in tf.items():
-            postings.setdefault(t, []).append((doc_id, n))
-            collection[t] = collection.get(t, 0) + n
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
-    return Index(
-        postings=postings,
-        doc_lengths=doc_lengths,
-        collection_term_counts=collection,
-        total_tokens=total,
-        doc_count=len(doc_lengths),
-    )
+        seen[doc_id] = d = len(seen)
+        for t, n in Counter(pipeline.process(text)).items():
+            rows += (slots.setdefault(t, len(slots)), d, n)
+    term_of, docs, tfs = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    terms, doc_ids = sorted(slots), sorted(seen)
+    # argsort inverts each permutation: first-use number -> position in sorted order.
+    term_of = np.argsort([slots[t] for t in terms])[term_of]
+    docs = np.argsort([seen[d] for d in doc_ids])[docs]
+    order = np.lexsort((docs, term_of))
+    offsets = np.searchsorted(term_of[order], np.arange(len(terms) + 1))
+    return Index(terms, offsets, docs[order], tfs[order], doc_ids)
+
+
+def _pack(name: str, strings: list[str]) -> dict[str, np.ndarray]:
+    """UTF-8 blob plus offsets: string i is ``blob[offsets[i]:offsets[i + 1]]``."""
+    encoded = [s.encode("utf-8") for s in strings]
+    blob = np.frombuffer(b"".join(encoded), np.uint8)
+    return {name: blob, f"{name}_offsets": np.cumsum([0] + [len(b) for b in encoded])}
+
+
+def _unpack(archive: dict[str, np.ndarray], name: str) -> list[str]:
+    """Inverse of ``_pack``; the strings must be sorted and unique."""
+    data, bounds = archive[name].tobytes(), archive[f"{name}_offsets"].tolist()
+    if bounds[0] != 0 or bounds[-1] != len(data) or bounds != sorted(bounds):
+        raise ValueError(f"{name} offsets do not partition their blob")
+    strings = [data[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    if strings != sorted(set(strings)):
+        raise ValueError(f"{name} are not sorted and unique")
+    return strings
+
+
+_MEMBERS = {"terms": np.uint8, "terms_offsets": np.int64, "doc_ids": np.uint8, "doc_ids_offsets": np.int64,
+            "offsets": np.int64, "docs": np.int64, "tfs": np.int64}  # every member is one-dimensional
 
 
 def save_index(index: Index, path: str) -> None:
-    """JSON serialization (gzipped when the path ends in .gz)."""
-    payload = {
-        "postings": {t: [[d, n] for d, n in pl] for t, pl in index.postings.items()},
-        "doc_lengths": index.doc_lengths,
-        "collection_term_counts": index.collection_term_counts,
-        "total_tokens": index.total_tokens,
-        "doc_count": index.doc_count,
-    }
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    """One compressed numpy archive, written at exactly ``path``."""
+    with open(path, "wb") as fh:  # given a path string, numpy would append ".npz"
+        np.savez_compressed(fh, **_pack("terms", index.terms), **_pack("doc_ids", index.doc_ids),
+                            offsets=index.offsets, docs=index.docs, tfs=index.tfs)
 
 
 def load_index(path: str) -> Index:
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return Index(
-        postings={t: [(d, int(n)) for d, n in pl] for t, pl in payload["postings"].items()},
-        doc_lengths={d: int(n) for d, n in payload["doc_lengths"].items()},
-        collection_term_counts={t: int(n) for t, n in payload["collection_term_counts"].items()},
-        total_tokens=int(payload["total_tokens"]),
-        doc_count=int(payload["doc_count"]),
-    )
+    """Read an archive written by ``save_index``; every failure names the file."""
+    try:
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            a = {name: archive[name] for name in _MEMBERS}
+        if any(a[name].dtype != dtype or a[name].ndim != 1 for name, dtype in _MEMBERS.items()):
+            raise ValueError("a member has the wrong dtype or shape")
+        terms, doc_ids = _unpack(a, "terms"), _unpack(a, "doc_ids")
+        offsets, docs, tfs = a["offsets"], a["docs"], a["tfs"]
+        if (len(offsets), offsets[0], offsets[-1], len(tfs)) != (len(terms) + 1, 0, len(docs), len(docs)):
+            raise ValueError("postings offsets disagree with the postings")
+        # np.repeat rejects decreasing offsets; (term, document) keys must strictly increase.
+        keys = np.repeat(np.arange(len(terms)), np.diff(offsets)) * len(doc_ids) + docs
+        if np.any(np.diff(keys) <= 0) or np.any(docs >= len(doc_ids)) or np.any(tfs < 1):
+            raise ValueError("postings are not unique (term, document) pairs with positive counts")
+        return Index(terms, offsets, docs, tfs, doc_ids)  # np.bincount rejects a negative document
+    except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: not a readable index archive ({exc})") from None
 
 
 @dataclass(eq=False)
@@ -207,20 +247,6 @@ def build_translation_table(
     return table
 
 
-def _prepare_query(index: Index, query_terms: list[str]) -> list[str]:
-    if index.doc_count == 0:
-        raise ValueError("cannot score against an empty index")
-    kept = []
-    for t in query_terms:
-        if index.collection_term_counts.get(t, 0) > 0:
-            kept.append(t)
-        else:
-            logger.warning("dropping query term %r: zero collection frequency", t)
-    if not kept:
-        raise ValueError("query has no terms with collection evidence")
-    return kept
-
-
 def tlm_score(
     index: Index,
     config: LmConfig,
@@ -233,35 +259,33 @@ def tlm_score(
     Candidates are the documents containing at least one expansion-set term;
     they are returned ranked by log score (descending), doc_id breaking ties.
     """
-    kept = _prepare_query(index, query_terms)
+    if index.doc_count == 0:
+        raise ValueError("cannot score against an empty index")
+    kept = []
+    for t in query_terms:
+        if len(index.postings(t)[0]):
+            kept.append(t)
+        else:
+            logger.warning("dropping query term %r: zero collection frequency", t)
+    if not kept:
+        raise ValueError("query has no terms with collection evidence")
     expansions = [table.expansion(t) for t in kept]
-
-    tf_maps: dict[str, dict[str, int]] = {}
-    candidates: set[str] = set()
+    postings = {term: index.postings(term) for entry in expansions for term, _ in entry}
+    candidates = np.unique(np.concatenate([docs for docs, _ in postings.values()]))
+    # Per expansion term over the candidates: tf + mu * P(term | collection).
+    numerators = {}
+    for term, (docs, tfs) in postings.items():
+        numerators[term] = np.full(len(candidates), config.mu * index.collection_prob(term))
+        numerators[term][np.searchsorted(candidates, docs)] += tfs
+    denom = index.doc_lengths[candidates] + config.mu
+    scores = np.zeros(len(candidates))
     for entry in expansions:
-        for term, _ in entry:
-            if term not in tf_maps:
-                tf_maps[term] = dict(index.postings.get(term, ()))
-            candidates.update(tf_maps[term])
-    if not candidates:
-        return []
-
-    mu = config.mu
-    p_coll = {t: index.collection_prob(t) for t in tf_maps}
-    ranked: list[tuple[str, float]] = []
-    for doc_id in sorted(candidates):
-        length = index.doc_lengths[doc_id]
-        denom = length + mu
-        score = 0.0
-        for entry in expansions:
-            inner = 0.0
-            for term, p_t in entry:
-                tf = tf_maps[term].get(doc_id, 0)
-                inner += p_t * ((tf + mu * p_coll[term]) / denom)
-            score += math.log(inner)
-        ranked.append((doc_id, score))
-    ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ranked
+        inner = np.zeros(len(candidates))
+        for term, p_t in entry:
+            inner += p_t * (numerators[term] / denom)
+        scores += np.log(inner)
+    order = np.lexsort((candidates, -scores))
+    return [(index.doc_ids[d], s) for d, s in zip(candidates[order].tolist(), scores[order].tolist())]
 
 
 def lm_score(index: Index, config: LmConfig, query_terms: list[str]) -> list[tuple[str, float]]:
@@ -270,8 +294,7 @@ def lm_score(index: Index, config: LmConfig, query_terms: list[str]) -> list[tup
     Implemented as the translation model with self-only tables, which makes
     the reduction identity exact by construction.
     """
-    kept = _prepare_query(index, query_terms)
-    return tlm_score(index, config, TranslationTable.self_only(kept), kept)
+    return tlm_score(index, config, TranslationTable.self_only(query_terms), query_terms)
 
 
 def read_jsonl_corpus(path: str) -> Iterator[tuple[str, str]]:
@@ -369,6 +392,8 @@ def write_run(
     max_docs: int = MAX_RUN_DOCS,
 ) -> None:
     """TREC run format: topic_id Q0 doc_id rank score run_tag."""
+    if max_docs < 1:
+        raise ValueError("max_docs must be >= 1")
     with open(path, "w", encoding="utf-8") as fh:
         for topic_id in sorted(run, key=_topic_sort_key):
             for rank, (doc_id, score) in enumerate(run[topic_id][:max_docs], start=1):
@@ -385,7 +410,10 @@ def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
             topic_id, _, doc_id, _, score, _ = parts
-            run.setdefault(topic_id, []).append((doc_id, float(score)))
+            try:
+                run.setdefault(topic_id, []).append((doc_id, float(score)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return run
 
 

@@ -60,7 +60,7 @@ class HistogramConfig:
         """Bin index per value; -1 marks out-of-domain values."""
         values = np.asarray(values, dtype=np.float64)
         idx = np.floor((values - self.domain_low) / self.bin_width).astype(np.int64)
-        idx[values == self.domain_high] = self.bin_count - 1
+        idx = np.minimum(idx, self.bin_count - 1)
         out = (values < self.domain_low) | (values > self.domain_high)
         idx[out] = -1
         return idx

@@ -4,6 +4,7 @@
 wrappers before the CLI runs. A rename in ``src/`` would make it fail, or
 silently stop timing a layer, so every name it reaches for is checked here by
 reading the script's syntax tree (the script itself is never imported or run).
+The index file contract the benchmark's checks rely on is pinned here too.
 """
 
 import ast
@@ -11,6 +12,9 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from simthresh.retrieval import build_index, load_index, save_index
+from simthresh.textproc import Pipeline
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
@@ -70,3 +74,14 @@ def test_hook_resolves(path):
     for attr in path[1:]:
         assert hasattr(obj, attr), f"{TRACED_CLI.name} patches {'.'.join(path)}, which no longer exists"
         obj = getattr(obj, attr)
+
+
+def test_index_contract(tmp_path):
+    # The benchmark saves the index to "index.json.gz", stats that exact path
+    # and compares the reloaded counts with integers.
+    path = tmp_path / "index.json.gz"
+    save_index(build_index([("d1", "cat cat dog"), ("d2", "")], Pipeline()), str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json.gz"]
+    index = load_index(str(path))
+    assert (index.doc_count, index.total_tokens) == (2, 3)
+    assert type(index.doc_count) is int and type(index.total_tokens) is int

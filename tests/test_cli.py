@@ -294,6 +294,79 @@ class TestSearchWorkflow:
         assert "duplicate" in capsys.readouterr().err
 
 
+def _json_file(path):
+    path.write_text('{"postings": {}}')
+
+
+def _truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _rewrite_archive(path, change):
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    change(members)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **members)
+
+
+def _missing_member(path):
+    _rewrite_archive(path, lambda m: m.pop("tfs"))
+
+
+def _offsets_overrun(path):
+    def change(m):
+        m["offsets"] = m["offsets"].copy()
+        m["offsets"][-1] += 5
+    _rewrite_archive(path, change)
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("damage, message", [
+        (_json_file, "not a readable index archive"),
+        (_truncated, "not a readable index archive"),
+        (_missing_member, "tfs"),
+        (_offsets_overrun, "postings offsets disagree with the postings"),
+    ], ids=["json", "truncated", "missing-member", "offsets-overrun"])
+    def test_bad_index_names_file(self, tmp_path, capsys, damage, message):
+        _, topics, _, _, index_path = search_world(tmp_path)
+        capsys.readouterr()
+        damage(index_path)
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics),
+                   "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_path}: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_max_docs_below_one_rejected(self, tmp_path, capsys):
+        _, topics, _, _, index_path = search_world(tmp_path)
+        out = tmp_path / "r.txt"
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics),
+                   "--max-docs", "-990", "--out", str(out)])
+        assert rc == 1
+        assert "max_docs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which, lines, lineno, message", [
+        ("run", ["1 Q0 d1 1 -1.5 t", "1 Q0 d2 2 abc t"], 2, "could not convert string to float"),
+        ("qrels", ["1 0 d1 1", "1 0 d2 x"], 2, "invalid literal for int()"),
+        ("qrels", ["1 0 d1 -1"], 1, "negative grade"),
+        ("qrels", ["1 0 d1 1", "", "1 0 d1 0"], 3, "duplicate judgment"),
+    ], ids=["run-score", "qrels-grade", "qrels-negative", "qrels-duplicate"])
+    def test_bad_record_names_file_and_line(self, tmp_path, capsys, which, lines, lineno, message):
+        files = {"run": tmp_path / "run.txt", "qrels": tmp_path / "qrels.txt"}
+        files["run"].write_text("1 Q0 d1 1 -1.5 t\n")
+        files["qrels"].write_text("1 0 d1 1\n")
+        files[which].write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--run", str(files["run"]), "--qrels", str(files["qrels"])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[which]}:{lineno}: {message}")
+        assert err.count("\n") == 1
+
+
 class TestMoreEdges:
     def test_binary_format_plumbed_through(self, tmp_path):
         model = EmbeddingModel.from_arrays(

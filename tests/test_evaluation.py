@@ -35,7 +35,6 @@ class TestQrels:
         qrels = read_qrels(str(path))
         assert qrels.topics() == ["301", "302"]
         assert qrels.judged("301") == {"d1": 1, "d2": 0}
-        assert qrels.relevant_count("302") == 1
 
     def test_duplicate_rejected(self):
         qrels = Qrels()

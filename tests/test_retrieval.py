@@ -1,7 +1,12 @@
 import logging
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simthresh.retrieval import (
     ExpansionPolicy,
@@ -32,6 +37,15 @@ def toy_index():
     return build_index(TOY_DOCS, PLAIN)
 
 
+def postings_by_id(index, term):
+    docs, tfs = index.postings(term)
+    return {index.doc_ids[d]: int(n) for d, n in zip(docs, tfs)}
+
+
+def lengths_by_id(index):
+    return dict(zip(index.doc_ids, index.doc_lengths.tolist()))
+
+
 def random_corpus(rng, n_docs, vocab_size, max_len=12):
     vocab = [f"w{i}" for i in range(vocab_size)]
     docs = {}
@@ -44,12 +58,14 @@ def random_corpus(rng, n_docs, vocab_size, max_len=12):
 class TestBuildIndex:
     def test_hand_counts(self):
         index = toy_index()
-        assert dict(index.postings["cat"]) == {"d1": 2}
-        assert dict(index.postings["dog"]) == {"d1": 1, "d2": 1}
-        assert index.doc_lengths == {"d1": 3, "d2": 1}
-        assert index.collection_term_counts == {"cat": 2, "dog": 2}
+        assert postings_by_id(index, "cat") == {"d1": 2}
+        assert postings_by_id(index, "dog") == {"d1": 1, "d2": 1}
+        assert lengths_by_id(index) == {"d1": 3, "d2": 1}
+        assert [int(index.postings(t)[1].sum()) for t in ("cat", "dog")] == [2, 2]
+        assert index.collection_prob("cat") == 0.5
         assert index.total_tokens == 4
         assert index.doc_count == 2
+        assert postings_by_id(index, "unseen") == {}
 
     def test_duplicate_doc_id(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -63,11 +79,11 @@ class TestBuildIndex:
 
     def test_empty_document_allowed(self):
         index = build_index([("d1", "cat"), ("d2", "")], PLAIN)
-        assert index.doc_lengths["d2"] == 0
+        assert lengths_by_id(index) == {"d1": 1, "d2": 0}
 
     def test_postings_sorted_by_doc_id(self):
         index = build_index([("z", "cat"), ("a", "cat"), ("m", "cat")], PLAIN)
-        assert [d for d, _ in index.postings["cat"]] == ["a", "m", "z"]
+        assert [index.doc_ids[d] for d in index.postings("cat")[0]] == ["a", "m", "z"]
 
     def test_build_order_invariance(self, rng):
         docs = list(random_corpus(rng, 10, 8).items())
@@ -78,13 +94,56 @@ class TestBuildIndex:
 
     def test_save_load_round_trip(self, tmp_path):
         index = toy_index()
-        for name in ("idx.json", "idx.json.gz"):
-            path = tmp_path / name
-            save_index(index, str(path))
-            loaded = load_index(str(path))
-            assert loaded.postings == index.postings
-            assert loaded.doc_lengths == index.doc_lengths
-            assert loaded.total_tokens == index.total_tokens
+        path = tmp_path / "idx.npz"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        for term in ("cat", "dog"):
+            assert postings_by_id(loaded, term) == postings_by_id(index, term)
+        assert lengths_by_id(loaded) == lengths_by_id(index)
+        assert loaded.total_tokens == index.total_tokens
+
+    def test_long_term_and_non_ascii_doc_id_round_trip(self, tmp_path):
+        long_term = "x" * 5000
+        index = build_index([("dóc-文", f"cat {long_term} ünï"), ("d2", "cat")], PLAIN)
+        path = tmp_path / "idx.npz"
+        save_index(index, str(path))
+        loaded = load_index(str(path))
+        assert loaded.doc_ids == ["d2", "dóc-文"]
+        assert loaded.terms == index.terms == ["cat", long_term, "ünï"]
+        assert postings_by_id(loaded, long_term) == {"dóc-文": 1}
+        with np.load(path, allow_pickle=False) as archive:
+            kinds = {name: archive[name].dtype.kind for name in archive.files}
+        assert not {k for k in kinds.values() if k in "OSU"}, kinds
+
+
+WORDS = st.sampled_from(["cat", "dog", "emu", "yak", "gnu"])
+
+
+class TestIndexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=st.dictionaries(
+            st.text("abé文9", min_size=1, max_size=4), st.lists(WORDS, max_size=6), min_size=1, max_size=8
+        ),
+        query=st.lists(WORDS, min_size=1, max_size=3),
+        extra=WORDS,
+        data=st.data(),
+    )
+    def test_saved_index_and_corpus_order_leave_scores_unchanged(self, corpus, query, extra, data):
+        # Empty documents are drawn too: st.lists may give an empty token list.
+        assume(any(t in terms for t in query for terms in corpus.values()))
+        docs = [(d, " ".join(terms)) for d, terms in corpus.items()]
+        table = TranslationTable()
+        for t in query:
+            table.entries.setdefault(t, [(t, 0.6), (extra, 0.4)] if extra != t else [(t, 1.0)])
+        index = build_index(docs, PLAIN)
+        want = tlm_score(index, LmConfig(), table, query)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "idx.npz")
+            save_index(index, path)
+            assert tlm_score(load_index(path), LmConfig(), table, query) == want
+        shuffled = build_index(data.draw(st.permutations(docs)), PLAIN)
+        assert tlm_score(shuffled, LmConfig(), table, query) == want
 
 
 class TestLmScore:
@@ -96,9 +155,10 @@ class TestLmScore:
         assert ranked[0][1] == pytest.approx(math.log(502 / 1003), abs=1e-12)
         index = toy_index()
         p_coll = index.collection_prob("cat")
-        smoothed_d2 = (0 + 1000 * p_coll) / (index.doc_lengths["d2"] + 1000)
+        lengths = lengths_by_id(index)
+        smoothed_d2 = (0 + 1000 * p_coll) / (lengths["d2"] + 1000)
         assert smoothed_d2 == pytest.approx(500 / 1001, abs=1e-15)
-        smoothed_d1 = (2 + 1000 * p_coll) / (index.doc_lengths["d1"] + 1000)
+        smoothed_d1 = (2 + 1000 * p_coll) / (lengths["d1"] + 1000)
         assert smoothed_d1 > smoothed_d2
 
     def test_large_mu_limit(self):

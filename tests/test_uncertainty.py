@@ -36,6 +36,17 @@ class TestHistogramConfig:
         config = HistogramConfig()
         assert config.bin_indices(np.array([1.0]))[0] == 499
 
+    def test_one_ulp_below_top_edge_lands_in_last_bin(self):
+        # cosine 0.9999999999999999 divides out to exactly bin_count.
+        angle = 1.5e-8
+        model = EmbeddingModel.from_arrays(["a", "b"], np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]]))
+        assert model.cosine("a", "b") == np.nextafter(1.0, 0.0)
+        assert HistogramConfig().bin_indices(np.array([model.cosine("a", "b")]))[0] == 499
+        hist = similarity_histogram(model, ["a"])
+        assert hist.counts[499] == 1 and hist.total == 1
+        curve = uncertainty_curve(model, model, ["a"])
+        assert curve.pair_counts[499] == 1 and curve.mean_abs_diff[499] == 0.0
+
 
 class TestUncertaintyCurve:
     def test_identity_models_zero_everywhere(self, rng):
