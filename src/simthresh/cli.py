@@ -1,14 +1,17 @@
 """Command-line entry points for the analysis and retrieval workflows.
 
 Every command is deterministic given its inputs; errors exit nonzero with a
-message on stderr. A flat key=value config file can supply any flag's value;
-explicit flags win.
+message on stderr. Each setting is declared once, in ``OPTIONS``: its flag is
+``--`` plus its name with ``-`` for ``_``, and a flat ``key = value`` config
+file (``--config``) gives it under its name. ``resolve`` fills each setting
+from the flag, else the config file, else the declared default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import evaluation, neighbors, retrieval, threshold, uncertainty
 from .csvio import format_csv, write_csv
@@ -17,45 +20,128 @@ from .textproc import Pipeline
 
 __all__ = ["main"]
 
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
-def read_config(path: str) -> dict[str, str]:
-    """Flat key=value file; '#' lines are comments."""
-    values: dict[str, str] = {}
+
+def boolean(raw: str) -> bool:
+    """A switch's config-file value; on the command line the bare flag means true."""
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+class Option(NamedTuple):
+    """One setting: ``type`` converts the text of its flag or config-file value."""
+
+    help: str
+    type: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    nargs: str | None = None
+
+
+OPTIONS: dict[str, Option] = {
+    "reference": Option("reference replica model file"),
+    "other": Option("second replica model file"),
+    "model": Option("embedding model file (search: for the expansion policies)"),
+    "models": Option("replica model files (at least 2)", nargs="+"),
+    "format": Option("embedding model file format", default="word2vec_text",
+                     choices=("word2vec_text", "word2vec_binary")),
+    "probes": Option("probe terms file, one per line"),
+    "bins": Option("histogram bin count", int, 500),
+    "domain_low": Option("low edge of the binned similarity domain", float, -0.2),
+    "domain_high": Option("high edge of the binned similarity domain", float, 1.0),
+    "curve_out": Option("curve CSV to write"),
+    "histogram_out": Option("similarity histogram CSV to write"),
+    "out": Option("output file"),
+    "term": Option("term whose neighbors to list"),
+    "threshold": Option("similarity threshold", float),
+    "k": Option("number of nearest neighbors", int),
+    "synsets": Option("synset file for the synonym target"),
+    "target": Option("synonym target when no synset file is given", float, 1.6),
+    "dimension": Option("dimensionality to report (default: the models')", int),
+    "confidence": Option("confidence of the aggregated band", float, 0.95),
+    "grid_low": Option("lowest similarity of the curve grid", float, -0.2),
+    "grid_high": Option("highest similarity of the curve grid", float, 1.0),
+    "grid_points": Option("points of the curve grid", int, 2401),
+    "corpus": Option("corpus file"),
+    "corpus_format": Option("corpus file format", default="jsonl", choices=("jsonl", "trec")),
+    "stopwords": Option("stopword file, one per line (default: the bundled English list)"),
+    "no_stem": Option("skip Porter stemming", boolean, False),
+    "index": Option("index archive written by 'index'"),
+    "topics": Option("topics file, 'topic_id<TAB>query text' per line"),
+    "policy": Option("query expansion policy", default="none", choices=("none", "threshold", "knn")),
+    "mu": Option("Dirichlet smoothing weight", float, 1000.0),
+    "run_tag": Option("run tag written in the run file", default="simthresh"),
+    "max_docs": Option("documents kept per topic", int, retrieval.MAX_RUN_DOCS),
+    "run": Option("run file, TREC format"),
+    "qrels": Option("relevance judgments file"),
+    "cutoff": Option("NDCG rank cutoff", int, 20),
+    "no_condense": Option("score the full run lists, not the judged-only ones", boolean, False),
+    "run_a": Option("first run file"),
+    "run_b": Option("second run file"),
+    "metric": Option("metric to compare", default="map", choices=("map", "ndcg")),
+}
+
+# name -> (function, help, required settings, other settings)
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[str], list[str]]] = {}
+
+
+def command(name: str, help: str, required: str, optional: str = ""):
+    """Register a subcommand together with the names of the settings it reads."""
+    def register(fn):
+        COMMANDS[name] = (fn, help, required.split(), optional.split())
+        return fn
+    return register
+
+
+def read_config(path: str) -> dict[str, object]:
+    """Flat ``key = value`` file, '#' lines are comments. Each value is
+    converted and checked by its setting's declaration; errors name the line."""
+    values: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, raw = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            opt = OPTIONS.get(key)
+            if opt is None:
+                raise ValueError(f"{path}:{lineno}: {key}: unknown setting")
+            try:
+                value = [opt.type(v) for v in raw.split()] if opt.nargs else opt.type(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key}: invalid {opt.type.__name__} value: {raw!r}") from None
+            if opt.choices and value not in opt.choices:
+                raise ValueError(
+                    f"{path}:{lineno}: {key}: invalid choice: {raw!r} (choose from {', '.join(opt.choices)})"
+                )
+            values[key] = value
     return values
 
 
-class Settings:
-    """Flag values with config-file fallback."""
+def _require(args: argparse.Namespace, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"missing required setting {name!r} (flag --{name.replace('_', '-')})")
+    return value
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._file = read_config(args.config) if getattr(args, "config", None) else {}
 
-    def get(self, key: str, default=None, cast=str):
-        value = self._args.get(key)
-        if value is not None:
-            return value
-        if key in self._file:
-            raw = self._file[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        return default
-
-    def require(self, key: str, cast=str):
-        value = self.get(key, None, cast)
-        if value is None:
-            raise ValueError(f"missing required setting {key!r} (flag --{key.replace('_', '-')})")
-        return value
+def resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill each setting the flags left unset from the config file, else its
+    declared default, and check that every required setting has a value."""
+    _, _, required, optional = COMMANDS[args.command]
+    given = read_config(args.config) if args.config else {}
+    for name in required + optional:
+        if getattr(args, name) is None:
+            setattr(args, name, given.get(name, OPTIONS[name].default))
+    for name in required:
+        _require(args, name)
+    return args
 
 
 def _read_terms(path: str) -> list[str]:
@@ -70,157 +156,107 @@ def _read_terms(path: str) -> list[str]:
     return terms
 
 
-def _histogram_config(cfg: Settings) -> uncertainty.HistogramConfig:
-    return uncertainty.HistogramConfig(
-        domain_low=cfg.get("domain_low", -0.2, float),
-        domain_high=cfg.get("domain_high", 1.0, float),
-        bin_count=cfg.get("bins", 500, int),
-    )
-
-
+@command("uncertainty", "replica disagreement curve (and histogram) CSVs",
+         "reference other probes curve_out", "format histogram_out bins domain_low domain_high")
 def cmd_uncertainty(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    fmt = cfg.get("format", "word2vec_text")
-    reference = load_model(cfg.require("reference"), fmt)
-    other = load_model(cfg.require("other"), fmt)
-    probes = _read_terms(cfg.require("probes"))
-    config = _histogram_config(cfg)
+    reference = load_model(args.reference, args.format)
+    other = load_model(args.other, args.format)
+    probes = _read_terms(args.probes)
+    config = uncertainty.HistogramConfig(args.domain_low, args.domain_high, args.bins)
     curve = uncertainty.uncertainty_curve(reference, other, probes, config)
-    uncertainty.write_uncertainty_csv(curve, cfg.require("curve_out"))
-    hist_out = cfg.get("histogram_out")
-    if hist_out:
+    uncertainty.write_uncertainty_csv(curve, args.curve_out)
+    if args.histogram_out:
         hist = uncertainty.similarity_histogram(reference, probes, config)
-        uncertainty.write_histogram_csv(hist, hist_out)
+        uncertainty.write_histogram_csv(hist, args.histogram_out)
     populated = int((curve.pair_counts > 0).sum())
     print(f"uncertainty: {populated} populated bins, {curve.out_of_domain_count} pairs out of domain")
     return 0
 
 
+@command("histogram", "similarity histogram CSV for one model", "model probes out",
+         "format bins domain_low domain_high")
 def cmd_histogram(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    model = load_model(cfg.require("model"), cfg.get("format", "word2vec_text"))
-    probes = _read_terms(cfg.require("probes"))
-    hist = uncertainty.similarity_histogram(model, probes, _histogram_config(cfg))
-    uncertainty.write_histogram_csv(hist, cfg.require("out"))
+    model = load_model(args.model, args.format)
+    config = uncertainty.HistogramConfig(args.domain_low, args.domain_high, args.bins)
+    hist = uncertainty.similarity_histogram(model, _read_terms(args.probes), config)
+    uncertainty.write_histogram_csv(hist, args.out)
     print(f"histogram: {hist.total} similarities tallied")
     return 0
 
 
+@command("neighbors", "list a term's neighbors above a threshold or top-k",
+         "model term", "threshold k format out")
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    model = load_model(cfg.require("model"), cfg.get("format", "word2vec_text"))
-    term = cfg.require("term")
-    thr = cfg.get("threshold", None, float)
-    k = cfg.get("k", None, int)
+    model = load_model(args.model, args.format)
+    thr, k = args.threshold, args.k
     if (thr is None) == (k is None):
         raise ValueError("pass exactly one of --threshold or --k")
-    found = model.neighbors_above(term, thr) if thr is not None else model.knn(term, k)
-    out = cfg.get("out")
-    if out:
-        write_csv(out, ["token", "similarity"], found)
+    found = model.neighbors_above(args.term, thr) if thr is not None else model.knn(args.term, k)
+    if args.out:
+        write_csv(args.out, ["token", "similarity"], found)
     else:
         sys.stdout.write(format_csv(["token", "similarity"], found))
     return 0
 
 
-def _grid(cfg: Settings):
-    return neighbors.default_grid(
-        low=cfg.get("grid_low", -0.2, float),
-        high=cfg.get("grid_high", 1.0, float),
-        points=cfg.get("grid_points", 2401, int),
-    )
-
-
+@command("threshold", "derive similarity thresholds from a replica ensemble", "models probes out",
+         "format synsets target dimension confidence grid_low grid_high grid_points curve_out")
 def cmd_threshold(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    fmt = cfg.get("format", "word2vec_text")
-    paths = cfg.get("models") or []
-    if isinstance(paths, str):
-        paths = paths.split()
-    if len(paths) < 2:
+    if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
-    ensemble = ModelEnsemble([load_model(p, fmt) for p in paths])
-    probes = _read_terms(cfg.require("probes"))
+    ensemble = ModelEnsemble([load_model(p, args.format) for p in args.models])
+    probes = _read_terms(args.probes)
     for t in probes:
         ensemble.require_shared(t)
-    synset_path = cfg.get("synsets")
-    if synset_path:
-        target = threshold.synonym_statistics(synset_path)
+    if args.synsets:
+        target = threshold.synonym_statistics(args.synsets)
     else:
-        target = threshold.SynonymTarget(
-            mean_synonyms=cfg.get("target", 1.6, float), source_label="configured"
-        )
-    grid = _grid(cfg)
+        target = threshold.SynonymTarget(mean_synonyms=args.target, source_label="configured")
+    grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     curves = [neighbors.expected_neighbors(ensemble, t, grid) for t in probes]
-    if len(curves) >= 2:
-        curve = neighbors.aggregate_curves(curves, confidence=cfg.get("confidence", 0.95, float))
-    else:
-        curve = curves[0]
-    dim = cfg.get("dimension", ensemble.dimensionality, int)
+    curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
+    dim = ensemble.dimensionality if args.dimension is None else args.dimension
     result = threshold.solve_threshold(curve, target, dimensionality=dim)
-    threshold.write_threshold_csv([result], cfg.require("out"))
-    curve_out = cfg.get("curve_out")
-    if curve_out:
-        neighbors.write_curve_csv(curve, curve_out)
-    print(
-        f"threshold[dim={result.dimensionality}]: main={result.main:.4f} "
-        f"lower={result.lower:.4f} upper={result.upper:.4f} "
-        f"(target {target.mean_synonyms:g})"
-    )
+    threshold.write_threshold_csv([result], args.out)
+    if args.curve_out:
+        neighbors.write_curve_csv(curve, args.curve_out)
+    print(f"threshold[dim={result.dimensionality}]: main={result.main:.4f} lower={result.lower:.4f} "
+          f"upper={result.upper:.4f} (target {target.mean_synonyms:g})")
     return 0
 
 
+@command("synonym-stats", "mean/std synonym counts from a synset file", "synsets", "out")
 def cmd_synonym_stats(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    target = threshold.synonym_statistics(cfg.require("synsets"))
-    out = cfg.get("out")
-    if out:
-        write_csv(
-            out,
-            ["mean_synonyms", "std_synonyms", "term_count"],
-            [(target.mean_synonyms, target.std_synonyms, target.term_count)],
-        )
-    print(
-        f"synonyms: mean={target.mean_synonyms:.4f} std={target.std_synonyms:.4f} "
-        f"terms={target.term_count}"
-    )
+    target = threshold.synonym_statistics(args.synsets)
+    if args.out:
+        write_csv(args.out, ["mean_synonyms", "std_synonyms", "term_count"],
+                  [(target.mean_synonyms, target.std_synonyms, target.term_count)])
+    print(f"synonyms: mean={target.mean_synonyms:.4f} std={target.std_synonyms:.4f} terms={target.term_count}")
     return 0
 
 
-def _pipeline(cfg: Settings) -> Pipeline:
-    return Pipeline.from_stopword_file(
-        cfg.get("stopwords"), stem_enabled=not cfg.get("no_stem", False, bool)
-    )
-
-
+@command("index", "build an inverted index from a corpus", "corpus out", "corpus_format stopwords no_stem")
 def cmd_index(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    corpus = retrieval.read_corpus(cfg.require("corpus"), cfg.get("corpus_format", "jsonl"))
-    index = retrieval.build_index(corpus, _pipeline(cfg))
-    retrieval.save_index(index, cfg.require("out"))
+    corpus = retrieval.read_corpus(args.corpus, args.corpus_format)
+    pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
+    index = retrieval.build_index(corpus, pipeline)
+    retrieval.save_index(index, args.out)
     print(f"indexed {index.doc_count} documents, {index.total_tokens} tokens")
     return 0
 
 
-def _policy(cfg: Settings) -> retrieval.ExpansionPolicy:
-    mode = cfg.get("policy", "none")
-    if mode == "threshold":
-        return retrieval.ExpansionPolicy(mode="threshold", threshold=cfg.require("threshold", float))
-    if mode == "knn":
-        return retrieval.ExpansionPolicy(mode="knn", k=cfg.require("k", int))
-    return retrieval.ExpansionPolicy(mode="none")
-
-
+@command("search", "score topics against an index", "index topics out",
+         "policy threshold k model format mu run_tag max_docs stopwords no_stem")
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    index = retrieval.load_index(cfg.require("index"))
-    topics = retrieval.read_topics(cfg.require("topics"))
-    policy = _policy(cfg)
+    index = retrieval.load_index(args.index)
+    topics = retrieval.read_topics(args.topics)
     embedding = None
-    if policy.mode != "none":
-        embedding = load_model(cfg.require("model"), cfg.get("format", "word2vec_text"))
-    pipeline = _pipeline(cfg)
-    config = retrieval.LmConfig(mu=cfg.get("mu", 1000.0, float))
+    if args.policy != "none":
+        _require(args, "threshold" if args.policy == "threshold" else "k")
+        embedding = load_model(_require(args, "model"), args.format)
+    policy = retrieval.ExpansionPolicy(mode=args.policy, threshold=args.threshold, k=args.k)
+    pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
+    config = retrieval.LmConfig(mu=args.mu)
     run: dict[str, list[tuple[str, float]]] = {}
     for topic_id, text in topics:
         terms = pipeline.process(text)
@@ -228,169 +264,69 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise ValueError(f"topic {topic_id}: query empty after preprocessing")
         table = retrieval.build_translation_table(terms, policy, embedding)
         run[topic_id] = retrieval.tlm_score(index, config, table, terms)
-    retrieval.write_run(
-        run, cfg.require("out"), run_tag=cfg.get("run_tag", "simthresh"),
-        max_docs=cfg.get("max_docs", retrieval.MAX_RUN_DOCS, int),
-    )
+    retrieval.write_run(run, args.out, run_tag=args.run_tag, max_docs=args.max_docs)
     print(f"scored {len(run)} topics under policy {policy.mode}")
     return 0
 
 
+@command("evaluate", "MAP and NDCG over (condensed) run lists", "run qrels", "out cutoff no_condense")
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    run = retrieval.read_run(cfg.require("run"))
-    qrels = evaluation.read_qrels(cfg.require("qrels"))
-    condense_lists = not cfg.get("no_condense", False, bool)
-    cutoff = cfg.get("cutoff", 20, int)
-    ap = evaluation.evaluate_run(run, qrels, "map", cutoff, condense_lists)
-    ndcg = evaluation.evaluate_run(run, qrels, "ndcg", cutoff, condense_lists)
-    out = cfg.get("out")
-    if out:
-        evaluation.write_metric_report(out, [ap, ndcg])
-    print(f"map={ap.mean:.4f} ndcg@{cutoff}={ndcg.mean:.4f} over {len(ap.per_topic)} topics")
+    run = retrieval.read_run(args.run)
+    qrels = evaluation.read_qrels(args.qrels)
+    ap = evaluation.evaluate_run(run, qrels, "map", args.cutoff, not args.no_condense)
+    ndcg = evaluation.evaluate_run(run, qrels, "ndcg", args.cutoff, not args.no_condense)
+    if args.out:
+        evaluation.write_metric_report(args.out, [ap, ndcg])
+    print(f"map={ap.mean:.4f} ndcg@{args.cutoff}={ndcg.mean:.4f} over {len(ap.per_topic)} topics")
     return 0
 
 
+@command("compare", "paired t-test between two runs", "run_a run_b qrels",
+         "metric out cutoff no_condense")
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = Settings(args)
-    qrels = evaluation.read_qrels(cfg.require("qrels"))
-    metric = cfg.get("metric", "map")
-    cutoff = cfg.get("cutoff", 20, int)
-    condense_lists = not cfg.get("no_condense", False, bool)
-    a = evaluation.evaluate_run(retrieval.read_run(cfg.require("run_a")), qrels, metric, cutoff, condense_lists)
-    b = evaluation.evaluate_run(retrieval.read_run(cfg.require("run_b")), qrels, metric, cutoff, condense_lists)
+    qrels = evaluation.read_qrels(args.qrels)
+    condense_lists = not args.no_condense
+    a = evaluation.evaluate_run(retrieval.read_run(args.run_a), qrels, args.metric, args.cutoff, condense_lists)
+    b = evaluation.evaluate_run(retrieval.read_run(args.run_b), qrels, args.metric, args.cutoff, condense_lists)
     result = evaluation.paired_ttest(a, b)
-    out = cfg.get("out")
-    if out:
-        evaluation.write_comparison_report(out, metric, a.mean, b.mean, result)
+    if args.out:
+        evaluation.write_comparison_report(args.out, args.metric, a.mean, b.mean, result)
     verdict = "significant" if result.significant else "not significant"
     print(
-        f"{metric}: a={a.mean:.4f} b={b.mean:.4f} t={result.t_statistic:.4f} "
+        f"{args.metric}: a={a.mean:.4f} b={b.mean:.4f} t={result.t_statistic:.4f} "
         f"p={result.p_value:.4f} ({verdict}, n={result.n_topics})"
     )
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; flags default to None so ``resolve`` can tell them unset."""
     parser = argparse.ArgumentParser(
         prog="simthresh",
         description="Embedding similarity uncertainty, thresholds, and retrieval evaluation",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("uncertainty", help="replica disagreement curve (and histogram) CSVs")
-    p.add_argument("--reference")
-    p.add_argument("--other")
-    p.add_argument("--probes")
-    p.add_argument("--format", choices=["word2vec_text", "word2vec_binary"])
-    p.add_argument("--bins", type=int)
-    p.add_argument("--domain-low", dest="domain_low", type=float)
-    p.add_argument("--domain-high", dest="domain_high", type=float)
-    p.add_argument("--curve-out", dest="curve_out")
-    p.add_argument("--histogram-out", dest="histogram_out")
-    _add_common(p)
-    p.set_defaults(func=cmd_uncertainty)
-
-    p = subs.add_parser("histogram", help="similarity histogram CSV for one model")
-    p.add_argument("--model")
-    p.add_argument("--probes")
-    p.add_argument("--format", choices=["word2vec_text", "word2vec_binary"])
-    p.add_argument("--bins", type=int)
-    p.add_argument("--domain-low", dest="domain_low", type=float)
-    p.add_argument("--domain-high", dest="domain_high", type=float)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_histogram)
-
-    p = subs.add_parser("neighbors", help="list a term's neighbors above a threshold or top-k")
-    p.add_argument("--model")
-    p.add_argument("--term")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--format", choices=["word2vec_text", "word2vec_binary"])
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_neighbors)
-
-    p = subs.add_parser("threshold", help="derive similarity thresholds from a replica ensemble")
-    p.add_argument("--models", nargs="+", help="replica model paths (>= 2)")
-    p.add_argument("--probes")
-    p.add_argument("--format", choices=["word2vec_text", "word2vec_binary"])
-    p.add_argument("--synsets", help="synset file for the synonym target")
-    p.add_argument("--target", type=float, help="numeric synonym target (default 1.6)")
-    p.add_argument("--dimension", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--grid-low", dest="grid_low", type=float)
-    p.add_argument("--grid-high", dest="grid_high", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--out")
-    p.add_argument("--curve-out", dest="curve_out")
-    _add_common(p)
-    p.set_defaults(func=cmd_threshold)
-
-    p = subs.add_parser("synonym-stats", help="mean/std synonym counts from a synset file")
-    p.add_argument("--synsets")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_synonym_stats)
-
-    p = subs.add_parser("index", help="build an inverted index from a corpus")
-    p.add_argument("--corpus")
-    p.add_argument("--corpus-format", dest="corpus_format", choices=["jsonl", "trec"])
-    p.add_argument("--stopwords")
-    p.add_argument("--no-stem", dest="no_stem", action="store_const", const=True)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_index)
-
-    p = subs.add_parser("search", help="score topics against an index")
-    p.add_argument("--index")
-    p.add_argument("--topics")
-    p.add_argument("--policy", choices=["none", "threshold", "knn"])
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--model", help="embedding model for expansion policies")
-    p.add_argument("--format", choices=["word2vec_text", "word2vec_binary"])
-    p.add_argument("--mu", type=float)
-    p.add_argument("--stopwords")
-    p.add_argument("--no-stem", dest="no_stem", action="store_const", const=True)
-    p.add_argument("--run-tag", dest="run_tag")
-    p.add_argument("--max-docs", dest="max_docs", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_search)
-
-    p = subs.add_parser("evaluate", help="MAP and NDCG over (condensed) run lists")
-    p.add_argument("--run")
-    p.add_argument("--qrels")
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--no-condense", dest="no_condense", action="store_const", const=True)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = subs.add_parser("compare", help="paired t-test between two runs")
-    p.add_argument("--run-a", dest="run_a")
-    p.add_argument("--run-b", dest="run_b")
-    p.add_argument("--qrels")
-    p.add_argument("--metric", choices=["map", "ndcg"])
-    p.add_argument("--cutoff", type=int)
-    p.add_argument("--no-condense", dest="no_condense", action="store_const", const=True)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
+    for name, (fn, help, required, optional) in COMMANDS.items():
+        p = subs.add_parser(name, help=help)
+        for key in required + optional:
+            opt = OPTIONS[key]
+            text = opt.help + (" (required)" if key in required else "")
+            if opt.default is not None:
+                text += f" (default: {opt.default})"
+            flag = "--" + key.replace("_", "-")
+            if opt.type is boolean:
+                p.add_argument(flag, action="store_const", const=True, help=text)
+            else:
+                p.add_argument(flag, type=opt.type, choices=opt.choices or None, nargs=opt.nargs, help=text)
+        p.add_argument("--config", help="flat 'key = value' config file; flags override it")
+        p.set_defaults(func=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve(args))
     except BrokenPipeError:
         return 1
     except KeyError as exc:

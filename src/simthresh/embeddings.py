@@ -189,7 +189,10 @@ def _load_text(path: str) -> tuple[list[str], np.ndarray]:
         rows = np.empty((count, dim), dtype=np.float64)
         n = 0
         for raw in fh:
-            line = raw.decode("utf-8").strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
             if not line:
                 continue
             if n >= count:
@@ -226,7 +229,10 @@ def _load_binary(path: str) -> tuple[list[str], np.ndarray]:
                 if ch == b" ":
                     break
                 chars.extend(ch)
-            token = chars.decode("utf-8")
+            try:
+                token = chars.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
             if not token:
                 raise ModelFormatError(f"{path}: empty token in record {n}")
             blob = fh.read(rec_bytes)

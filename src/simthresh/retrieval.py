@@ -150,6 +150,9 @@ def load_index(path: str) -> Index:
     """Read an archive written by ``save_index``; every failure names the file."""
     try:
         with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":  # np.load would take any other file for a pickle
+                raise ValueError("not a zip archive")
+            fh.seek(0)
             archive = np.load(fh, allow_pickle=False)
             a = {name: archive[name] for name in _MEMBERS}
         if any(a[name].dtype != dtype or a[name].ndim != 1 for name, dtype in _MEMBERS.items()):
@@ -318,23 +321,23 @@ _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
 
 def read_trec_corpus(path: str) -> Iterator[tuple[str, str]]:
     """TREC-tagged documents: <DOC> blocks with <DOCNO> and <TEXT> sections."""
-    in_doc = False
+    in_doc, start = False, 0  # start: line of the open <DOC>
     in_text = False
     doc_lines: list[str] = []
     text_lines: list[str] = []
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
             if stripped.startswith("<DOC>"):
-                in_doc, doc_lines, text_lines = True, [], []
+                in_doc, start, doc_lines, text_lines = True, lineno, [], []
                 continue
             if stripped.startswith("</DOC>"):
                 if not in_doc:
-                    raise ValueError(f"{path}: </DOC> without <DOC>")
+                    raise ValueError(f"{path}:{lineno}: </DOC> without <DOC>")
                 header = "\n".join(doc_lines)
                 match = _DOCNO_RE.search(header)
                 if match is None:
-                    raise ValueError(f"{path}: document without <DOCNO>")
+                    raise ValueError(f"{path}:{start}: document without <DOCNO>")
                 yield match.group(1).strip(), "\n".join(text_lines)
                 in_doc = in_text = False
                 continue
@@ -357,7 +360,7 @@ def read_trec_corpus(path: str) -> Iterator[tuple[str, str]]:
             else:
                 doc_lines.append(line.rstrip("\n"))
     if in_doc:
-        raise ValueError(f"{path}: unterminated <DOC> block")
+        raise ValueError(f"{path}:{start}: unterminated <DOC> block")
 
 
 def read_corpus(path: str, fmt: str) -> Iterator[tuple[str, str]]:

@@ -1,11 +1,13 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simthresh.cli import main, read_config
-from simthresh.embeddings import EmbeddingModel, save_model
+from simthresh.cli import COMMANDS, OPTIONS, build_parser, main, read_config, resolve
+from simthresh.embeddings import EmbeddingModel, load_model, save_model
 from simthresh.evaluation import read_metric_report
 from simthresh.retrieval import read_run
 from simthresh.threshold import read_threshold_csv
@@ -298,6 +300,10 @@ def _json_file(path):
     path.write_text('{"postings": {}}')
 
 
+def _random_bytes(path):
+    path.write_bytes(np.random.default_rng(0).bytes(300))
+
+
 def _truncated(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -324,11 +330,12 @@ def _offsets_overrun(path):
 
 class TestBadInputs:
     @pytest.mark.parametrize("damage, message", [
-        (_json_file, "not a readable index archive"),
+        (_json_file, "not a readable index archive (not a zip archive)"),
+        (_random_bytes, "not a readable index archive (not a zip archive)"),
         (_truncated, "not a readable index archive"),
         (_missing_member, "tfs"),
         (_offsets_overrun, "postings offsets disagree with the postings"),
-    ], ids=["json", "truncated", "missing-member", "offsets-overrun"])
+    ], ids=["json", "random-bytes", "truncated", "missing-member", "offsets-overrun"])
     def test_bad_index_names_file(self, tmp_path, capsys, damage, message):
         _, topics, _, _, index_path = search_world(tmp_path)
         capsys.readouterr()
@@ -339,6 +346,7 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {index_path}: ") and message in err
         assert err.count("\n") == 1
+        assert "pickle" not in err
 
     def test_max_docs_below_one_rejected(self, tmp_path, capsys):
         _, topics, _, _, index_path = search_world(tmp_path)
@@ -366,6 +374,30 @@ class TestBadInputs:
         assert err.startswith(f"error: {files[which]}:{lineno}: {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n\n<DOC>\n<TEXT>x</TEXT>\n</DOC>\n", 5, "document without <DOCNO>"),
+        ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n</DOC>\n", 4, "</DOC> without <DOC>"),
+        ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n<DOC>\n<DOCNO>t2</DOCNO>\n", 4, "unterminated <DOC> block"),
+    ], ids=["trec-no-docno", "trec-close-without-open", "trec-unterminated"])
+    def test_bad_trec_document_names_file_and_line(self, tmp_path, capsys, text, lineno, message):
+        corpus = tmp_path / "c.trec"
+        corpus.write_text(text)
+        rc = main(["index", "--corpus", str(corpus), "--corpus-format", "trec",
+                   "--out", str(tmp_path / "i.npz")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {corpus}:{lineno}: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
+    def test_non_utf8_token_names_file_and_record(self, tmp_path, capsys, fmt):
+        path = tmp_path / "bad.vec"
+        save_model(load_model(REPLICAS[0]), str(path), fmt=fmt)
+        data = path.read_bytes()
+        assert data.count(b"\nbeta ") == 1  # record 1
+        path.write_bytes(data.replace(b"\nbeta ", b"\n\xff\xfebeta "))
+        rc = main(["neighbors", "--model", str(path), "--format", fmt, "--term", "alpha", "--k", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: record 1: token is not valid UTF-8\n"
+
 
 class TestMoreEdges:
     def test_binary_format_plumbed_through(self, tmp_path):
@@ -390,14 +422,212 @@ class TestMoreEdges:
         assert "empty after preprocessing" in capsys.readouterr().err
 
 
+def pipeline_world(tmp_path):
+    """Inputs for every command: the search world plus two runs, synsets and stopwords."""
+    corpus, topics, qrels, model_path, index_path = search_world(tmp_path)
+    runs = [tmp_path / "run_none.txt", tmp_path / "run_thr.txt"]
+    assert main(["search", "--index", str(index_path), "--topics", str(topics), "--out", str(runs[0])]) == 0
+    assert main(["search", "--index", str(index_path), "--topics", str(topics), "--policy", "threshold",
+                 "--threshold", "0.5", "--model", str(model_path), "--out", str(runs[1])]) == 0
+    synsets = tmp_path / "synsets.txt"
+    synsets.write_text("a b c\na d\n")
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("the\nof\nfunctions\n")
+    return dict(corpus=corpus, topics=topics, qrels=qrels, model=model_path, index=index_path,
+                runs=runs, synsets=synsets, stopwords=stopwords)
+
+
+def command_settings(w, out):
+    """Non-default settings for every command; output files go under ``out``."""
+    return {
+        "uncertainty": dict(reference=REPLICAS[0], other=REPLICAS[1], probes=PROBES, format="word2vec_text",
+                            bins="40", domain_low="-1.0", domain_high="0.9",
+                            curve_out=out / "curve.csv", histogram_out=out / "hist.csv"),
+        "histogram": dict(model=REPLICAS[2], probes=PROBES, bins="30", domain_low="-0.5",
+                          domain_high="1.0", out=out / "hist.csv"),
+        "neighbors": dict(model=REPLICAS[0], term="alpha", threshold="0.1"),
+        "threshold": dict(models=REPLICAS[:4], probes=PROBES, target="2.5", dimension="7",
+                          confidence="0.9", grid_low="-0.5", grid_high="1.0", grid_points="1201",
+                          out=out / "t.csv", curve_out=out / "curve.csv"),
+        "synonym-stats": dict(synsets=w["synsets"], out=out / "stats.csv"),
+        "index": dict(corpus=w["corpus"], corpus_format="jsonl", stopwords=w["stopwords"], no_stem=True,
+                      out=out / "index.npz"),
+        "search": dict(index=w["index"], topics=w["topics"], policy="knn", k="2", model=w["model"],
+                       format="word2vec_text", mu="50", run_tag="cfg", max_docs="3",
+                       stopwords=w["stopwords"], out=out / "run.txt"),
+        "evaluate": dict(run=w["runs"][1], qrels=w["qrels"], cutoff="3", no_condense=True,
+                         out=out / "report.csv"),
+        "compare": dict(run_a=w["runs"][1], run_b=w["runs"][0], qrels=w["qrels"], metric="ndcg", cutoff="3",
+                        no_condense=True, out=out / "cmp.csv"),
+    }
+
+
+def as_flags(command, settings):
+    argv = [command]
+    for key, value in settings.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv += [flag, *map(str, value if isinstance(value, list) else [value])]
+    return argv
+
+
+def as_config(path, settings):
+    def text(value):
+        return "true" if value is True else " ".join(map(str, value)) if isinstance(value, list) else str(value)
+    path.write_text("# generated\n" + "".join(f"{key} = {text(v)}\n" for key, v in settings.items()))
+
+
+def contents(path):
+    if path.suffix == ".npz":  # zip member timestamps may differ, the arrays may not
+        with np.load(path, allow_pickle=False) as archive:
+            return {name: (archive[name].dtype.str, archive[name].tobytes()) for name in archive.files}
+    return path.read_bytes()
+
+
+def run_and_collect(argv, out, capsys):
+    capsys.readouterr()
+    assert main(argv) == 0
+    files = {p.name: contents(p) for p in sorted(out.iterdir()) if p.suffix != ".cfg"}
+    return capsys.readouterr().out, files
+
+
 class TestConfigFile:
     def test_parser(self, tmp_path):
         path = tmp_path / "x.cfg"
-        path.write_text("# comment\nalpha = 1\nbeta=two words\n")
-        assert read_config(str(path)) == {"alpha": "1", "beta": "two words"}
+        path.write_text("# comment\nmu = 1\nrun_tag=two words\nmodels = a.vec  b.vec\nno_stem = Yes\n")
+        values = read_config(str(path))
+        assert values == {"mu": 1.0, "run_tag": "two words", "models": ["a.vec", "b.vec"], "no_stem": True}
+        assert type(values["mu"]) is float
 
     def test_malformed(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("no equals sign\n")
         with pytest.raises(ValueError):
             read_config(str(path))
+
+    def test_cases_cover_every_setting(self, tmp_path):
+        cases = command_settings(pipeline_world(tmp_path), tmp_path)
+        assert set(cases) == set(COMMANDS)
+        assert set().union(*cases.values()) == set(OPTIONS)
+        for command, settings in cases.items():
+            _, _, required, optional = COMMANDS[command]
+            assert set(settings) <= set(required + optional)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_config_file_equals_flags(self, tmp_path, capsys, command):
+        world = pipeline_world(tmp_path)
+        results = []
+        for how in ("flags", "config"):
+            out = tmp_path / how
+            out.mkdir()
+            settings = command_settings(world, out)[command]
+            if how == "flags":
+                argv = as_flags(command, settings)
+            else:
+                as_config(out / "run.cfg", settings)
+                argv = [command, "--config", str(out / "run.cfg")]
+            results.append(run_and_collect(argv, out, capsys))
+        assert results[0] == results[1]
+        assert results[0][0] or results[0][1]
+
+    @pytest.mark.parametrize("line, message", [
+        ("bins = abc", "bins: invalid int value: 'abc'"),
+        ("mu = high", "mu: invalid float value: 'high'"),
+        ("format = word2vec_txt",
+         "format: invalid choice: 'word2vec_txt' (choose from word2vec_text, word2vec_binary)"),
+        ("policy = bm25", "policy: invalid choice: 'bm25' (choose from none, threshold, knn)"),
+        ("metric = p10", "metric: invalid choice: 'p10' (choose from map, ndcg)"),
+        ("no_stem = ture", "no_stem: invalid boolean value: 'ture'"),
+        ("binz = 10", "binz: unknown setting"),
+        ("bins 10", "expected 'key = value'"),
+    ], ids=["int", "float", "format", "policy", "metric", "bool", "unknown-key", "no-equals"])
+    def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\nprobes = {PROBES}\n{line}\nbins = 10\n")
+        curve = tmp_path / "c.csv"
+        rc = main(["uncertainty", "--config", str(config), "--reference", REPLICAS[0],
+                   "--other", REPLICAS[1], "--curve-out", str(curve)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {config}:3: {message}\n"
+        assert not curve.exists()
+
+    def test_keys_of_other_commands_allowed(self, tmp_path):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"probes = {PROBES}\nmu = 500\npolicy = knn\ncutoff = 5\nno_condense = true\n")
+        out = tmp_path / "c.csv"
+        assert main(["uncertainty", "--config", str(config), "--reference", REPLICAS[0],
+                     "--other", REPLICAS[1], "--curve-out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("command, config, override", [
+        ("uncertainty", "bins = 10", ["--bins", "20"]),
+        ("threshold", f"models = {REPLICAS[0]} {REPLICAS[1]}", ["--models", *REPLICAS]),
+        ("index", "no_stem = false", ["--no-stem"]),
+    ], ids=["scalar", "list", "switch"])
+    def test_flag_beats_config_file(self, tmp_path, capsys, command, config, override):
+        world = pipeline_world(tmp_path)
+        base = {
+            "uncertainty": ["--reference", REPLICAS[0], "--other", REPLICAS[1], "--probes", PROBES],
+            "threshold": ["--probes", PROBES, "--target", "2.5"],
+            "index": ["--corpus", str(world["corpus"])],
+        }[command]
+        results = {}
+        for how in ("flags", "config", "both"):
+            out = tmp_path / how
+            out.mkdir()
+            (out / "run.cfg").write_text(config + "\n")
+            argv = [command, *base, "--curve-out" if command == "uncertainty" else "--out", str(out / "o")]
+            argv += ["--config", str(out / "run.cfg")] if how != "flags" else []
+            argv += override if how != "config" else []
+            results[how] = run_and_collect(argv, out, capsys)
+        assert results["both"] == results["flags"]
+        assert results["config"] != results["flags"]
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+
+
+def readme_invocations():
+    lines = "\n".join(readme_blocks("bash")).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("simthresh ")]
+
+
+class TestReadme:
+    def test_every_command_has_an_example(self):
+        assert {argv[0] for argv in readme_invocations()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_invocations(), ids=lambda argv: argv[0])
+    def test_example_parses_and_resolves(self, argv):
+        resolve(build_parser().parse_args(argv))
+
+    def test_help_prints_every_default(self, capsys):
+        for command, (_, _, required, optional) in COMMANDS.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            for name in required + optional:
+                if OPTIONS[name].default is not None:
+                    assert f"(default: {OPTIONS[name].default})" in text, (command, name)
+
+    def test_config_example_reads(self, tmp_path):
+        (block,) = readme_blocks("ini")
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(block)
+        assert read_config(str(path))
+
+    def test_settings_table_lists_every_default(self):
+        rows = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [c.strip() for c in line.split("|")[1:-1]]
+            for name in re.findall(r"`(\w+)`", cells[0]) if len(cells) == 3 else []:
+                rows[name] = cells[1]
+        assert set(rows) == set(OPTIONS)
+        for name, opt in OPTIONS.items():
+            if opt.default is not None:
+                assert rows[name].lower() == str(opt.default).lower(), name
