@@ -14,7 +14,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import evaluation, neighbors, retrieval, threshold, uncertainty
-from .csvio import format_csv, write_csv
+from .csvio import format_csv, read_lines, write_csv
 from .embeddings import ModelEnsemble, load_model
 from .textproc import Pipeline
 
@@ -99,28 +99,31 @@ def command(name: str, help: str, required: str, optional: str = ""):
 
 def read_config(path: str) -> dict[str, object]:
     """Flat ``key = value`` file, '#' lines are comments. Each value is
-    converted and checked by its setting's declaration; errors name the line."""
+    converted and checked by its setting's declaration, and each key may be
+    set once; errors name the line."""
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, raw = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            opt = OPTIONS.get(key)
-            if opt is None:
-                raise ValueError(f"{path}:{lineno}: {key}: unknown setting")
-            try:
-                value = [opt.type(v) for v in raw.split()] if opt.nargs else opt.type(raw)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {key}: invalid {opt.type.__name__} value: {raw!r}") from None
-            if opt.choices and value not in opt.choices:
-                raise ValueError(
-                    f"{path}:{lineno}: {key}: invalid choice: {raw!r} (choose from {', '.join(opt.choices)})"
-                )
-            values[key] = value
+    lines: dict[str, int] = {}
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        opt = OPTIONS.get(key)
+        if opt is None:
+            raise ValueError(f"{path}:{lineno}: {key}: unknown setting")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key}: set twice (first on line {lines[key]})")
+        try:
+            value = [opt.type(v) for v in raw.split()] if opt.nargs else opt.type(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key}: invalid {opt.type.__name__} value: {raw!r}") from None
+        if opt.choices and value not in opt.choices:
+            raise ValueError(
+                f"{path}:{lineno}: {key}: invalid choice: {raw!r} (choose from {', '.join(opt.choices)})"
+            )
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -145,15 +148,18 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _read_terms(path: str) -> list[str]:
-    terms = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                terms.append(line)
+    """One term per line, '#' lines are comments; a repeated term is an error,
+    since it would weigh twice in every average over the terms."""
+    terms: dict[str, int] = {}
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            if line in terms:
+                raise ValueError(f"{path}:{lineno}: duplicate term {line!r} (first on line {terms[line]})")
+            terms[line] = lineno
     if not terms:
         raise ValueError(f"{path}: no terms found")
-    return terms
+    return list(terms)
 
 
 @command("uncertainty", "replica disagreement curve (and histogram) CSVs",

@@ -1,4 +1,5 @@
-"""The one CSV layout every report in the package is written and read in.
+"""The one CSV layout every report in the package is written and read in,
+and the one reader of the lines of a text input file.
 
 A file is an optional preamble of ``# key=value`` comment lines, a header row,
 and one comma-separated row per record. Floats are written as
@@ -9,11 +10,11 @@ commas.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["format_csv", "write_csv", "read_csv"]
+__all__ = ["format_csv", "write_csv", "read_csv", "read_lines"]
 
 
 def _cell(x) -> str:
@@ -45,18 +46,35 @@ def read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
     comments: list[str] = []
     header: list[str] | None = None
     rows: list[dict[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-            elif not line:
-                continue
-            elif header is None:
-                header = line.split(",")
-            else:
-                fields = line.split(",")
-                if len(fields) != len(header):
-                    raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-                rows.append(dict(zip(header, fields)))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif not line:
+            continue
+        elif header is None:
+            header = line.split(",")
+        else:
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
+            rows.append(dict(zip(header, fields)))
     return comments, rows
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    r"""(line number, line) for each '\n'-ended line of a UTF-8 text file,
+    line ending kept (a '\r' before the '\n' too). A file that is not valid
+    UTF-8 raises ``ValueError`` naming the file and its first bad line."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            yield from enumerate(fh, 1)
+    except UnicodeDecodeError:
+        # The decoder works ahead in blocks, so the bad line is found in the bytes.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
+        raise

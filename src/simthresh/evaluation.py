@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, read_lines, write_csv
 
 __all__ = [
     "Qrels",
@@ -62,18 +62,17 @@ class Qrels:
 def read_qrels(path: str) -> Qrels:
     """TREC qrels format: whitespace-separated 'topic_id 0 doc_id grade'."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            topic_id, _, doc_id, grade = parts
-            try:
-                qrels.add(topic_id, doc_id, int(grade))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 fields")
+        topic_id, _, doc_id, grade = parts
+        try:
+            qrels.add(topic_id, doc_id, int(grade))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not qrels.grades:
         raise ValueError(f"{path}: no judgments found")
     return qrels

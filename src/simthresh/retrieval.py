@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .csvio import read_lines
 from .embeddings import EmbeddingModel
 from .textproc import Pipeline
 
@@ -302,18 +303,17 @@ def lm_score(index: Index, config: LmConfig, query_terms: list[str]) -> list[tup
 
 def read_jsonl_corpus(path: str) -> Iterator[tuple[str, str]]:
     """Line-delimited JSON objects with "id" and "text" fields."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if "id" not in obj or "text" not in obj:
-                raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            yield str(obj["id"]), str(obj["text"])
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if "id" not in obj or "text" not in obj:
+            raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
+        yield str(obj["id"]), str(obj["text"])
 
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
@@ -374,15 +374,14 @@ def read_corpus(path: str, fmt: str) -> Iterator[tuple[str, str]]:
 def read_topics(path: str) -> list[tuple[str, str]]:
     """Tab-separated lines: topic_id<TAB>query text."""
     topics = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'topic_id<TAB>query text'")
-            topic_id, text = line.split("\t", 1)
-            topics.append((topic_id.strip(), text))
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'topic_id<TAB>query text'")
+        topic_id, text = line.split("\t", 1)
+        topics.append((topic_id.strip(), text))
     if not topics:
         raise ValueError(f"{path}: no topics found")
     return topics
@@ -405,18 +404,17 @@ def write_run(
 
 def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
     run: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
-            topic_id, _, doc_id, _, score, _ = parts
-            try:
-                run.setdefault(topic_id, []).append((doc_id, float(score)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
+        topic_id, _, doc_id, _, score, _ = parts
+        try:
+            run.setdefault(topic_id, []).append((doc_id, float(score)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return run
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import porter
+from .csvio import read_lines
 
 __all__ = ["Pipeline", "tokenize", "load_stopwords", "default_stopwords"]
 
@@ -28,11 +29,10 @@ def tokenize(text: str) -> list[str]:
 def load_stopwords(path: str) -> frozenset[str]:
     """Stopword file: UTF-8, one token per line, '#' lines ignored."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
+    for _, line in read_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            words.add(line.lower())
     return frozenset(words)
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import read_csv, read_lines, write_csv
 from .neighbors import NeighborCurve
 
 __all__ = [
@@ -147,13 +147,12 @@ def parse_synsets(path: str) -> list[list[str]]:
     """Synset file: one synset per line, lemmas space-separated, multiword
     lemmas joined with underscores; '#' lines are comments."""
     synsets: list[list[str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            lemmas = [w.strip().lower() for w in line.split()]
-            synsets.append([w for w in lemmas if w])
+    for _, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        lemmas = [w.strip().lower() for w in line.split()]
+        synsets.append([w for w in lemmas if w])
     if not synsets:
         raise ValueError(f"{path}: no synsets found")
     return synsets

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from simthresh.embeddings import EmbeddingModel, ModelEnsemble
 
@@ -46,6 +47,12 @@ def pair_ensemble(sim_values: list[float]) -> ModelEnsemble:
         vectors = np.array([[1.0, 0.0], [s, np.sqrt(1.0 - s * s)]])
         replicas.append(EmbeddingModel.from_arrays(["a", "b"], vectors, model_id=f"r{r}"))
     return ModelEnsemble(replicas)
+
+
+def dense_mixture(grid, means, stds):
+    """Reference survival mixture: every grid point against every pair."""
+    z = (np.asarray(grid, float)[:, None] - means[None, :]) / stds[None, :]
+    return (1.0 - ndtr(z)).sum(axis=1)
 
 
 @pytest.fixture

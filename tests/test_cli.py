@@ -387,6 +387,45 @@ class TestBadInputs:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {corpus}:{lineno}: {message}\n"
 
+    @pytest.mark.parametrize("command", ["threshold", "uncertainty", "histogram"])
+    def test_duplicate_probe_names_file_and_line(self, tmp_path, capsys, command):
+        probes = tmp_path / "probes.txt"
+        probes.write_text("alpha\nalpha\nbeta\n")
+        out = tmp_path / "out.csv"
+        argv = {
+            "threshold": ["--models", *REPLICAS, "--out", str(out)],
+            "uncertainty": ["--reference", REPLICAS[0], "--other", REPLICAS[1], "--curve-out", str(out)],
+            "histogram": ["--model", REPLICAS[0], "--out", str(out)],
+        }[command]
+        assert main([command, "--probes", str(probes), *argv]) == 1
+        assert capsys.readouterr().err == f"error: {probes}:2: duplicate term 'alpha' (first on line 1)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["probes", "config", "topics", "qrels", "run", "stopwords", "synsets",
+                                       "corpus"])
+    def test_non_utf8_line_names_file_and_line(self, tmp_path, capsys, which):
+        w = pipeline_world(tmp_path)
+        w.update(probes=Path(PROBES), config=tmp_path / "run.cfg", run=w["runs"][0])
+        w["config"].write_text(f"probes = {PROBES}\nbins = 10\n")
+        first, second, *rest = w[which].read_bytes().splitlines(keepends=True)
+        bad = tmp_path / f"bad_{which}"
+        bad.write_bytes(first + b"\xff\xfe" + second + b"".join(rest))
+        out = str(tmp_path / "out")
+        pair = ["--reference", REPLICAS[0], "--other", REPLICAS[1], "--curve-out", out]
+        argv = {
+            "probes": ["uncertainty", "--probes", bad, *pair],
+            "config": ["uncertainty", "--config", bad, *pair],
+            "topics": ["search", "--index", w["index"], "--topics", bad, "--out", out],
+            "qrels": ["evaluate", "--run", w["run"], "--qrels", bad],
+            "run": ["evaluate", "--run", bad, "--qrels", w["qrels"]],
+            "stopwords": ["index", "--corpus", w["corpus"], "--stopwords", bad, "--out", out],
+            "synsets": ["synonym-stats", "--synsets", bad],
+            "corpus": ["index", "--corpus", bad, "--out", out],
+        }[which]
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
+
     @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
     def test_non_utf8_token_names_file_and_record(self, tmp_path, capsys, fmt):
         path = tmp_path / "bad.vec"
@@ -493,6 +532,28 @@ def run_and_collect(argv, out, capsys):
     return capsys.readouterr().out, files
 
 
+class TestLineEndings:
+    def test_crlf_inputs_read_like_lf(self, tmp_path, capsys):
+        w = pipeline_world(tmp_path)
+        w["probes"] = Path(PROBES)
+        results = []
+        for ending in (b"\n", b"\r\n"):
+            inputs, out = tmp_path / f"in{len(ending)}", tmp_path / f"out{len(ending)}"
+            inputs.mkdir()
+            out.mkdir()
+            f = {name: inputs / name for name in ("probes", "topics", "qrels", "stopwords", "synsets")}
+            for name, path in f.items():
+                path.write_bytes(w[name].read_bytes().replace(b"\n", ending))
+            results += [
+                run_and_collect(["search", "--index", str(w["index"]), "--topics", str(f["topics"]),
+                                 "--stopwords", str(f["stopwords"]), "--out", str(out / "run.txt")], out, capsys),
+                run_and_collect(["evaluate", "--run", str(out / "run.txt"), "--qrels", str(f["qrels"])], out, capsys),
+                run_and_collect(["threshold", "--models", *REPLICAS, "--probes", str(f["probes"]),
+                                 "--synsets", str(f["synsets"]), "--out", str(out / "t.csv")], out, capsys),
+            ]
+        assert results[:3] == results[3:]
+
+
 class TestConfigFile:
     def test_parser(self, tmp_path):
         path = tmp_path / "x.cfg"
@@ -542,7 +603,8 @@ class TestConfigFile:
         ("no_stem = ture", "no_stem: invalid boolean value: 'ture'"),
         ("binz = 10", "binz: unknown setting"),
         ("bins 10", "expected 'key = value'"),
-    ], ids=["int", "float", "format", "policy", "metric", "bool", "unknown-key", "no-equals"])
+        ("probes = other.txt", "probes: set twice (first on line 2)"),
+    ], ids=["int", "float", "format", "policy", "metric", "bool", "unknown-key", "no-equals", "repeated-key"])
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
         config = tmp_path / "run.cfg"
         config.write_text(f"# settings\nprobes = {PROBES}\n{line}\nbins = 10\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simthresh.csvio import format_csv, read_csv, write_csv
+from simthresh.csvio import format_csv, read_csv, read_lines, write_csv
 from simthresh.evaluation import RunScores, read_metric_report, write_metric_report
 from simthresh.neighbors import NeighborCurve, read_curve_csv, write_curve_csv
 from simthresh.threshold import SynonymTarget, ThresholdResult, read_threshold_csv, write_threshold_csv
@@ -80,3 +80,29 @@ def test_malformed_row_names_file_and_line(tmp_path, kind):
     with pytest.raises(ValueError) as excinfo:
         read(str(path))
     assert str(excinfo.value) == f"{path}:{len(lines)}: expected {fields} fields, got {fields + 1}"
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_non_utf8_line_names_file_and_line(tmp_path, kind):
+    write, read, _ = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    write(str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + b"\xff\xfe" + lines[-1])
+    with pytest.raises(ValueError) as excinfo:
+        read(str(path))
+    assert str(excinfo.value) == f"{path}:{len(lines)}: not valid UTF-8"
+
+
+def test_read_lines_splits_at_newline_only(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("a\r\nb\rc\u2028d\ne".encode())
+    assert list(read_lines(str(path))) == [(1, "a\r\n"), (2, "b\rc\u2028d\n"), (3, "e")]
+
+
+def test_read_lines_names_bad_line_past_the_first_decoded_block(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"ok\n" * 5000 + b"\xe2\x82\n" + b"ok\n")
+    with pytest.raises(ValueError) as excinfo:
+        list(read_lines(str(path)))
+    assert str(excinfo.value) == f"{path}:5001: not valid UTF-8"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
 from simthresh.embeddings import ModelEnsemble
@@ -16,7 +19,7 @@ from simthresh.neighbors import (
     NeighborCurve,
 )
 
-from conftest import pair_ensemble, perturbed_replicas, random_model
+from conftest import dense_mixture, pair_ensemble, perturbed_replicas, random_model
 
 
 class TestFitPair:
@@ -115,6 +118,47 @@ class TestExpectedNeighbors:
         direct = mixture_survival(grid, means, stds)
         mixture_cdf = np.mean([ndtr((grid - m) / s) for m, s in zip(means, stds)], axis=0)
         np.testing.assert_allclose(direct, len(means) * (1.0 - mixture_cdf), atol=1e-9)
+
+
+@st.composite
+def mixtures(draw):
+    n = draw(st.integers(0, 300))
+    means = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    stds = draw(hnp.arrays(np.float64, n, elements=st.floats(STD_FLOOR, 0.5)))
+    if draw(st.booleans()):
+        grid = np.linspace(draw(st.floats(-1.5, 0.0)), draw(st.floats(0.1, 1.5)), draw(st.integers(1, 60)))
+    else:
+        grid = draw(hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(-1.5, 1.5)))
+    # grid points exactly on some pairs' window edges m -/+ 8.5 s
+    on_edge = draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else []
+    grid = np.concatenate([grid, means[on_edge] - 8.5 * stds[on_edge], means[on_edge] + 8.5 * stds[on_edge]])
+    return np.sort(grid), means, stds
+
+
+class TestWindowedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(mixtures())
+    def test_matches_dense_reference(self, case):
+        grid, means, stds = case
+        np.testing.assert_allclose(mixture_survival(grid, means, stds), dense_mixture(grid, means, stds),
+                                   rtol=1e-12, atol=1e-12 * len(means))
+
+    def test_many_blocks_on_default_grid(self, rng):
+        means, stds = rng.uniform(-1, 1, 1000), rng.uniform(STD_FLOOR, 0.1, 1000)
+        grid = default_grid()
+        np.testing.assert_allclose(mixture_survival(grid, means, stds), dense_mixture(grid, means, stds),
+                                   rtol=1e-12, atol=1e-12 * len(means))
+
+    def test_survival_saturates_exactly_beyond_window(self):
+        # The kernel adds exactly 1 below a pair's window and nothing above
+        # it; that is only the dense sum if 1 - ndtr(z) is exactly 1 or 0 there.
+        z = np.linspace(8.5, 40.0, 1_000_001)
+        assert np.all(1.0 - ndtr(z) == 0.0)
+        assert np.all(1.0 - ndtr(-z) == 1.0)
+
+    def test_non_ascending_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must be ascending"):
+            mixture_survival(np.array([0.5, 0.2]), np.array([0.3]), np.array([0.1]))
 
 
 class TestAggregation:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from simthresh.neighbors import NeighborCurve, default_grid, mixture_survival
+from simthresh.embeddings import ModelEnsemble
+from simthresh.neighbors import NeighborCurve, aggregate_curves, default_grid, expected_neighbors, mixture_survival
 from simthresh.threshold import (
     SynonymTarget,
     TargetUnreachableError,
@@ -14,10 +17,7 @@ from simthresh.threshold import (
     write_threshold_csv,
 )
 
-
-def mixture(grid, means, stds):
-    grid = np.asarray(grid, float)
-    return (1.0 - ndtr((grid[:, None] - means[None, :]) / stds[None, :])).sum(axis=1)
+from conftest import dense_mixture, perturbed_replicas, random_model
 
 
 def scan_crossing(values_fn, target, lo=-0.2, hi=1.0, step=1e-5):
@@ -55,7 +55,7 @@ class TestSolve:
     def test_closed_form_single_component(self):
         grid = default_grid()
         means, stds = np.array([0.7]), np.array([0.05])
-        expected = 2.0 * mixture(grid, means, stds)
+        expected = 2.0 * dense_mixture(grid, means, stds)
         curve = NeighborCurve(
             grid=grid, expected=expected, band_low=expected, band_high=expected, n_terms=2
         )
@@ -69,14 +69,14 @@ class TestSolve:
 
     def test_unreachable_target(self):
         grid = default_grid(points=25)
-        expected = mixture(grid, np.array([0.5]), np.array([0.05]))
+        expected = dense_mixture(grid, np.array([0.5]), np.array([0.05]))
         curve = NeighborCurve(grid=grid, expected=expected)
         with pytest.raises(TargetUnreachableError):
             solve_threshold(curve, 5.0)
 
     def test_nonpositive_target(self):
         grid = default_grid(points=25)
-        curve = NeighborCurve(grid=grid, expected=mixture(grid, np.array([0.5]), np.array([0.05])))
+        curve = NeighborCurve(grid=grid, expected=dense_mixture(grid, np.array([0.5]), np.array([0.05])))
         with pytest.raises(TargetUnreachableError):
             solve_threshold(curve, 0.0)
 
@@ -93,7 +93,7 @@ class TestSolve:
             n = int(rng.integers(2, 51))
             means = rng.uniform(0.0, 0.95, size=n)
             stds = rng.uniform(1e-3, 0.2, size=n)
-            expected = mixture(grid, means, stds)
+            expected = dense_mixture(grid, means, stds)
             curve = banded_curve(grid, expected)
             lo, hi = 0.05 * n, 0.8 * n
             target = float(rng.uniform(lo, hi))
@@ -101,9 +101,9 @@ class TestSolve:
                 continue
             result = solve_threshold(curve, target)
             assert result.lower <= result.main <= result.upper
-            oracle_main = scan_crossing(lambda s: mixture(s, means, stds), target)
-            oracle_low = scan_crossing(lambda s: 0.9 * mixture(s, means, stds), target)
-            oracle_high = scan_crossing(lambda s: 1.1 * mixture(s, means, stds), target)
+            oracle_main = scan_crossing(lambda s: dense_mixture(s, means, stds), target)
+            oracle_low = scan_crossing(lambda s: 0.9 * dense_mixture(s, means, stds), target)
+            oracle_high = scan_crossing(lambda s: 1.1 * dense_mixture(s, means, stds), target)
             assert result.main == pytest.approx(oracle_main, abs=2e-4)
             assert result.lower == pytest.approx(oracle_low, abs=2e-4)
             assert result.upper == pytest.approx(oracle_high, abs=2e-4)
@@ -112,17 +112,17 @@ class TestSolve:
         grid = default_grid(points=121)  # deliberately coarse grid
         means = np.array([0.3, 0.62, 0.8])
         stds = np.array([0.04, 0.08, 0.02])
-        expected = mixture(grid, means, stds)
+        expected = dense_mixture(grid, means, stds)
         curve = NeighborCurve(grid=grid, expected=expected)
         refined = solve_threshold(
             curve, 1.5, expected_fn=lambda s: float(mixture_survival(np.array([s]), means, stds)[0])
         )
-        oracle = scan_crossing(lambda s: mixture(s, means, stds), 1.5)
+        oracle = scan_crossing(lambda s: dense_mixture(s, means, stds), 1.5)
         assert refined.main == pytest.approx(oracle, abs=2e-4)
 
     def test_scale_invariance(self):
         grid = default_grid(points=601)
-        expected = mixture(grid, np.array([0.4, 0.7]), np.array([0.05, 0.1]))
+        expected = dense_mixture(grid, np.array([0.4, 0.7]), np.array([0.05, 0.1]))
         curve = banded_curve(grid, expected)
         base = solve_threshold(curve, 1.0)
         for scale in (0.25, 3.0, 117.0):
@@ -140,14 +140,14 @@ class TestSolve:
 
     def test_bounds_order_with_real_band(self):
         grid = default_grid(points=1201)
-        expected = mixture(grid, np.array([0.5, 0.75]), np.array([0.03, 0.06]))
+        expected = dense_mixture(grid, np.array([0.5, 0.75]), np.array([0.03, 0.06]))
         curve = banded_curve(grid, expected, 0.8, 1.2)
         result = solve_threshold(curve, 0.9)
         assert result.lower < result.main < result.upper
 
     def test_band_free_curve_degenerates(self):
         grid = default_grid(points=301)
-        expected = mixture(grid, np.array([0.5]), np.array([0.05]))
+        expected = dense_mixture(grid, np.array([0.5]), np.array([0.05]))
         result = solve_threshold(NeighborCurve(grid=grid, expected=expected), 0.5)
         assert result.lower == result.main == result.upper
 
@@ -157,6 +157,32 @@ class TestSolve:
                 dimensionality=100, main=0.5, lower=0.6, upper=0.7,
                 target=SynonymTarget(mean_synonyms=1.6),
             )
+
+
+@st.composite
+def ensembles(draw):
+    """Noisy replicas of a random base model, as trained replicas disagree."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = random_model(rng, draw(st.integers(3, 15)), draw(st.integers(2, 8)))
+    return ModelEnsemble(perturbed_replicas(base, rng, draw(st.integers(2, 5)), draw(st.floats(0.0, 0.2))))
+
+
+class TestNorthStarProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(ensembles(), st.integers(2, 3))
+    def test_curves_never_increase_and_band_orders_thresholds(self, ensemble, n_probes):
+        grid = default_grid(low=-1.5, high=1.5, points=601)
+        probes = ensemble.shared_vocabulary[:n_probes]
+        curves = [expected_neighbors(ensemble, t, grid) for t in probes]
+        pairs = len(ensemble.shared_vocabulary) - 1
+        for curve in curves:
+            # ndtr is monotone only up to a few ulps, hence the rounding-level slack
+            assert np.all(np.diff(curve.expected) <= 1e-14 * pairs)
+        agg = aggregate_curves(curves)
+        start, end = agg.band_low[0], agg.band_high[-1]
+        assume(start - end > 1e-3)
+        result = solve_threshold(agg, (start + end) / 2)
+        assert result.lower <= result.main <= result.upper
 
 
 class TestSynonymStatistics:
