@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from simthresh.embeddings import EmbeddingModel, ModelEnsemble
-from simthresh.neighbors import aggregate_curves, default_grid, expected_neighbors, fit_pair, write_curve_csv
+from simthresh.neighbors import (
+    aggregate_curves, default_grid, expected_neighbors, pair_statistics, write_curve_csv,
+)
 from simthresh.threshold import solve_threshold, synonym_statistics, write_threshold_csv
 
 OUT = Path(__file__).resolve().parent / "output"
@@ -30,16 +32,18 @@ replicas = [
     EmbeddingModel.from_arrays(tokens, base + 0.015 * rng.standard_normal(base.shape), f"replica-{r}")
     for r in range(5)
 ]
-ensemble = ModelEnsemble(replicas)
+
+# %% The ensemble keeps only the probe terms' similarity rows of each replica.
+probes = [tokens[int(i)] for i in rng.choice(n_tokens, size=25, replace=False)]
+ensemble = ModelEnsemble(replicas, probes)
 
 # %% A single pair's distribution across the replicas.
-dist = fit_pair(ensemble, tokens[0], tokens[1])
-print(f"pair ({dist.term}, {dist.other}): mean {dist.mean:+.4f}, std {dist.std:.5f} "
-      f"over {dist.sample_count} replicas")
+others, means, stds = pair_statistics(ensemble, probes[0])
+print(f"pair ({probes[0]}, {others[0]}): mean {means[0]:+.4f}, std {stds[0]:.5f} "
+      f"over {ensemble.replica_count} replicas")
 
 # %% Per-term expected-neighbor curves, then the aggregated curve with band.
 grid = default_grid()
-probes = [tokens[int(i)] for i in rng.choice(n_tokens, size=25, replace=False)]
 curves = [expected_neighbors(ensemble, t, grid) for t in probes]
 aggregated = aggregate_curves(curves, confidence=0.95)
 write_curve_csv(aggregated, str(OUT / "expected_neighbors_aggregated.csv"))

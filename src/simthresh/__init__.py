@@ -15,11 +15,9 @@ from .evaluation import (
 )
 from .neighbors import (
     NeighborCurve,
-    PairSimilarityDistribution,
     aggregate_curves,
     default_grid,
     expected_neighbors,
-    fit_pair,
 )
 from .retrieval import (
     ExpansionPolicy,
@@ -53,10 +51,8 @@ __all__ = [
     "SimilarityHistogram",
     "uncertainty_curve",
     "similarity_histogram",
-    "PairSimilarityDistribution",
     "NeighborCurve",
     "default_grid",
-    "fit_pair",
     "expected_neighbors",
     "aggregate_curves",
     "SynonymTarget",

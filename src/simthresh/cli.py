@@ -210,10 +210,8 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 def cmd_threshold(args: argparse.Namespace) -> int:
     if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
-    ensemble = ModelEnsemble([load_model(p, args.format) for p in args.models])
     probes = _read_terms(args.probes)
-    for t in probes:
-        ensemble.require_shared(t)
+    ensemble = ModelEnsemble((load_model(p, args.format) for p in args.models), probes)
     if args.synsets:
         target = threshold.synonym_statistics(args.synsets)
     else:
@@ -267,7 +265,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     for topic_id, text in topics:
         terms = pipeline.process(text)
         if not terms:
-            raise ValueError(f"topic {topic_id}: query empty after preprocessing")
+            raise ValueError(f"{args.topics}: topic {topic_id}: query empty after preprocessing")
         table = retrieval.build_translation_table(terms, policy, embedding)
         run[topic_id] = retrieval.tlm_score(index, config, table, terms)
     retrieval.write_run(run, args.out, run_tag=args.run_tag, max_docs=args.max_docs)

@@ -9,7 +9,8 @@ results are fully deterministic.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +44,10 @@ class EmbeddingModel:
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.vocabulary):
             raise ValueError("vectors must be a (len(vocabulary), dim) matrix")
-        self._row = {t: i for i, t in enumerate(self.vocabulary)}
-        if len(self._row) != len(self.vocabulary):
-            raise ModelFormatError(f"duplicate token in model {self.model_id!r}")
+        self._row = {}
+        for i, t in enumerate(self.vocabulary):
+            if (first := self._row.setdefault(t, i)) != i:
+                raise ModelFormatError(f"{self.model_id}: record {i}: duplicate token {t!r} (first in record {first})")
         self._token_array = np.asarray(self.vocabulary, dtype=np.str_)
 
     @classmethod
@@ -54,12 +56,14 @@ class EmbeddingModel:
     ) -> "EmbeddingModel":
         """Build a model from raw vectors, normalizing each row to unit length."""
         vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if not np.all(np.isfinite(vectors)):
-            raise ModelFormatError(f"non-finite vector component in model {model_id!r}")
-        norms = np.linalg.norm(vectors, axis=1)
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise ModelFormatError(f"{model_id}: record {int(np.argmin(finite))}: non-finite vector component")
+        blocks = np.array_split(vectors, 1 + len(vectors) // 65536)  # norm() squares its whole input at once
+        norms = np.concatenate([np.linalg.norm(b, axis=1) for b in blocks])
         if np.any(norms < _ZERO_NORM_TOL):
-            bad = vocabulary[int(np.argmin(norms))]
-            raise ModelFormatError(f"zero-norm vector for token {bad!r} in model {model_id!r}")
+            bad = int(np.argmin(norms))
+            raise ModelFormatError(f"{model_id}: record {bad}: zero-norm vector for token {vocabulary[bad]!r}")
         needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
         if np.any(needs):
             vectors = vectors.copy()
@@ -123,49 +127,55 @@ class EmbeddingModel:
 
 @dataclass(eq=False)
 class ModelEnsemble:
-    """Replicas trained identically except for random initialization.
+    """The probes' similarity rows in replicas trained identically except for
+    random initialization.
 
-    The shared vocabulary keeps the first replica's order; each replica's rows
-    for it are looked up once, here, so per-term queries only gather.
+    Replicas are consumed one at a time. Each is checked for the first one's
+    dimensionality and for every probe, gives one cosine row per probe over
+    the shared vocabulary (kept in the first replica's order), and is released
+    before the next is produced, so a generator of loaded replicas never has
+    two alive. Without probes the ensemble only aligns the vocabularies.
     """
 
-    replicas: list[EmbeddingModel]
-    shared_vocabulary: list[str] = field(init=False)
-    _rows: np.ndarray = field(init=False, repr=False)  # (R, S) row of each shared term per replica
-    _position: dict[str, int] = field(init=False, repr=False)
+    replicas: InitVar[Iterable[EmbeddingModel]]
+    probes: Sequence[str] = ()
+    shared_vocabulary: list[str] = field(init=False, repr=False)
+    dimensionality: int = field(init=False)
+    replica_count: int = field(init=False, default=0)
+    _rows: dict[str, list[np.ndarray]] = field(init=False, repr=False)  # probe -> per-replica shared cosines
 
-    def __post_init__(self) -> None:
-        if len(self.replicas) < 2:
+    def __post_init__(self, replicas: Iterable[EmbeddingModel]) -> None:
+        self.probes = tuple(self.probes)
+        self._rows = {t: [] for t in self.probes}
+        for model in replicas:
+            if self.replica_count == 0:
+                self.dimensionality, shared = model.dimensionality, np.asarray(model.vocabulary, dtype=object)
+            elif model.dimensionality != self.dimensionality:
+                dims = sorted({self.dimensionality, model.dimensionality})
+                raise ValueError(f"replicas disagree on dimensionality: {dims}")
+            keep = np.array([t in model for t in shared], dtype=bool)
+            if not keep.all():
+                shared = shared[keep]
+                self._rows = {t: [r[keep] for r in rows] for t, rows in self._rows.items()}
+            cols = np.array([model.row(t) for t in shared], dtype=np.int64)
+            for t, rows in self._rows.items():
+                if t not in model:
+                    raise KeyError(f"token {t!r} missing from replica {model.model_id!r}")
+                rows.append(model.similarities_to(t)[cols])
+            self.replica_count += 1
+            del model  # lets a generator free this replica before producing the next
+        if self.replica_count < 2:
             raise ValueError("an ensemble needs at least 2 replicas")
-        dims = {m.dimensionality for m in self.replicas}
-        if len(dims) != 1:
-            raise ValueError(f"replicas disagree on dimensionality: {sorted(dims)}")
-        shared = [t for t in self.replicas[0].vocabulary if all(t in m for m in self.replicas[1:])]
-        if not shared:
+        if not len(shared):
             raise ValueError("replica vocabularies have an empty intersection")
-        self.shared_vocabulary = shared
-        self._rows = np.array([[m.row(t) for t in shared] for m in self.replicas], dtype=np.int64)
-        self._position = {t: i for i, t in enumerate(shared)}
-
-    @property
-    def dimensionality(self) -> int:
-        return self.replicas[0].dimensionality
-
-    @property
-    def replica_count(self) -> int:
-        return len(self.replicas)
-
-    def require_shared(self, token: str) -> None:
-        for m in self.replicas:
-            if token not in m:
-                raise KeyError(f"token {token!r} missing from replica {m.model_id!r}")
+        self.shared_vocabulary = list(shared)
 
     def similarities(self, token: str) -> np.ndarray:
-        """(R, S-1) cosines of ``token`` against every other shared term, one
-        row per replica, columns in ``shared_vocabulary`` order without it."""
-        self.require_shared(token)
-        rows = np.delete(self._rows, self._position[token], axis=1)
-        return np.stack([m.similarities_to(token)[r] for m, r in zip(self.replicas, rows)])
+        """(R, S-1) cosines of probe ``token`` against every other shared term,
+        one row per replica, columns in ``shared_vocabulary`` order without it."""
+        if token not in self._rows:
+            raise KeyError(f"token {token!r} is not a probe of this ensemble")
+        return np.delete(np.stack(self._rows[token]), self.shared_vocabulary.index(token), axis=1)
 
 
 def _parse_header(line: bytes, path: str) -> tuple[int, int]:

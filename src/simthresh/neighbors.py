@@ -18,10 +18,8 @@ from .csvio import read_csv, write_csv
 from .embeddings import ModelEnsemble
 
 __all__ = [
-    "PairSimilarityDistribution",
     "NeighborCurve",
     "default_grid",
-    "fit_pair",
     "pair_statistics",
     "expected_neighbors",
     "aggregate_curves",
@@ -40,17 +38,6 @@ def default_grid(low: float = -0.2, high: float = 1.0, points: int = 2401) -> np
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     return np.linspace(low, high, points)
-
-
-@dataclass(frozen=True)
-class PairSimilarityDistribution:
-    """Normal fit to one term pair's similarities across R replicas."""
-
-    term: str
-    other: str
-    mean: float
-    std: float
-    sample_count: int
 
 
 @dataclass(eq=False)
@@ -94,20 +81,6 @@ def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[list[str], np.n
     var = np.maximum(acc_sq - r * means * means, 0.0) / (r - 1)
     stds = np.maximum(np.sqrt(var), STD_FLOOR)
     return others, means, stds
-
-
-def fit_pair(ensemble: ModelEnsemble, term: str, other: str) -> PairSimilarityDistribution:
-    """Normal fit for a single pair (sample mean, n-1 std floored at 1e-6)."""
-    if term == other:
-        raise ValueError("a pair needs two distinct terms")
-    ensemble.require_shared(term)
-    ensemble.require_shared(other)
-    sims = np.array([m.cosine(term, other) for m in ensemble.replicas])
-    mean = float(sims.mean())
-    std = max(float(sims.std(ddof=1)), STD_FLOOR)
-    return PairSimilarityDistribution(
-        term=term, other=other, mean=mean, std=std, sample_count=len(sims)
-    )
 
 
 def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:

@@ -111,9 +111,7 @@ def uncertainty_curve(
     """
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
-    ensemble = ModelEnsemble([reference, other])
-    for t in probe_terms:
-        ensemble.require_shared(t)
+    ensemble = ModelEnsemble([reference, other], probe_terms)
 
     counts = np.zeros(config.bin_count, dtype=np.int64)
     diff_sums = np.zeros(config.bin_count, dtype=np.float64)

@@ -39,14 +39,18 @@ def perturbed_replicas(
     return out
 
 
-def pair_ensemble(sim_values: list[float]) -> ModelEnsemble:
-    """Ensemble of two-token replicas whose pair similarity takes the given
-    value in each replica."""
+def pair_replicas(sim_values: list[float]) -> list[EmbeddingModel]:
+    """Two-token replicas whose pair similarity takes the given value in each."""
     replicas = []
     for r, s in enumerate(sim_values):
         vectors = np.array([[1.0, 0.0], [s, np.sqrt(1.0 - s * s)]])
         replicas.append(EmbeddingModel.from_arrays(["a", "b"], vectors, model_id=f"r{r}"))
-    return ModelEnsemble(replicas)
+    return replicas
+
+
+def pair_ensemble(sim_values: list[float]) -> ModelEnsemble:
+    """Ensemble of ``pair_replicas`` with both tokens as probes."""
+    return ModelEnsemble(pair_replicas(sim_values), ["a", "b"])
 
 
 def dense_mixture(grid, means, stds):

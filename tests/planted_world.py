@@ -98,7 +98,7 @@ def build_world(seed: int = 777) -> PlantedWorld:
         )
         for r in range(5)
     ]
-    ensemble = ModelEnsemble(replicas)
+    ensemble = ModelEnsemble(replicas, a_terms)
 
     docs: list[tuple[str, str]] = []
     counter = 0

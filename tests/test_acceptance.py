@@ -147,8 +147,8 @@ def test_c03_expected_neighbor_curve_properties():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
     base = random_model(rng, 10_000, 32, "big")
-    ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.01))
     term = base.vocabulary[123]
+    ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.01), [term])
     _, means, stds = pair_statistics(ensemble, term)
     far = float(means.max() + 10 * stds.max())
     grid = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 801), [far]]))

@@ -1,6 +1,10 @@
 import json
+import os
 import re
 import shlex
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +13,13 @@ import pytest
 from simthresh.cli import COMMANDS, OPTIONS, build_parser, main, read_config, resolve
 from simthresh.embeddings import EmbeddingModel, load_model, save_model
 from simthresh.evaluation import read_metric_report
+from simthresh.neighbors import read_curve_csv
 from simthresh.retrieval import read_run
 from simthresh.threshold import read_threshold_csv
 from simthresh.uncertainty import read_histogram_csv, read_uncertainty_csv
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 REPLICAS = [str(DATA / f"toy_replica_{r}.vec") for r in range(5)]
 PROBES = str(DATA / "toy_probes.txt")
 
@@ -155,9 +161,13 @@ class TestThresholdCommand:
             "--target", "1.6", "--out", str(tmp_path / "t.csv"),
         ])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "missingterm" in err
-        assert "replica" in err
+        assert capsys.readouterr().err == f"error: token 'missingterm' missing from replica '{REPLICAS[0]}'\n"
+
+    def test_dimension_mismatch(self, tmp_path, capsys):
+        other = write_pair_replicas(tmp_path, [0.5])[0]
+        rc = main(["threshold", "--models", REPLICAS[0], other, "--probes", PROBES, "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: replicas disagree on dimensionality: [2, 4]\n"
 
     def test_numeric_target_without_synsets_accepted(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -177,6 +187,45 @@ class TestThresholdCommand:
             "--synsets", str(synsets), "--out", str(out),
         ])
         assert rc == 0
+
+
+class TestThresholdDeterminism:
+    """The threshold report depends on its inputs only: not on the BLAS thread
+    count, and on the probe order only through the summation order of the mean."""
+
+    PROBES = ["alpha", "gamma", "epsilon"]
+
+    @staticmethod
+    def run_threshold(tmp_path, probes: list[str], threads: int) -> tuple[Path, Path]:
+        """``threshold`` in a fresh process; returns the report and curve paths."""
+        name = f"{'_'.join(probes)}_{threads}"
+        probe_file, out, curve = (tmp_path / f"{kind}_{name}.txt" for kind in ("probes", "report", "curve"))
+        probe_file.write_text("\n".join(probes) + "\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        env.update({var: str(threads) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+        subprocess.run(
+            [sys.executable, "-m", "simthresh.cli", "threshold", "--models", *REPLICAS, "--probes", str(probe_file),
+             "--target", "1.6", "--out", str(out), "--curve-out", str(curve)],
+            env=env, check=True, capture_output=True,
+        )
+        return out, curve
+
+    def test_identical_bytes_across_thread_counts(self, tmp_path):
+        one = self.run_threshold(tmp_path, self.PROBES, 1)
+        two = self.run_threshold(tmp_path, self.PROBES, 2)
+        for a, b in zip(one, two):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_reversed_probes_agree_to_rounding(self, tmp_path):
+        report, curve = self.run_threshold(tmp_path, self.PROBES, 1)
+        report_r, curve_r = self.run_threshold(tmp_path, self.PROBES[::-1], 1)
+        np.testing.assert_allclose(read_threshold_csv(str(report_r)), read_threshold_csv(str(report)), rtol=1e-15)
+        a, b = read_curve_csv(str(curve)), read_curve_csv(str(curve_r))
+        assert np.array_equal(a.grid, b.grid) and a.n_terms == b.n_terms == 3
+        # the band edges are mean -/+ a half-width, so their rounding scales with the mean
+        scale = 1e-15 * a.expected
+        for column in ("expected", "band_low", "band_high"):
+            assert np.all(np.abs(getattr(b, column) - getattr(a, column)) <= scale), column
 
 
 class TestSynonymStatsCommand:
@@ -437,6 +486,28 @@ class TestBadInputs:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {path}: record 1: token is not valid UTF-8\n"
 
+    @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
+    @pytest.mark.parametrize("damage, message", [
+        ("duplicate", "record 1: duplicate token 'alpha' (first in record 0)"),
+        ("non-finite", "record 1: non-finite vector component"),
+        ("zero-norm", "record 1: zero-norm vector for token 'beta'"),
+    ], ids=["duplicate", "non-finite", "zero-norm"])
+    def test_bad_model_record_names_file_and_record(self, tmp_path, capsys, fmt, damage, message):
+        path = tmp_path / "bad.vec"
+        save_model(load_model(REPLICAS[0]), str(path), fmt=fmt)
+        head, tail = path.read_bytes().split(b"\nbeta ")  # record 1 of 4 components
+        values = [float("nan"), 1.0, 0.0, 0.0] if damage == "non-finite" else [0.0] * 4
+        if damage == "duplicate":
+            data = head + b"\nalpha " + tail
+        elif fmt == "word2vec_binary":
+            data = head + b"\nbeta " + struct.pack("<4f", *values) + tail[16:]
+        else:
+            data = head + b"\nbeta " + " ".join(map(repr, values)).encode() + tail[tail.index(b"\n"):]
+        path.write_bytes(data)
+        rc = main(["neighbors", "--model", str(path), "--format", fmt, "--term", "gamma", "--k", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestMoreEdges:
     def test_binary_format_plumbed_through(self, tmp_path):
@@ -458,7 +529,8 @@ class TestMoreEdges:
         rc = main(["search", "--index", str(index_path), "--topics", str(topics),
                    "--policy", "none", "--out", str(tmp_path / "r.txt")])
         assert rc == 1
-        assert "empty after preprocessing" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {topics}: topic 9: query empty after preprocessing\n"
+        assert not (tmp_path / "r.txt").exists()
 
 
 def pipeline_world(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -196,7 +198,7 @@ class TestEnsemble:
     def test_dimension_mismatch(self, rng):
         a = random_model(rng, 5, 4, "a")
         b = random_model(rng, 5, 5, "b")
-        with pytest.raises(ValueError, match="dimensionality"):
+        with pytest.raises(ValueError, match=r"^replicas disagree on dimensionality: \[4, 5\]$"):
             ModelEnsemble([a, b])
 
     def test_needs_two_replicas(self, rng):
@@ -214,14 +216,23 @@ class TestEnsemble:
         b = EmbeddingModel.from_arrays(["r", "p"], np.eye(3)[:2], "b")
         ensemble = ModelEnsemble([a, b])
         assert ensemble.shared_vocabulary == ["p", "r"]
+        assert (ensemble.replica_count, ensemble.dimensionality) == (2, 3)
 
-    def test_require_shared_names_replica(self):
-        a = EmbeddingModel.from_arrays(["p", "q"], np.eye(2), "first")
-        b = EmbeddingModel.from_arrays(["p", "q"], np.eye(2), "second")
-        ensemble = ModelEnsemble([a, b])
-        ensemble.require_shared("p")
-        with pytest.raises(KeyError, match="second|first"):
-            ensemble.require_shared("zzz")
+    def test_missing_probe_names_replica(self):
+        a = EmbeddingModel.from_arrays(["p", "q", "z"], np.eye(3), "first")
+        b = EmbeddingModel.from_arrays(["p", "q"], np.eye(3)[:2], "second")
+        ModelEnsemble([a, b], ["p", "q"])
+        with pytest.raises(KeyError, match=r"^\"token 'zzz' missing from replica 'first'\"$"):
+            ModelEnsemble([a, b], ["zzz"])
+        with pytest.raises(KeyError, match=r"^\"token 'z' missing from replica 'second'\"$"):
+            ModelEnsemble([a, b], ["p", "z"])
+
+    def test_non_probe_term_rejected(self):
+        a = EmbeddingModel.from_arrays(["p", "q"], np.eye(2), "a")
+        ensemble = ModelEnsemble([a, a], ["p"])
+        assert ensemble.similarities("p").shape == (2, 1)
+        with pytest.raises(KeyError, match="not a probe"):
+            ensemble.similarities("q")
 
 
 class TestEnsembleSimilarities:
@@ -241,10 +252,11 @@ class TestEnsembleSimilarities:
 
     def test_matches_pairwise_cosine(self, rng):
         replicas = self.replicas(rng)
-        ensemble = ModelEnsemble(replicas)
+        probes = ["t0000", "t0013", "t0029"]
+        ensemble = ModelEnsemble(replicas, probes)
         assert "t0007" not in ensemble.shared_vocabulary
         assert len(ensemble.shared_vocabulary) == 29
-        for t in ("t0000", "t0013", "t0029"):
+        for t in probes:
             others = [u for u in ensemble.shared_vocabulary if u != t]
             sims = ensemble.similarities(t)
             assert sims.shape == (3, len(others))
@@ -253,6 +265,71 @@ class TestEnsembleSimilarities:
                     assert abs(sims[r, j] - model.cosine(t, u)) <= 1e-12
 
     def test_missing_term(self, rng):
-        ensemble = ModelEnsemble(self.replicas(rng))
         with pytest.raises(KeyError, match="t0007.*r2"):
-            ensemble.similarities("t0007")
+            ModelEnsemble(self.replicas(rng), ["t0007"])
+
+
+class TestStreamedReplicas:
+    """An ensemble consumes its replicas one at a time and keeps only probe rows."""
+
+    PROBES = ["t0011", "t0017", "t0030"]
+
+    @staticmethod
+    def make(k: int, dim: int = 6) -> EmbeddingModel:
+        rng = np.random.default_rng(100 + k)
+        tokens = [f"t{i:04d}" for i in range(40)]
+        keep = [t for i, t in enumerate(tokens) if i not in (k, 20 + k)]  # each replica lacks two tokens
+        return EmbeddingModel.from_arrays(keep, rng.standard_normal((len(keep), dim)), f"r{k}")
+
+    def test_each_replica_released_before_the_next(self):
+        refs = []
+
+        def stream():
+            for k in range(5):
+                assert all(ref() is None for ref in refs), f"a replica is alive while replica {k} is produced"
+                model = self.make(k)
+                refs.append(weakref.ref(model))
+                yield model
+                del model
+
+        ensemble = ModelEnsemble(stream(), self.PROBES)
+        assert ensemble.replica_count == 5 and len(refs) == 5
+        assert all(ref() is None for ref in refs)
+
+    def test_missing_probe_stops_the_stream(self):
+        produced = []
+
+        def stream():
+            for k in range(5):
+                produced.append(k)
+                model = self.make(k)
+                if k == 2:
+                    model = EmbeddingModel(model.model_id, [t if t != "t0011" else "gone" for t in model.vocabulary],
+                                           model.vectors)
+                yield model
+
+        with pytest.raises(KeyError, match=r"^\"token 't0011' missing from replica 'r2'\"$"):
+            ModelEnsemble(stream(), self.PROBES)
+        assert produced == [0, 1, 2]
+
+    def test_dimension_mismatch_stops_the_stream(self):
+        produced = []
+
+        def stream():
+            for k in range(5):
+                produced.append(k)
+                yield self.make(k, dim=5 if k == 1 else 6)
+
+        with pytest.raises(ValueError, match=r"^replicas disagree on dimensionality: \[5, 6\]$"):
+            ModelEnsemble(stream(), self.PROBES)
+        assert produced == [0, 1]
+
+    def test_generator_equals_list(self):
+        replicas = [self.make(k) for k in range(5)]
+        listed = ModelEnsemble(replicas, self.PROBES)
+        streamed = ModelEnsemble((self.make(k) for k in range(5)), self.PROBES)
+        assert streamed.shared_vocabulary == listed.shared_vocabulary
+        assert len(listed.shared_vocabulary) == 30
+        for t in self.PROBES:
+            a, b = listed.similarities(t), streamed.similarities(t)
+            assert a.shape == (5, 29) and a.tobytes() == b.tobytes()

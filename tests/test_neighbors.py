@@ -11,7 +11,6 @@ from simthresh.neighbors import (
     aggregate_curves,
     default_grid,
     expected_neighbors,
-    fit_pair,
     mixture_survival,
     pair_statistics,
     read_curve_csv,
@@ -19,39 +18,47 @@ from simthresh.neighbors import (
     NeighborCurve,
 )
 
-from conftest import dense_mixture, pair_ensemble, perturbed_replicas, random_model
+from conftest import dense_mixture, pair_ensemble, pair_replicas, perturbed_replicas, random_model
+from pair_oracle import fit_pair
 
 
 class TestFitPair:
+    """The per-pair normal fit, from ``pair_statistics`` and from the per-pair oracle."""
+
     def test_zero_dispersion_hits_floor(self):
-        ensemble = pair_ensemble([0.7] * 5)
-        dist = fit_pair(ensemble, "a", "b")
+        dist = fit_pair(pair_replicas([0.7] * 5), "a", "b")
         assert dist.mean == pytest.approx(0.7, abs=1e-12)
         assert dist.std == STD_FLOOR
         assert dist.sample_count == 5
+        _, means, stds = pair_statistics(pair_ensemble([0.7] * 5), "a")
+        assert means[0] == pytest.approx(0.7, abs=1e-12)
+        assert stds[0] == STD_FLOOR
 
     def test_two_sample_std(self):
-        ensemble = pair_ensemble([0.6, 0.8])
-        dist = fit_pair(ensemble, "a", "b")
+        dist = fit_pair(pair_replicas([0.6, 0.8]), "a", "b")
         assert dist.mean == pytest.approx(0.7, abs=1e-12)
         assert dist.std == pytest.approx(0.1414, abs=1e-4)
+        _, means, stds = pair_statistics(pair_ensemble([0.6, 0.8]), "b")
+        assert means[0] == pytest.approx(0.7, abs=1e-12)
+        assert stds[0] == pytest.approx(0.1414, abs=1e-4)
 
     def test_same_term_rejected(self):
-        ensemble = pair_ensemble([0.6, 0.8])
         with pytest.raises(ValueError, match="distinct"):
-            fit_pair(ensemble, "a", "a")
+            fit_pair(pair_replicas([0.6, 0.8]), "a", "a")
 
     def test_unknown_token(self):
-        ensemble = pair_ensemble([0.6, 0.8])
         with pytest.raises(KeyError):
-            fit_pair(ensemble, "a", "zzz")
+            fit_pair(pair_replicas([0.6, 0.8]), "a", "zzz")
+        with pytest.raises(KeyError):
+            pair_statistics(pair_ensemble([0.6, 0.8]), "zzz")
 
     def test_matches_streaming_statistics(self, rng):
         base = random_model(rng, 12, 6)
-        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.02))
+        replicas = perturbed_replicas(base, rng, 5, 0.02)
+        ensemble = ModelEnsemble(iter(replicas), ["t0004"])
         others, means, stds = pair_statistics(ensemble, "t0004")
         for i, other in enumerate(others):
-            dist = fit_pair(ensemble, "t0004", other)
+            dist = fit_pair(replicas, "t0004", other)
             assert means[i] == pytest.approx(dist.mean, abs=1e-12)
             assert stds[i] == pytest.approx(dist.std, rel=1e-7)
 
@@ -71,7 +78,7 @@ class TestExpectedNeighbors:
 
     def test_far_tail_vanishes(self, rng):
         base = random_model(rng, 10, 5)
-        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 4, 0.01))
+        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 4, 0.01), ["t0000"])
         _, means, stds = pair_statistics(ensemble, "t0000")
         far = float(means.max() + 10 * stds.max())
         value = mixture_survival(np.array([far]), means, stds)
@@ -79,7 +86,7 @@ class TestExpectedNeighbors:
 
     def test_non_increasing_and_left_limit(self, rng):
         base = random_model(rng, 30, 6)
-        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.02))
+        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.02), ["t0011"])
         grid = default_grid(low=-1.0, high=1.0, points=801)
         curve = expected_neighbors(ensemble, "t0011", grid)
         assert np.all(np.diff(curve.expected) <= 1e-12)
@@ -94,7 +101,7 @@ class TestExpectedNeighbors:
         # Independent route: sample each pair's normal directly and count
         # survivors; agreement within 3 Monte Carlo standard errors.
         base = random_model(rng, 6, 4)
-        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.05))
+        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.05), ["t0002"])
         _, means, stds = pair_statistics(ensemble, "t0002")
         draws = 10**6
         for s in (0.2, 0.6, 0.9):

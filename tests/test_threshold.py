@@ -164,7 +164,8 @@ def ensembles(draw):
     """Noisy replicas of a random base model, as trained replicas disagree."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = random_model(rng, draw(st.integers(3, 15)), draw(st.integers(2, 8)))
-    return ModelEnsemble(perturbed_replicas(base, rng, draw(st.integers(2, 5)), draw(st.floats(0.0, 0.2))))
+    replicas = perturbed_replicas(base, rng, draw(st.integers(2, 5)), draw(st.floats(0.0, 0.2)))
+    return ModelEnsemble(replicas, base.vocabulary[:3])
 
 
 class TestNorthStarProperties:
