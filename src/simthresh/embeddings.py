@@ -8,9 +8,12 @@ results are fully deterministic.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -25,10 +28,31 @@ __all__ = [
 # a load -> save -> load round trip bitwise stable.
 _NORM_SKIP_TOL = 1e-6
 _ZERO_NORM_TOL = 1e-12
+# Text replicas are parsed this many lines at a time, one np.loadtxt call per
+# block; binary replicas are read in chunks of this many bytes.
+_TEXT_BLOCK_LINES = 4096
+_BINARY_CHUNK_BYTES = 1 << 20
 
 
 class ModelFormatError(ValueError):
     """Raised when an embedding file violates the declared format."""
+
+
+def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: str) -> None:
+    """Reject non-finite and zero rows, then scale each row to unit length in
+    place; rows already within ``_NORM_SKIP_TOL`` of it are divided by 1.0,
+    which leaves them bit-identical."""
+    blocks = np.array_split(vectors, 1 + len(vectors) // 8192)  # bounds the temporaries of isfinite and norm
+    finite = np.concatenate([np.isfinite(b).all(axis=1) for b in blocks])
+    if not finite.all():
+        raise ModelFormatError(f"{model_id}: record {int(np.argmin(finite))}: non-finite vector component")
+    norms = np.concatenate([np.linalg.norm(b, axis=1) for b in blocks])
+    if np.any(norms < _ZERO_NORM_TOL):
+        bad = int(np.argmin(norms))
+        raise ModelFormatError(f"{model_id}: record {bad}: zero-norm vector for token {vocabulary[bad]!r}")
+    needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
+    if np.any(needs):
+        vectors /= np.where(needs, norms, 1.0)[:, None]
 
 
 @dataclass(eq=False)
@@ -54,20 +78,9 @@ class EmbeddingModel:
     def from_arrays(
         cls, vocabulary: list[str], vectors: np.ndarray, model_id: str = "model"
     ) -> "EmbeddingModel":
-        """Build a model from raw vectors, normalizing each row to unit length."""
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            raise ModelFormatError(f"{model_id}: record {int(np.argmin(finite))}: non-finite vector component")
-        blocks = np.array_split(vectors, 1 + len(vectors) // 65536)  # norm() squares its whole input at once
-        norms = np.concatenate([np.linalg.norm(b, axis=1) for b in blocks])
-        if np.any(norms < _ZERO_NORM_TOL):
-            bad = int(np.argmin(norms))
-            raise ModelFormatError(f"{model_id}: record {bad}: zero-norm vector for token {vocabulary[bad]!r}")
-        needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
-        if np.any(needs):
-            vectors = vectors.copy()
-            vectors[needs] /= norms[needs, None]
+        """Build a model from raw vectors, normalizing a copy of each row to unit length."""
+        vectors = np.array(vectors, dtype=np.float64, order="C")
+        _normalize_rows(vocabulary, vectors, model_id)
         return cls(model_id=model_id, vocabulary=list(vocabulary), vectors=vectors)
 
     @property
@@ -191,71 +204,101 @@ def _parse_header(line: bytes, path: str) -> tuple[int, int]:
     return count, dim
 
 
+def _allocate_rows(path: str, fh: BinaryIO, count: int, dim: int, record_bytes: int) -> np.ndarray:
+    """The matrix for the records after the header, with no more rows than the
+    rest of the file can hold: each record takes at least ``record_bytes``, the
+    last one's newline optional. An overstated header count then fails as a
+    count mismatch instead of allocating for it. A pipe cannot be sized."""
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode):
+        count = min(count, (info.st_size - fh.tell() + 1) // record_bytes)
+    return np.empty((count, dim), dtype=np.float64)
+
+
 def _load_text(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
-        header = fh.readline()
-        count, dim = _parse_header(header, path)
+        count, dim = _parse_header(fh.readline(), path)
+        rows = _allocate_rows(path, fh, count, dim, 2 * (dim + 1))  # token, dim spaced digits, newline
         tokens: list[str] = []
-        rows = np.empty((count, dim), dtype=np.float64)
-        n = 0
-        for raw in fh:
+        while block := list(islice(fh, _TEXT_BLOCK_LINES)):
+            n = len(tokens)
             try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
-            if not line:
-                continue
-            if n >= count:
-                raise ModelFormatError(f"{path}: more records than header count {count}")
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise ModelFormatError(
-                    f"{path}: record {n} has {len(parts) - 1} components, expected {dim}"
-                )
-            tokens.append(parts[0])
-            try:
-                rows[n] = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise ModelFormatError(f"{path}: unparseable float in record {n}") from None
-            n += 1
-        if n != count:
-            raise ModelFormatError(f"{path}: header promises {count} records, found {n}")
+                heads = [line.split(None, 1) for raw in block if (line := raw.decode("utf-8").strip())]
+                if not heads:
+                    continue
+                values = np.loadtxt([body for _, body in heads], dtype=np.float64, ndmin=2, comments=None)
+                if values.shape != (len(heads), dim) or n + len(heads) > count:
+                    raise ValueError("block does not parse")
+            except ValueError:  # UnicodeDecodeError included
+                _raise_for_text_record(path, block, n, count, dim)
+                raise
+            tokens.extend(token for token, _ in heads)
+            rows[n : len(tokens)] = values
+        if len(tokens) != count:
+            raise ModelFormatError(f"{path}: header promises {count} records, found {len(tokens)}")
     return tokens, rows
+
+
+def _raise_for_text_record(path: str, block: list[bytes], n: int, count: int, dim: int) -> None:
+    """Re-check a text block that failed to parse, record by record (``n`` is
+    its first), and raise for the first bad one."""
+    for raw in block:
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
+        if not line:
+            continue
+        if n >= count:
+            raise ModelFormatError(f"{path}: more records than header count {count}")
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ModelFormatError(f"{path}: record {n} has {len(parts) - 1} components, expected {dim}")
+        try:
+            parsed = np.loadtxt([line.split(None, 1)[1]], dtype=np.float64, ndmin=2, comments=None).shape == (1, dim)
+        except ValueError:
+            parsed = False
+        if not parsed:
+            raise ModelFormatError(f"{path}: unparseable float in record {n}")
+        n += 1
 
 
 def _load_binary(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "rb") as fh:
-        header = fh.readline()
-        count, dim = _parse_header(header, path)
+        count, dim = _parse_header(fh.readline(), path)
+        vec_bytes = 4 * dim
+        rows = _allocate_rows(path, fh, count, dim, vec_bytes + 3)  # token, space, vector, newline
         tokens: list[str] = []
-        rows = np.empty((count, dim), dtype=np.float64)
-        rec_bytes = 4 * dim
+        buf, pos = bytearray(), 0
         for n in range(count):
-            chars = bytearray()
-            while True:
-                ch = fh.read(1)
-                if not ch:
-                    raise ModelFormatError(f"{path}: truncated at record {n}")
-                if ch == b" ":
+            # Read on until the buffer holds this record's token, vector and separator, or the file ends.
+            while (space := buf.find(b" ", pos)) < 0 or len(buf) < space + vec_bytes + 2:
+                chunk = fh.read(_BINARY_CHUNK_BYTES)
+                if not chunk:
                     break
-                chars.extend(ch)
+                del buf[:pos]
+                buf += chunk
+                pos = 0
+            if space < 0:
+                raise ModelFormatError(f"{path}: truncated at record {n}")
             try:
-                token = chars.decode("utf-8")
+                token = buf[pos:space].decode("utf-8")
             except UnicodeDecodeError:
                 raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
             if not token:
                 raise ModelFormatError(f"{path}: empty token in record {n}")
-            blob = fh.read(rec_bytes)
-            if len(blob) != rec_bytes:
+            pos = space + 1 + vec_bytes
+            if len(buf) < pos:
                 raise ModelFormatError(f"{path}: truncated vector in record {n}")
             tokens.append(token)
-            rows[n] = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-            sep = fh.read(1)
+            rows[n] = np.frombuffer(buf, "<f4", dim, space + 1)
+            sep = buf[pos : pos + 1]
             if sep not in (b"\n", b""):
                 raise ModelFormatError(f"{path}: expected newline after record {n}")
             if sep == b"" and n != count - 1:
                 raise ModelFormatError(f"{path}: header promises {count} records, found {n + 1}")
-        if fh.read(1):
+            pos += 1
+        if pos < len(buf) or fh.read(1):
             raise ModelFormatError(f"{path}: trailing bytes after {count} records")
     return tokens, rows
 
@@ -275,7 +318,8 @@ def load_model(path: str, fmt: str = "word2vec_text", model_id: str | None = Non
         raise ValueError(f"unknown format {fmt!r}")
     if model_id is None:
         model_id = str(path)
-    return EmbeddingModel.from_arrays(tokens, rows, model_id=model_id)
+    _normalize_rows(tokens, rows, model_id)  # the reader's own matrix: no copy
+    return EmbeddingModel(model_id=model_id, vocabulary=tokens, vectors=rows)
 
 
 def save_model(model: EmbeddingModel, path: str, fmt: str = "word2vec_text") -> None:

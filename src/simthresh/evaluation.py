@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .csvio import read_csv, read_lines, write_csv
 
@@ -166,6 +165,8 @@ class SignificanceResult:
 
 def _t_sf_two_sided(t: float, df: int) -> float:
     """Two-sided p for Student's t via the regularized incomplete beta."""
+    from scipy.special import betainc  # imported here: only compare needs scipy
+
     if math.isinf(t):
         return 0.0
     x = df / (df + t * t)

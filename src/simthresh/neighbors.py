@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .csvio import read_csv, write_csv
 from .embeddings import ModelEnsemble
@@ -90,6 +89,8 @@ def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     z >= 8.2924, so each pair is evaluated only where |z| < 8.5 (a margin for
     rounding in z), in blocks of 128 pairs sorted by window; below its window
     a pair adds exactly 1."""
+    from scipy.special import ndtr  # imported here: commands that never evaluate a mixture skip scipy
+
     grid = np.asarray(grid, dtype=np.float64)
     if not np.all(np.diff(grid) >= 0):
         raise ValueError("grid must be ascending")
@@ -121,6 +122,8 @@ def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> N
     The band is mean +/- z * (sample std / sqrt(n)); its lower edge is floored
     at zero since neighbor counts cannot be negative.
     """
+    from scipy.special import ndtri
+
     if len(curves) < 2:
         raise ValueError("aggregation needs at least 2 curves")
     if not 0.0 < confidence < 1.0:

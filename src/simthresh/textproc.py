@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 from . import porter
@@ -18,6 +19,10 @@ __all__ = ["Pipeline", "tokenize", "load_stopwords", "default_stopwords"]
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _MAX_DIGIT_RUN = 16
+# Stems remembered per process (least recently used dropped first). Word
+# frequencies are Zipfian, so this many covers nearly every token of a corpus
+# while holding the cache to a few MiB.
+_STEM_CACHE_WORDS = 1 << 16
 
 
 def tokenize(text: str) -> list[str]:
@@ -63,5 +68,11 @@ class Pipeline:
     def process(self, text: str) -> list[str]:
         terms = [t for t in tokenize(text) if t not in self.stopwords]
         if self.stem_enabled:
-            terms = [porter.stem(t) for t in terms]
+            terms = [_stem(t) for t in terms]
         return terms
+
+
+@lru_cache(maxsize=_STEM_CACHE_WORDS)
+def _stem(word: str) -> str:
+    """``porter.stem``, looked up at call time, remembered per word."""
+    return porter.stem(word)

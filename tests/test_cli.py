@@ -510,6 +510,13 @@ class TestBadInputs:
 
 
 class TestMoreEdges:
+    def test_import_leaves_scipy_unloaded(self):
+        # Only the mixture, the band and the t-test need scipy; importing it costs every command ~0.2 s.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, simthresh, simthresh.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
+
     def test_binary_format_plumbed_through(self, tmp_path):
         model = EmbeddingModel.from_arrays(
             ["a", "b", "c"], np.array([[1.0, 0, 0], [0.9, np.sqrt(1 - 0.81), 0], [0, 0, 1.0]]), "bin"

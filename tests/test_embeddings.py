@@ -1,8 +1,18 @@
+import os
+import struct
+import subprocess
+import sys
+import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simthresh import embeddings
+from simthresh.cli import main
 from simthresh.embeddings import (
     EmbeddingModel,
     ModelEnsemble,
@@ -12,6 +22,56 @@ from simthresh.embeddings import (
 )
 
 from conftest import hub_model, random_model
+
+SRC = Path(__file__).parent.parent / "src"
+BLOCK = embeddings._TEXT_BLOCK_LINES
+
+
+def cli_error(capsys, path, fmt: str) -> tuple[int, str]:
+    """Exit code and standard error of a ``neighbors`` run that loads ``path``."""
+    capsys.readouterr()
+    rc = main(["neighbors", "--model", str(path), "--format", fmt, "--term", "a", "--k", "1"])
+    return rc, capsys.readouterr().err
+
+
+def binary_records(count: int, records: list[tuple[bytes, list[float]]], sep: bytes = b"\n") -> bytes:
+    """A word2vec binary file: header, then token, space, float32s and ``sep`` per record."""
+    dim = len(records[0][1])
+    return f"{count} {dim}\n".encode() + b"".join(t + b" " + struct.pack(f"<{dim}f", *v) + sep for t, v in records)
+
+
+def text_rows(lines: list[str]) -> np.ndarray:
+    """The components of text records as ``float`` parses them."""
+    return np.array([[float(x) for x in line.split()[1:]] for line in lines], dtype=np.float64)
+
+
+# Damaged text files and the one line each must fail with (after "<path>: ").
+TEXT_HOSTILE = {
+    "truncated-record": (b"2 3\na 1 0 0\nb 0 1\n", "record 1 has 2 components, expected 3"),
+    "count-below-data": (b"1 3\na 1 0 0\nb 0 1 0\n", "more records than header count 1"),
+    "count-above-data": (b"3 3\na 1 0 0\nb 0 1 0\n", "header promises 3 records, found 2"),
+    "hash-inside-record": (b"2 3\na 1 0 0\nb 0 1 #0\n", "unparseable float in record 1"),
+    "hash-comment": (b"2 3\na 1 0 0\nb 0 1 0 # note\n", "record 1 has 5 components, expected 3"),
+    "underscore-digits": (b"2 3\na 1 0 0\nb 0 1_0 0\n", "unparseable float in record 1"),
+    "non-ascii-digit": ("2 3\na 1 0 0\nb 0 \u0661 0\n".encode(), "unparseable float in record 1"),
+    "bare-carriage-return": (b"2 3\na 1 0 0\nb 0\r1 0\n", "unparseable float in record 1"),
+    "bad-utf8-token": (b"2 3\na 1 0 0\n\xffb 0 1 0\n", "record 1: token is not valid UTF-8"),
+    "utf8-bom": (b"\xef\xbb\xbf2 3\na 1 0 0\nb 0 1 0\n", "malformed header " + repr(b"\xef\xbb\xbf2 3\n")),
+}
+
+UNIT = [1.0, 0.0, 0.0]
+# Damaged binary files (dimension 3) and the line each must fail with.
+BINARY_HOSTILE = {
+    "truncated-vector": (binary_records(2, [(b"a", UNIT), (b"b", UNIT)])[:-6], "truncated vector in record 1"),
+    "truncated-token": (binary_records(3, [(b"a", UNIT), (b"b", UNIT)]) + b"c", "truncated at record 2"),
+    "count-below-data": (binary_records(1, [(b"a", UNIT), (b"b", UNIT)]), "trailing bytes after 1 records"),
+    "count-above-data": (binary_records(3, [(b"a", UNIT), (b"b", UNIT)]), "truncated at record 2"),
+    "count-above-data-no-final-newline": (binary_records(3, [(b"a", UNIT), (b"b", UNIT)])[:-1],
+                                          "header promises 3 records, found 2"),
+    "wrong-separator": (binary_records(2, [(b"a", UNIT), (b"b", UNIT)], sep=b"x"), "expected newline after record 0"),
+    "empty-token": (binary_records(2, [(b"a", UNIT), (b"", UNIT)]), "empty token in record 1"),
+    "bad-utf8-token": (binary_records(2, [(b"a", UNIT), (b"\xffb", UNIT)]), "record 1: token is not valid UTF-8"),
+}
 
 
 class TestLoading:
@@ -68,6 +128,143 @@ class TestLoading:
         with pytest.raises(ValueError, match="unknown format"):
             load_model(str(tmp_path / "x"), fmt="word2vec_quantized")
 
+    @pytest.mark.parametrize("case", TEXT_HOSTILE, ids=list(TEXT_HOSTILE))
+    def test_hostile_text_fails_in_one_line(self, tmp_path, capsys, case):
+        data, message = TEXT_HOSTILE[case]
+        path = tmp_path / "m.vec"
+        path.write_bytes(data)
+        assert cli_error(capsys, path, "word2vec_text") == (1, f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("chunk", [embeddings._BINARY_CHUNK_BYTES, 3], ids=["default-chunk", "3-byte-chunks"])
+    @pytest.mark.parametrize("case", BINARY_HOSTILE, ids=list(BINARY_HOSTILE))
+    def test_hostile_binary_fails_in_one_line(self, tmp_path, capsys, monkeypatch, case, chunk):
+        monkeypatch.setattr(embeddings, "_BINARY_CHUNK_BYTES", chunk)
+        data, message = BINARY_HOSTILE[case]
+        path = tmp_path / "m.bin"
+        path.write_bytes(data)
+        assert cli_error(capsys, path, "word2vec_binary") == (1, f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
+    def test_overstated_header_count_fails_in_one_line(self, tmp_path, fmt):
+        # Allocating for the header's count used to die with a MemoryError traceback.
+        model = EmbeddingModel.from_arrays(["a", "b"], np.eye(3)[:2])
+        path, probes = tmp_path / "m.vec", tmp_path / "probes.txt"
+        save_model(model, str(path), fmt=fmt)
+        data = path.read_bytes()
+        path.write_bytes(b"1000000000000 3" + data[data.index(b"\n"):])
+        probes.write_text("a\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "simthresh.cli", "uncertainty", "--reference", str(path), "--other", str(path),
+             "--probes", str(probes), "--format", fmt, "--curve-out", str(tmp_path / "curve.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        message = {"word2vec_text": "header promises 1000000000000 records, found 2",
+                   "word2vec_binary": "truncated at record 2"}[fmt]
+        assert (proc.returncode, proc.stderr) == (1, f"error: {path}: {message}\n")
+
+    def test_overstated_dimension_fails_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "m.vec"
+        path.write_bytes(b"2 1000000000000\na 1 0 0\nb 0 1 0\n")
+        assert cli_error(capsys, path, "word2vec_text") == (
+            1, f"error: {path}: record 0 has 3 components, expected 1000000000000\n")
+
+    @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
+    def test_load_from_a_pipe(self, tmp_path, rng, fmt):
+        # A pipe has no size to bound the header count by; it loads as a file does.
+        model = random_model(rng, 5, 3)
+        path, fifo = tmp_path / "m", tmp_path / "m.fifo"
+        save_model(model, str(path), fmt=fmt)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            piped = load_model(str(fifo), fmt=fmt)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        loaded = load_model(str(path), fmt=fmt)
+        assert piped.vocabulary == loaded.vocabulary
+        assert piped.vectors.tobytes() == loaded.vectors.tobytes()
+
+    def test_whitespace_variants_parse_alike(self, tmp_path):
+        lines = ["a 0.5 -1.25 3", "b 1e-3 2.0 -0.0"]
+        want = load_model(str(self.write(tmp_path, "plain.vec", "2 3\n" + "\n".join(lines) + "\n")))
+        variants = {
+            "no-final-newline": "2 3\n" + "\n".join(lines),
+            "crlf": "2 3\r\n" + "\r\n".join(lines) + "\r\n",
+            "tabs": "2 3\n" + "\n".join(line.replace(" ", "\t") for line in lines) + "\n",
+            "blank-lines-and-runs": "2 3\n\n" + "\n\n".join(line.replace(" ", "  ") for line in lines) + "\n\n",
+        }
+        for name, text in variants.items():
+            got = load_model(str(self.write(tmp_path, f"{name}.vec", text)))
+            assert got.vocabulary == want.vocabulary, name
+            assert got.vectors.tobytes() == want.vectors.tobytes(), name
+
+    @staticmethod
+    def write(tmp_path, name: str, text: str) -> Path:
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return path
+
+    @staticmethod
+    def block_lines(count: int, rng) -> list[str]:
+        return [f"t{i} " + " ".join(repr(float(x)) for x in rng.standard_normal(2)) for i in range(count)]
+
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_block_boundary_counts(self, tmp_path, rng, count):
+        lines = self.block_lines(count, rng)
+        path = self.write(tmp_path, "m.vec", f"{count} 2\n" + "\n".join(lines) + "\n")
+        tokens, rows = embeddings._load_text(str(path))
+        assert tokens == [line.split()[0] for line in lines]
+        assert rows.tobytes() == text_rows(lines).tobytes()
+        short = self.write(tmp_path, "short.vec", f"{count + 1} 2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf": header promises {count + 1} records, found {count}$"):
+            load_model(str(short))
+        long = self.write(tmp_path, "long.vec", f"{count - 1} 2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf": more records than header count {count - 1}$"):
+            load_model(str(long))
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda line: line.replace(" ", " x", 1), "unparseable float in record {n}"),
+        (lambda line: line.rsplit(" ", 1)[0], "record {n} has 1 components, expected 2"),
+        (lambda line: "\udcff" + line, "record {n}: token is not valid UTF-8"),
+    ], ids=["bad-float", "short-record", "bad-utf8"])
+    def test_bad_record_in_second_block_is_named(self, tmp_path, rng, damage, message):
+        lines = self.block_lines(BLOCK + 20, rng)
+        n = BLOCK + 7
+        lines[n] = damage(lines[n])
+        lines.insert(3, "")  # a blank line is not a record: numbering counts records, not lines
+        text = f"{BLOCK + 20} 2\n" + "\n".join(lines) + "\n"
+        path = tmp_path / "m.vec"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ModelFormatError, match=rf"^{path}: {message.format(n=n)}$"):
+            load_model(str(path))
+
+    def test_load_normalizes_like_the_copying_path(self, tmp_path, rng):
+        raw = rng.standard_normal((50, 4))
+        raw[::3] /= np.linalg.norm(raw[::3], axis=1)[:, None]  # rows already unit length are kept as read
+        lines = [f"t{i} " + " ".join(repr(float(x)) for x in row) for i, row in enumerate(raw)]
+        path = self.write(tmp_path, "m.vec", "50 4\n" + "\n".join(lines) + "\n")
+        want = text_rows(lines)
+        norms = np.linalg.norm(want, axis=1)
+        needs = np.abs(norms - 1.0) > 1e-6
+        assert 0 < needs.sum() < len(needs)
+        want[needs] /= norms[needs, None]
+        assert load_model(str(path)).vectors.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("unit", [False, True], ids=["raw", "unit-rows"])
+    def test_from_arrays_leaves_caller_array_untouched(self, rng, unit):
+        vectors = rng.standard_normal((6, 3))
+        if unit:
+            vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        before = vectors.copy()
+        model = EmbeddingModel.from_arrays([f"t{i}" for i in range(6)], vectors)
+        assert vectors.tobytes() == before.tobytes()
+        assert not np.shares_memory(model.vectors, vectors)
+        vectors[:] = 0.0
+        assert np.all(np.abs(np.linalg.norm(model.vectors, axis=1) - 1.0) <= 1e-6)
+
 
 class TestRoundTrip:
     def test_text_round_trip_bitwise(self, tmp_path, rng):
@@ -100,6 +297,43 @@ class TestRoundTrip:
         path.write_bytes(blob[:-6])
         with pytest.raises(ModelFormatError):
             load_model(str(path), fmt="word2vec_binary")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3), min_size=1, max_size=30),
+           style=st.sampled_from(["repr", "%.6f"]))
+    def test_text_components_parse_like_float(self, tmp_path_factory, rows, style):
+        lines = [f"t{i} " + " ".join(repr(x) if style == "repr" else "%.6f" % x for x in row)
+                 for i, row in enumerate(rows)]
+        path = tmp_path_factory.mktemp("text") / "m.vec"
+        path.write_text(f"{len(rows)} 3\n" + "\n".join(lines) + "\n")
+        tokens, parsed = embeddings._load_text(str(path))
+        assert tokens == [f"t{i}" for i in range(len(rows))]
+        assert parsed.tobytes() == text_rows(lines).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(width=32, allow_nan=False), min_size=3, max_size=3),
+                         min_size=1, max_size=30),
+           chunk=st.sampled_from([1, 2, 7, 16, 64, embeddings._BINARY_CHUNK_BYTES]))
+    def test_binary_components_read_exactly_across_chunks(self, tmp_path_factory, rows, chunk):
+        path = tmp_path_factory.mktemp("binary") / "m.bin"
+        path.write_bytes(binary_records(len(rows), [(f"t{i}".encode(), row) for i, row in enumerate(rows)]))
+        default = embeddings._BINARY_CHUNK_BYTES
+        embeddings._BINARY_CHUNK_BYTES = chunk
+        try:
+            tokens, parsed = embeddings._load_binary(str(path))
+        finally:
+            embeddings._BINARY_CHUNK_BYTES = default
+        assert tokens == [f"t{i}" for i in range(len(rows))]
+        assert parsed.tobytes() == np.array(rows, dtype=np.float32).astype(np.float64).tobytes()
+
+    def test_binary_without_final_newline(self, tmp_path, rng):
+        model = random_model(rng, 4, 3)
+        path = tmp_path / "m.bin"
+        save_model(model, str(path), fmt="word2vec_binary")
+        path.write_bytes(path.read_bytes()[:-1])
+        loaded = load_model(str(path), fmt="word2vec_binary")
+        assert loaded.vocabulary == model.vocabulary
+        np.testing.assert_allclose(loaded.vectors, model.vectors, atol=1e-6)
 
     def test_unserializable_token(self, tmp_path):
         model = EmbeddingModel.from_arrays(["a b"], np.array([[1.0, 0.0]]))

@@ -1,6 +1,9 @@
 from pathlib import Path
 
-from simthresh import porter
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simthresh import porter, textproc
 from simthresh.textproc import Pipeline, default_stopwords, load_stopwords, tokenize
 
 from porter_oracle import reference_stem
@@ -81,6 +84,30 @@ class TestPipeline:
         path.write_text("books\n")
         pipeline = Pipeline.from_stopword_file(str(path))
         assert pipeline.process("books running") == ["run"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.characters(whitelist_categories=("Ll", "Lu", "Nd")), min_size=1, max_size=12)
+                    | st.sampled_from(["running", "ponies", "the", "caresses", "generalization", "sky"]),
+                    max_size=30))
+    def test_memoized_stems_equal_porter(self, words):
+        pipeline = Pipeline()
+        text = " ".join(words)
+        want = [porter.stem(t) for t in tokenize(text) if t not in pipeline.stopwords]
+        assert pipeline.process(text) == want
+        assert pipeline.process(text) == want  # now served from the memo
+
+    def test_stems_each_distinct_word_once_through_module_attribute(self, monkeypatch):
+        # perfbench/traced_cli.py counts distinct words by replacing porter.stem.
+        calls = []
+        stem = porter.stem
+        monkeypatch.setattr(porter, "stem", lambda word: calls.append(word) or stem(word))
+        textproc._stem.cache_clear()
+        try:
+            stems = Pipeline(stopwords=frozenset()).process("cats ponies cats ponies cats")
+        finally:
+            textproc._stem.cache_clear()
+        assert stems == ["cat", "poni", "cat", "poni", "cat"]
+        assert sorted(calls) == ["cats", "ponies"]
 
 
 class TestPorter:
