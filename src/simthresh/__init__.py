@@ -18,6 +18,7 @@ from .neighbors import (
     aggregate_curves,
     default_grid,
     expected_neighbors,
+    probe_curves,
 )
 from .retrieval import (
     ExpansionPolicy,
@@ -54,6 +55,7 @@ __all__ = [
     "NeighborCurve",
     "default_grid",
     "expected_neighbors",
+    "probe_curves",
     "aggregate_curves",
     "SynonymTarget",
     "ThresholdResult",

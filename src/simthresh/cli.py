@@ -217,7 +217,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     else:
         target = threshold.SynonymTarget(mean_synonyms=args.target, source_label="configured")
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
-    curves = [neighbors.expected_neighbors(ensemble, t, grid) for t in probes]
+    curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
     dim = ensemble.dimensionality if args.dimension is None else args.dimension
     result = threshold.solve_threshold(curve, target, dimensionality=dim)

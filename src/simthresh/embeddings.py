@@ -270,12 +270,22 @@ def _load_binary(path: str) -> tuple[list[str], np.ndarray]:
         rows = _allocate_rows(path, fh, count, dim, vec_bytes + 3)  # token, space, vector, newline
         tokens: list[str] = []
         buf, pos = bytearray(), 0
+        starts: list[int] = []  # offsets in buf of the last len(starts) tokens' vectors, not yet cast
+
+        def cast() -> None:
+            """Cast the pending vectors into their rows at once (float32 -> float64 is exact)."""
+            if starts:
+                joined = b"".join(buf[s : s + vec_bytes] for s in starts)
+                rows[len(tokens) - len(starts) : len(tokens)] = np.frombuffer(joined, "<f4").reshape(-1, dim)
+                starts.clear()
+
         for n in range(count):
             # Read on until the buffer holds this record's token, vector and separator, or the file ends.
             while (space := buf.find(b" ", pos)) < 0 or len(buf) < space + vec_bytes + 2:
                 chunk = fh.read(_BINARY_CHUNK_BYTES)
                 if not chunk:
                     break
+                cast()
                 del buf[:pos]
                 buf += chunk
                 pos = 0
@@ -291,13 +301,14 @@ def _load_binary(path: str) -> tuple[list[str], np.ndarray]:
             if len(buf) < pos:
                 raise ModelFormatError(f"{path}: truncated vector in record {n}")
             tokens.append(token)
-            rows[n] = np.frombuffer(buf, "<f4", dim, space + 1)
+            starts.append(space + 1)
             sep = buf[pos : pos + 1]
             if sep not in (b"\n", b""):
                 raise ModelFormatError(f"{path}: expected newline after record {n}")
             if sep == b"" and n != count - 1:
                 raise ModelFormatError(f"{path}: header promises {count} records, found {n + 1}")
             pos += 1
+        cast()
         if pos < len(buf) or fh.read(1):
             raise ModelFormatError(f"{path}: trailing bytes after {count} records")
     return tokens, rows

@@ -9,6 +9,7 @@ mean.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "default_grid",
     "pair_statistics",
     "expected_neighbors",
+    "probe_curves",
     "aggregate_curves",
     "write_curve_csv",
     "read_curve_csv",
@@ -114,6 +116,39 @@ def expected_neighbors(ensemble: ModelEnsemble, term: str, grid: np.ndarray | No
     _, means, stds = pair_statistics(ensemble, term)
     expected = mixture_survival(grid, means, stds)
     return NeighborCurve(grid=np.asarray(grid, dtype=np.float64), expected=expected, term=term)
+
+
+def probe_curves(ensemble: ModelEnsemble, grid: np.ndarray | None = None) -> list[NeighborCurve]:
+    """``expected_neighbors`` of every probe of ``ensemble``, in probe order.
+
+    The probes run on a thread pool with one worker per CPU in the process's
+    affinity mask (``taskset`` limits it), at most one per probe. Each curve
+    is computed whole by one worker with the sequential code, and ``ndtr``
+    and numpy release the GIL, so the threads overlap and the result does not
+    depend on the worker count. On failure the error the sequential loop
+    would raise first is raised, and once a probe fails no later probe
+    starts; an interrupt cancels the probes not yet started."""
+    from concurrent.futures import ThreadPoolExecutor  # imported here: commands that build no curve skip it
+
+    probes = ensemble.probes
+    failed: list[int] = []  # indices of probes that raised; list.append is atomic
+
+    def curve(i: int) -> NeighborCurve | None:
+        if failed and i > min(failed):
+            return None  # the sequential loop stops before this probe; its result is never read
+        try:
+            return expected_neighbors(ensemble, probes[i], grid)
+        except BaseException:
+            failed.append(i)
+            raise
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(probes), len(cpus))))
+    try:
+        futures = [pool.submit(curve, i) for i in range(len(probes))]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> NeighborCurve:

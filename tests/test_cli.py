@@ -169,6 +169,13 @@ class TestThresholdCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: replicas disagree on dimensionality: [2, 4]\n"
 
+    def test_descending_grid_one_error_line(self, tmp_path, capsys):
+        # every probe fails on the worker pool; the error is reported once, as in a sequential loop
+        rc = main(["threshold", "--models", *REPLICAS, "--probes", PROBES, "--grid-low", "1", "--grid-high", "0",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: grid must be ascending\n"
+
     def test_numeric_target_without_synsets_accepted(self, tmp_path):
         out = tmp_path / "t.csv"
         rc = main([
@@ -191,14 +198,16 @@ class TestThresholdCommand:
 
 class TestThresholdDeterminism:
     """The threshold report depends on its inputs only: not on the BLAS thread
-    count, and on the probe order only through the summation order of the mean."""
+    count or the CPUs the probe curves run on, and on the probe order only
+    through the summation order of the mean."""
 
     PROBES = ["alpha", "gamma", "epsilon"]
 
     @staticmethod
-    def run_threshold(tmp_path, probes: list[str], threads: int) -> tuple[Path, Path]:
-        """``threshold`` in a fresh process; returns the report and curve paths."""
-        name = f"{'_'.join(probes)}_{threads}"
+    def run_threshold(tmp_path, probes: list[str], threads: int, cpu: int | None = None) -> tuple[Path, Path]:
+        """``threshold`` in a fresh process, restricted to ``cpu`` if given;
+        returns the report and curve paths."""
+        name = f"{'_'.join(probes)}_{threads}_{cpu}"
         probe_file, out, curve = (tmp_path / f"{kind}_{name}.txt" for kind in ("probes", "report", "curve"))
         probe_file.write_text("\n".join(probes) + "\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
@@ -207,6 +216,7 @@ class TestThresholdDeterminism:
             [sys.executable, "-m", "simthresh.cli", "threshold", "--models", *REPLICAS, "--probes", str(probe_file),
              "--target", "1.6", "--out", str(out), "--curve-out", str(curve)],
             env=env, check=True, capture_output=True,
+            preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),  # acts on the child only
         )
         return out, curve
 
@@ -214,6 +224,15 @@ class TestThresholdDeterminism:
         one = self.run_threshold(tmp_path, self.PROBES, 1)
         two = self.run_threshold(tmp_path, self.PROBES, 2)
         for a, b in zip(one, two):
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs os.sched_setaffinity and at least 2 CPUs")
+    def test_identical_bytes_on_one_cpu_and_all(self, tmp_path):
+        # 3 probes: one curve worker on one CPU, two or three on all of them
+        one = self.run_threshold(tmp_path, self.PROBES, 1, cpu=min(os.sched_getaffinity(0)))
+        every = self.run_threshold(tmp_path, self.PROBES, 1)
+        for a, b in zip(one, every):
             assert a.read_bytes() == b.read_bytes()
 
     def test_reversed_probes_agree_to_rounding(self, tmp_path):

@@ -1,3 +1,9 @@
+import os
+import signal
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
+from simthresh import neighbors
 from simthresh.embeddings import ModelEnsemble
 from simthresh.neighbors import (
     STD_FLOOR,
@@ -13,6 +20,7 @@ from simthresh.neighbors import (
     expected_neighbors,
     mixture_survival,
     pair_statistics,
+    probe_curves,
     read_curve_csv,
     write_curve_csv,
     NeighborCurve,
@@ -125,6 +133,86 @@ class TestExpectedNeighbors:
         direct = mixture_survival(grid, means, stds)
         mixture_cdf = np.mean([ndtr((grid - m) / s) for m, s in zip(means, stds)], axis=0)
         np.testing.assert_allclose(direct, len(means) * (1.0 - mixture_cdf), atol=1e-9)
+
+
+def pool_workers(probes: int) -> int:
+    return min(probes, len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+class TestProbeCurves:
+    """The per-probe curves on the thread pool against the sequential loop."""
+
+    def test_bitwise_equal_to_sequential_loop(self, rng):
+        base = random_model(rng, 300, 16)
+        probes = [f"t{i:04d}" for i in range(len(os.sched_getaffinity(0)) + 3)]
+        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 4, 0.02), probes)
+        grid = default_grid(points=601)
+        pooled = probe_curves(ensemble, grid)
+        sequential = [expected_neighbors(ensemble, t, grid) for t in probes]
+        assert [c.term for c in pooled] == probes
+        for a, b in zip(pooled, sequential):
+            assert a.grid.tobytes() == b.grid.tobytes() and a.expected.tobytes() == b.expected.tobytes()
+
+    def test_no_probes(self):
+        assert probe_curves(SimpleNamespace(probes=())) == []
+
+    @staticmethod
+    def fake_probes(monkeypatch, behaviour) -> tuple[SimpleNamespace, list[int]]:
+        """An ensemble stand-in with more probes than workers, each probe's
+        curve replaced by ``behaviour(index)``, and the list of probe indices
+        that start, filled as they do."""
+        started: list[int] = []
+
+        def fake(ensemble, term, grid=None):
+            started.append(int(term[1:]))
+            return behaviour(int(term[1:]))
+
+        monkeypatch.setattr(neighbors, "expected_neighbors", fake)
+        return SimpleNamespace(probes=[f"p{i}" for i in range(len(os.sched_getaffinity(0)) + 4)]), started
+
+    @pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
+    def test_failure_raises_the_first_in_probe_order(self, monkeypatch, failing):
+        # Probe 0 ends after 0.2 s, a failing probe 1 at once, the others
+        # after 0.4 s, so every worker is busy when the first failure comes.
+        def behaviour(i):
+            time.sleep(0.2 if i == 0 else 0.0 if i in failing else 0.4)
+            if i in failing:
+                raise ValueError(f"probe {i}")
+
+        ensemble, started = self.fake_probes(monkeypatch, behaviour)
+        first = min(failing)
+        with pytest.raises(ValueError, match=f"^probe {first}$"):
+            probe_curves(ensemble)
+        # the first probes fill the workers; no later probe starts after a failure
+        assert first in started
+        assert max(started) <= max(first, pool_workers(len(ensemble.probes)) - 1)
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_interrupt_cancels_queued_probes(self, monkeypatch):
+        # Ctrl-C reaches the main thread while it waits for the first curve.
+        interrupted = threading.Event()
+
+        def on_sigint(signum, frame):
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        def behaviour(i):
+            if i == 0:
+                time.sleep(0.1)  # lets the main thread queue every probe and wait
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            assert interrupted.wait(10)
+            time.sleep(0.2)  # keeps every worker busy until the queued probes are cancelled
+
+        ensemble, started = self.fake_probes(monkeypatch, behaviour)
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                probe_curves(ensemble)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert 0 in started
+        assert max(started) < pool_workers(len(ensemble.probes))
 
 
 @st.composite
