@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import evaluation, neighbors, retrieval, threshold, uncertainty
 from .csvio import format_csv, read_lines, write_csv
-from .embeddings import ModelEnsemble, load_model
+from .embeddings import ModelEnsemble, load_model, load_reduced
 from .textproc import Pipeline
 
 __all__ = ["main"]
@@ -165,9 +165,8 @@ def _read_terms(path: str) -> list[str]:
 @command("uncertainty", "replica disagreement curve (and histogram) CSVs",
          "reference other probes curve_out", "format histogram_out bins domain_low domain_high")
 def cmd_uncertainty(args: argparse.Namespace) -> int:
-    reference = load_model(args.reference, args.format)
-    other = load_model(args.other, args.format)
     probes = _read_terms(args.probes)
+    reference, other = load_reduced([args.reference, args.other], args.format, probes)
     config = uncertainty.HistogramConfig(args.domain_low, args.domain_high, args.bins)
     curve = uncertainty.uncertainty_curve(reference, other, probes, config)
     uncertainty.write_uncertainty_csv(curve, args.curve_out)
@@ -211,7 +210,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
     probes = _read_terms(args.probes)
-    ensemble = ModelEnsemble((load_model(p, args.format) for p in args.models), probes)
+    ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     if args.synsets:
         target = threshold.synonym_statistics(args.synsets)
     else:

@@ -11,15 +11,19 @@ from __future__ import annotations
 import os
 import stat
 import struct
+from collections import deque
 from dataclasses import InitVar, dataclass, field
 from itertools import islice
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "EmbeddingModel",
+    "ReducedReplica",
     "ModelEnsemble",
+    "reduce_replica",
+    "load_reduced",
     "load_model",
     "save_model",
 ]
@@ -139,44 +143,133 @@ class EmbeddingModel:
 
 
 @dataclass(eq=False)
+class ReducedReplica:
+    """What an ensemble takes from one replica: its id, vocabulary and
+    dimensionality, and each probe's record and cosine row against the whole
+    vocabulary (itself included). A probe missing from the vocabulary has
+    neither."""
+
+    model_id: str
+    vocabulary: list[str]
+    dimensionality: int
+    records: dict[str, int]  # probe -> its record
+    rows: dict[str, np.ndarray]  # probe -> similarities_to(probe) of the full model
+
+    def row(self, token: str) -> int:
+        try:
+            return self.records[token]
+        except KeyError:
+            raise KeyError(f"token {token!r} is not a probe found in model {self.model_id!r}") from None
+
+    def similarities_to(self, token: str) -> np.ndarray:
+        """Cosine of probe ``token`` against the whole vocabulary (self included)."""
+        self.row(token)  # raises for a token that is not a probe
+        return self.rows[token]
+
+
+def reduce_replica(model: EmbeddingModel, probes: Iterable[str]) -> ReducedReplica:
+    """``model`` reduced to the rows of those ``probes`` it holds."""
+    present = [t for t in probes if t in model]
+    return ReducedReplica(
+        model_id=model.model_id,
+        vocabulary=model.vocabulary,
+        dimensionality=model.dimensionality,
+        records={t: model.row(t) for t in present},
+        rows={t: model.similarities_to(t) for t in present},
+    )
+
+
+def _worker_count(tasks: int) -> int:
+    """One worker per CPU in the process's affinity mask, at most one per task, at least one."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return max(1, min(tasks, len(cpus)))
+
+
+def _load_reduced(path: str, fmt: str, probes: tuple[str, ...]) -> ReducedReplica:
+    return reduce_replica(load_model(path, fmt), probes)
+
+
+def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Iterator[ReducedReplica]:
+    """``reduce_replica(load_model(path, fmt), probes)`` for each path, in path order.
+
+    The replicas are loaded and reduced in worker processes, one per CPU in
+    the process's affinity mask (``taskset`` limits them), at most one per
+    path, so their parses overlap and this process never holds a whole
+    replica. Where ``fork`` is not available they are loaded here, one at a
+    time. The first error in path order is raised. At most one load per
+    worker is in flight, so after an interrupt, or closing the iterator, no
+    further load starts. The workers are forked when the first replica is
+    asked for, so ask before starting threads."""
+    import multiprocessing  # imported here, as the pool: commands that load no replica skip both
+    from concurrent.futures import ProcessPoolExecutor
+
+    probes = tuple(probes)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        for path in paths:
+            yield _load_reduced(path, fmt, probes)
+        return
+
+    workers = _worker_count(len(paths))
+    # fork, not the default of later Pythons (forkserver), which imports numpy again in every worker
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # The pool hands a submitted load to a worker's queue at once, where it can no longer be
+        # cancelled: with every path submitted, a worker would start the next load after Ctrl-C.
+        waiting = iter(paths)
+        futures = deque(pool.submit(_load_reduced, path, fmt, probes) for path in islice(waiting, workers))
+        while futures:
+            replica = futures.popleft().result()
+            futures.extend(pool.submit(_load_reduced, path, fmt, probes) for path in islice(waiting, 1))
+            yield replica
+            del replica  # neither the deque nor this frame keeps a consumed replica while the next one loads
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+@dataclass(eq=False)
 class ModelEnsemble:
     """The probes' similarity rows in replicas trained identically except for
     random initialization.
 
-    Replicas are consumed one at a time. Each is checked for the first one's
-    dimensionality and for every probe, gives one cosine row per probe over
-    the shared vocabulary (kept in the first replica's order), and is released
-    before the next is produced, so a generator of loaded replicas never has
-    two alive. Without probes the ensemble only aligns the vocabularies.
+    Replicas are consumed one at a time, as ``EmbeddingModel``s, which are
+    reduced here, or already as ``ReducedReplica``s (``load_reduced``). Each
+    is checked for the first one's dimensionality and for every probe, gives
+    one cosine row per probe over the shared vocabulary (kept in the first
+    replica's order), and is released before the next is produced, so a
+    generator of loaded replicas never has two alive. Without probes the
+    ensemble only aligns the vocabularies.
     """
 
-    replicas: InitVar[Iterable[EmbeddingModel]]
+    replicas: InitVar[Iterable[EmbeddingModel | ReducedReplica]]
     probes: Sequence[str] = ()
     shared_vocabulary: list[str] = field(init=False, repr=False)
     dimensionality: int = field(init=False)
     replica_count: int = field(init=False, default=0)
     _rows: dict[str, list[np.ndarray]] = field(init=False, repr=False)  # probe -> per-replica shared cosines
 
-    def __post_init__(self, replicas: Iterable[EmbeddingModel]) -> None:
+    def __post_init__(self, replicas: Iterable[EmbeddingModel | ReducedReplica]) -> None:
         self.probes = tuple(self.probes)
         self._rows = {t: [] for t in self.probes}
-        for model in replicas:
+        for replica in replicas:
+            if isinstance(replica, EmbeddingModel):
+                replica = reduce_replica(replica, self.probes)  # drops the model: a generator can free it
             if self.replica_count == 0:
-                self.dimensionality, shared = model.dimensionality, np.asarray(model.vocabulary, dtype=object)
-            elif model.dimensionality != self.dimensionality:
-                dims = sorted({self.dimensionality, model.dimensionality})
+                self.dimensionality, shared = replica.dimensionality, np.asarray(replica.vocabulary, dtype=object)
+            elif replica.dimensionality != self.dimensionality:
+                dims = sorted({self.dimensionality, replica.dimensionality})
                 raise ValueError(f"replicas disagree on dimensionality: {dims}")
-            keep = np.array([t in model for t in shared], dtype=bool)
+            record = dict(zip(replica.vocabulary, range(len(replica.vocabulary))))
+            keep = np.array([t in record for t in shared], dtype=bool)
             if not keep.all():
                 shared = shared[keep]
                 self._rows = {t: [r[keep] for r in rows] for t, rows in self._rows.items()}
-            cols = np.array([model.row(t) for t in shared], dtype=np.int64)
+            cols = np.array([record[t] for t in shared], dtype=np.int64)
             for t, rows in self._rows.items():
-                if t not in model:
-                    raise KeyError(f"token {t!r} missing from replica {model.model_id!r}")
-                rows.append(model.similarities_to(t)[cols])
+                if t not in replica.rows:
+                    raise KeyError(f"token {t!r} missing from replica {replica.model_id!r}")
+                rows.append(replica.rows[t][cols])
             self.replica_count += 1
-            del model  # lets a generator free this replica before producing the next
+            del replica, record  # lets a generator free this replica before producing the next
         if self.replica_count < 2:
             raise ValueError("an ensemble needs at least 2 replicas")
         if not len(shared):

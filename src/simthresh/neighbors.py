@@ -9,13 +9,12 @@ mean.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .csvio import read_csv, write_csv
-from .embeddings import ModelEnsemble
+from .embeddings import ModelEnsemble, _worker_count
 
 __all__ = [
     "NeighborCurve",
@@ -142,8 +141,7 @@ def probe_curves(ensemble: ModelEnsemble, grid: np.ndarray | None = None) -> lis
             failed.append(i)
             raise
 
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(probes), len(cpus))))
+    pool = ThreadPoolExecutor(max_workers=_worker_count(len(probes)))
     try:
         futures = [pool.submit(curve, i) for i in range(len(probes))]
         return [f.result() for f in futures]

@@ -372,8 +372,9 @@ def read_corpus(path: str, fmt: str) -> Iterator[tuple[str, str]]:
 
 
 def read_topics(path: str) -> list[tuple[str, str]]:
-    """Tab-separated lines: topic_id<TAB>query text."""
+    """Tab-separated lines: topic_id<TAB>query text. A topic id may occur once."""
     topics = []
+    first: dict[str, int] = {}  # topic id -> line
     for lineno, line in read_lines(path):
         line = line.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
@@ -381,7 +382,10 @@ def read_topics(path: str) -> list[tuple[str, str]]:
         if "\t" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'topic_id<TAB>query text'")
         topic_id, text = line.split("\t", 1)
-        topics.append((topic_id.strip(), text))
+        topic_id = topic_id.strip()
+        if (seen := first.setdefault(topic_id, lineno)) != lineno:
+            raise ValueError(f"{path}:{lineno}: duplicate topic {topic_id!r} (first on line {seen})")
+        topics.append((topic_id, text))
     if not topics:
         raise ValueError(f"{path}: no topics found")
     return topics
@@ -403,7 +407,10 @@ def write_run(
 
 
 def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
+    """TREC run format, in file order per topic. A document may occur once per
+    topic: a repeat would count as a second hit in every metric."""
     run: dict[str, list[tuple[str, float]]] = {}
+    first: dict[tuple[str, str], int] = {}  # (topic id, doc id) -> line
     for lineno, line in read_lines(path):
         parts = line.split()
         if not parts:
@@ -412,9 +419,14 @@ def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
             raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
         topic_id, _, doc_id, _, score, _ = parts
         try:
-            run.setdefault(topic_id, []).append((doc_id, float(score)))
+            value = float(score)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if (seen := first.setdefault((topic_id, doc_id), lineno)) != lineno:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate document {doc_id!r} for topic {topic_id!r} (first on line {seen})"
+            )
+        run.setdefault(topic_id, []).append((doc_id, value))
     return run
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_csv, write_csv
-from .embeddings import EmbeddingModel, ModelEnsemble
+from .embeddings import EmbeddingModel, ModelEnsemble, ReducedReplica
 
 __all__ = [
     "HistogramConfig",
@@ -98,8 +98,8 @@ class SimilarityHistogram:
 
 
 def uncertainty_curve(
-    reference: EmbeddingModel,
-    other: EmbeddingModel,
+    reference: EmbeddingModel | ReducedReplica,
+    other: EmbeddingModel | ReducedReplica,
     probe_terms: list[str],
     config: HistogramConfig = HistogramConfig(),
 ) -> UncertaintyCurve:
@@ -107,7 +107,8 @@ def uncertainty_curve(
 
     Pairs run over each probe term against every other term of the shared
     vocabulary; each pair lands in the bin of its reference-model similarity.
-    Probe terms must exist in both models.
+    Probe terms must exist in both models; reduced replicas must have been
+    reduced to them.
     """
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
@@ -133,11 +134,12 @@ def uncertainty_curve(
 
 
 def similarity_histogram(
-    model: EmbeddingModel,
+    model: EmbeddingModel | ReducedReplica,
     probe_terms: list[str],
     config: HistogramConfig = HistogramConfig(),
 ) -> SimilarityHistogram:
-    """Histogram of cosine(probe, y) over every probe term and every y != probe."""
+    """Histogram of cosine(probe, y) over every probe term and every y != probe.
+    A reduced replica gives the rows it was reduced to, with no new product."""
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
     counts = np.zeros(config.bin_count, dtype=np.int64)

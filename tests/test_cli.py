@@ -2,9 +2,11 @@ import json
 import os
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,14 @@ class TestUncertaintyCommand:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bad_probes_file_reported_before_missing_model(self, tmp_path, capsys):
+        probes = tmp_path / "probes.txt"
+        probes.write_text("# no terms\n")
+        rc = main(["uncertainty", "--reference", str(tmp_path / "missing.vec"), "--other", REPLICAS[1],
+                   "--probes", str(probes), "--curve-out", str(tmp_path / "c.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {probes}: no terms found\n"
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -169,6 +179,31 @@ class TestThresholdCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: replicas disagree on dimensionality: [2, 4]\n"
 
+    def test_first_error_in_replica_order(self, tmp_path, capsys):
+        # replica 2 lacks a probe and replica 3 is truncated; the workers may load replica 3 first,
+        # but the error is the one a sequential loop raises: replica 2's
+        paths = [str(tmp_path / f"r{k}.vec") for k in range(5)]
+        for k, path in enumerate(paths):
+            model = load_model(REPLICAS[k])
+            if k == 2:
+                model = EmbeddingModel(path, [t if t != "alpha" else "other" for t in model.vocabulary], model.vectors)
+            save_model(model, path)
+        Path(paths[3]).write_bytes(Path(paths[3]).read_bytes()[:-20])
+        rc = main(["threshold", "--models", *paths, "--probes", PROBES, "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: token 'alpha' missing from replica '{paths[2]}'\n"
+
+    @pytest.mark.parametrize("command", ["threshold", "uncertainty"])
+    def test_missing_model_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.vec"
+        argv = {
+            "threshold": ["--models", REPLICAS[0], str(missing), REPLICAS[2], "--out", str(tmp_path / "t.csv")],
+            "uncertainty": ["--reference", REPLICAS[0], "--other", str(missing),
+                            "--curve-out", str(tmp_path / "c.csv")],
+        }[command]
+        assert main([command, "--probes", PROBES, *argv]) == 1
+        assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
+
     def test_descending_grid_one_error_line(self, tmp_path, capsys):
         # every probe fails on the worker pool; the error is reported once, as in a sequential loop
         rc = main(["threshold", "--models", *REPLICAS, "--probes", PROBES, "--grid-low", "1", "--grid-high", "0",
@@ -198,8 +233,10 @@ class TestThresholdCommand:
 
 class TestThresholdDeterminism:
     """The threshold report depends on its inputs only: not on the BLAS thread
-    count or the CPUs the probe curves run on, and on the probe order only
-    through the summation order of the mean."""
+    count or the CPUs the replicas load and the probe curves run on, and on
+    the probe order only through the summation order of the mean. The
+    ``uncertainty`` outputs do not depend on the CPUs either. A successful
+    run writes nothing to standard error."""
 
     PROBES = ["alpha", "gamma", "epsilon"]
 
@@ -210,15 +247,22 @@ class TestThresholdDeterminism:
         name = f"{'_'.join(probes)}_{threads}_{cpu}"
         probe_file, out, curve = (tmp_path / f"{kind}_{name}.txt" for kind in ("probes", "report", "curve"))
         probe_file.write_text("\n".join(probes) + "\n")
+        TestThresholdDeterminism.run_cli(["threshold", "--models", *REPLICAS, "--probes", str(probe_file),
+                                          "--target", "1.6", "--out", str(out), "--curve-out", str(curve)],
+                                         threads, cpu)
+        return out, curve
+
+    @staticmethod
+    def run_cli(argv: list[str], threads: int, cpu: int | None) -> bytes:
+        """The CLI in a fresh process, restricted to ``cpu`` if given; returns its standard output."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         env.update({var: str(threads) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
-        subprocess.run(
-            [sys.executable, "-m", "simthresh.cli", "threshold", "--models", *REPLICAS, "--probes", str(probe_file),
-             "--target", "1.6", "--out", str(out), "--curve-out", str(curve)],
-            env=env, check=True, capture_output=True,
+        proc = subprocess.run(
+            [sys.executable, "-m", "simthresh.cli", *argv], env=env, check=True, capture_output=True,
             preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),  # acts on the child only
         )
-        return out, curve
+        assert proc.stderr == b""
+        return proc.stdout
 
     def test_identical_bytes_across_thread_counts(self, tmp_path):
         one = self.run_threshold(tmp_path, self.PROBES, 1)
@@ -234,6 +278,20 @@ class TestThresholdDeterminism:
         every = self.run_threshold(tmp_path, self.PROBES, 1)
         for a, b in zip(one, every):
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs os.sched_setaffinity and at least 2 CPUs")
+    def test_uncertainty_identical_bytes_on_one_cpu_and_all(self, tmp_path):
+        # two replicas: one loading worker on one CPU, two on all of them
+        outputs = []
+        for cpu in (min(os.sched_getaffinity(0)), None):
+            curve, hist = tmp_path / f"curve_{cpu}.csv", tmp_path / f"hist_{cpu}.csv"
+            stdout = self.run_cli(["uncertainty", "--reference", REPLICAS[0], "--other", REPLICAS[1],
+                                   "--probes", PROBES, "--curve-out", str(curve), "--histogram-out", str(hist)],
+                                  1, cpu)
+            outputs.append((stdout, curve.read_bytes(), hist.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] == (DATA / "golden_uncertainty.csv").read_bytes()
 
     def test_reversed_probes_agree_to_rounding(self, tmp_path):
         report, curve = self.run_threshold(tmp_path, self.PROBES, 1)
@@ -430,7 +488,9 @@ class TestBadInputs:
         ("qrels", ["1 0 d1 1", "1 0 d2 x"], 2, "invalid literal for int()"),
         ("qrels", ["1 0 d1 -1"], 1, "negative grade"),
         ("qrels", ["1 0 d1 1", "", "1 0 d1 0"], 3, "duplicate judgment"),
-    ], ids=["run-score", "qrels-grade", "qrels-negative", "qrels-duplicate"])
+        ("run", ["1 Q0 d1 1 -1.0 t", "2 Q0 d1 1 -1.0 t", "1 Q0 d1 2 -2.0 t", "1 Q0 d2 3 -3.0 t"], 3,
+         "duplicate document 'd1' for topic '1' (first on line 1)\n"),
+    ], ids=["run-score", "qrels-grade", "qrels-negative", "qrels-duplicate", "run-duplicate"])
     def test_bad_record_names_file_and_line(self, tmp_path, capsys, which, lines, lineno, message):
         files = {"run": tmp_path / "run.txt", "qrels": tmp_path / "qrels.txt"}
         files["run"].write_text("1 Q0 d1 1 -1.5 t\n")
@@ -536,6 +596,41 @@ class TestMoreEdges:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo") or not Path(f"/proc/{os.getpid()}/task").exists(),
+                        reason="needs named pipes and /proc child lists")
+    def test_ctrl_c_while_replicas_load(self, tmp_path):
+        # The replicas are named pipes nobody writes to, so each loading worker blocks opening one
+        # until Ctrl-C, a SIGINT to the whole process group, reaches it. Pinned to one CPU, one
+        # worker loads the two replicas: the second load must not start after the interrupt.
+        replicas = [tmp_path / "r0.vec", tmp_path / "r1.vec"]
+        for path in replicas:
+            os.mkfifo(path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "simthresh.cli", "uncertainty", "--reference", str(replicas[0]),
+             "--other", str(replicas[1]), "--probes", PROBES, "--curve-out", str(tmp_path / "c.csv")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+            preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),  # acts on the child only
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (workers := Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()):
+                assert time.monotonic() < deadline, "no worker process started"
+                time.sleep(0.05)
+            time.sleep(0.5)  # lets the workers reach the blocking open
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=10) != 0
+            deadline = time.monotonic() + 5
+            while alive := [pid for pid in workers if Path(f"/proc/{pid}").exists()]:
+                assert time.monotonic() < deadline, f"worker processes {alive} outlived the command"
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert not (tmp_path / "c.csv").exists()
+
     def test_binary_format_plumbed_through(self, tmp_path):
         model = EmbeddingModel.from_arrays(
             ["a", "b", "c"], np.array([[1.0, 0, 0], [0.9, np.sqrt(1 - 0.81), 0], [0, 0, 1.0]]), "bin"
@@ -547,6 +642,15 @@ class TestMoreEdges:
                    "--term", "a", "--k", "1", "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("b,")
+
+    def test_search_duplicate_topic_fails(self, tmp_path, capsys):
+        _, _, _, _, index_path = search_world(tmp_path)
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("9\tsimilarity threshold\n# note\n10\tretrieval\n9\tevaluation\n")
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics), "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {topics}:4: duplicate topic '9' (first on line 1)\n"
+        assert not (tmp_path / "r.txt").exists()
 
     def test_search_empty_query_topic_fails(self, tmp_path, capsys):
         _, _, _, _, index_path = search_world(tmp_path)

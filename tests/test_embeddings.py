@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -18,6 +20,8 @@ from simthresh.embeddings import (
     ModelEnsemble,
     ModelFormatError,
     load_model,
+    load_reduced,
+    reduce_replica,
     save_model,
 )
 
@@ -567,3 +571,58 @@ class TestStreamedReplicas:
         for t in self.PROBES:
             a, b = listed.similarities(t), streamed.similarities(t)
             assert a.shape == (5, 29) and a.tobytes() == b.tobytes()
+
+
+class TestLoadReduced:
+    """``load_reduced`` reduces replica files on worker processes to exactly
+    what ``reduce_replica`` gives in this process."""
+
+    PROBES = ["t0001", "t0022", "t0030"]  # replica 1 lacks t0001, replica 2 lacks t0022
+
+    @staticmethod
+    def write(tmp_path, fmt: str, count: int = 5) -> list[str]:
+        paths = []
+        for k in range(count):
+            model = TestStreamedReplicas.make(k)
+            path = tmp_path / f"r{k}.{fmt}"
+            save_model(model, str(path), fmt)
+            paths.append(str(path))
+        return paths
+
+    @staticmethod
+    def assert_identical(got, want) -> None:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.model_id, a.vocabulary, a.dimensionality, a.records) == (
+                b.model_id, b.vocabulary, b.dimensionality, b.records)
+            assert list(a.rows) == list(b.rows)
+            for t in a.rows:
+                assert a.rows[t].dtype == b.rows[t].dtype and a.rows[t].tobytes() == b.rows[t].tobytes()
+
+    @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
+    def test_pool_equals_in_process(self, tmp_path, fmt):
+        paths = self.write(tmp_path, fmt)  # 5 replicas: more than the workers of a 2- or 4-CPU machine
+        want = [reduce_replica(load_model(p, fmt), self.PROBES) for p in paths]
+        assert [len(r.rows) for r in want] == [3, 2, 2, 3, 3]  # a missing probe has no row, and no error
+        self.assert_identical(list(load_reduced(paths, fmt, self.PROBES)), want)
+
+    def test_in_process_without_fork(self, tmp_path, monkeypatch):
+        paths = self.write(tmp_path, "word2vec_binary")
+        want = list(load_reduced(paths, "word2vec_binary", self.PROBES))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started where fork is not available")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        self.assert_identical(list(load_reduced(paths, "word2vec_binary", self.PROBES)), want)
+
+    def test_ensemble_of_reduced_equals_ensemble_of_models(self, tmp_path):
+        paths = self.write(tmp_path, "word2vec_binary")
+        probes = ["t0011", "t0017", "t0030"]  # in every replica
+        models = ModelEnsemble((load_model(p, "word2vec_binary") for p in paths), probes)
+        reduced = ModelEnsemble(load_reduced(paths, "word2vec_binary", probes), probes)
+        assert reduced.shared_vocabulary == models.shared_vocabulary
+        assert (reduced.replica_count, reduced.dimensionality) == (5, 6)
+        for t in probes:
+            assert reduced.similarities(t).tobytes() == models.similarities(t).tobytes()
