@@ -37,9 +37,11 @@ replicas = [
 probes = [tokens[int(i)] for i in rng.choice(n_tokens, size=25, replace=False)]
 ensemble = ModelEnsemble(replicas, probes)
 
-# %% A single pair's distribution across the replicas.
-others, means, stds = pair_statistics(ensemble, probes[0])
-print(f"pair ({probes[0]}, {others[0]}): mean {means[0]:+.4f}, std {stds[0]:.5f} "
+# %% A single pair's distribution across the replicas. Column j of the
+# statistics is the j-th shared term with the probe left out.
+means, stds = pair_statistics(ensemble, probes[0])
+other = next(t for t in ensemble.shared_vocabulary if t != probes[0])
+print(f"pair ({probes[0]}, {other}): mean {means[0]:+.4f}, std {stds[0]:.5f} "
       f"over {ensemble.replica_count} replicas")
 
 # %% Per-term expected-neighbor curves, then the aggregated curve with band.

@@ -13,6 +13,7 @@ import stat
 import struct
 from collections import deque
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -67,7 +68,6 @@ class EmbeddingModel:
     vocabulary: list[str]
     vectors: np.ndarray  # shape (len(vocabulary), dimensionality), float64, unit rows
     _row: dict[str, int] = field(init=False, repr=False)
-    _token_array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.vocabulary):
@@ -76,7 +76,6 @@ class EmbeddingModel:
         for i, t in enumerate(self.vocabulary):
             if (first := self._row.setdefault(t, i)) != i:
                 raise ModelFormatError(f"{self.model_id}: record {i}: duplicate token {t!r} (first in record {first})")
-        self._token_array = np.asarray(self.vocabulary, dtype=np.str_)
 
     @classmethod
     def from_arrays(
@@ -116,6 +115,11 @@ class EmbeddingModel:
         sims = self.vectors @ self.vector(token)
         return np.clip(sims, -1.0, 1.0)
 
+    @cached_property
+    def _token_array(self) -> np.ndarray:
+        """The vocabulary as one string array (as wide as the longest token), built on the first ranking."""
+        return np.asarray(self.vocabulary, dtype=np.str_)
+
     def _ranked_others(self, token: str) -> tuple[np.ndarray, np.ndarray]:
         """All other tokens ordered by similarity desc, token asc on ties."""
         row = self.row(token)
@@ -128,8 +132,11 @@ class EmbeddingModel:
         """Every other token with similarity >= threshold, most similar first.
 
         Thresholds above 1 are legal and yield an empty list (used to disable
-        expansion); thresholds at or below -1 return the full vocabulary.
+        expansion); thresholds at or below -1 return the full vocabulary. NaN
+        is rejected: every comparison with it is false, so it would select all.
         """
+        if np.isnan(threshold):
+            raise ValueError(f"threshold must be a number, got {threshold}")
         tokens, sims = self._ranked_others(token)
         n = int(np.searchsorted(-sims, -threshold, side="right"))
         return [(str(t), float(s)) for t, s in zip(tokens[:n], sims[:n])]

@@ -62,25 +62,21 @@ class NeighborCurve:
             raise ValueError("grid and expected lengths differ")
 
 
-def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Means and stds of cosine(term, u) across replicas, for every other
-    shared-vocabulary term u, from per-replica sums and squared sums."""
+def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[np.ndarray, np.ndarray]:
+    """(means, stds) of cosine(term, u) across replicas, for every other
+    shared-vocabulary term u, from the sums and squared sums over replicas.
+    Column j is the j-th term of ``ensemble.shared_vocabulary`` with ``term``
+    left out."""
     sims = ensemble.similarities(term)
-    others = [t for t in ensemble.shared_vocabulary if t != term]
-    if not others:
+    if sims.shape[1] == 0:
         raise ValueError("shared vocabulary has no other terms")
     r = ensemble.replica_count
-    acc = np.zeros(len(others), dtype=np.float64)
-    acc_sq = np.zeros(len(others), dtype=np.float64)
-    for row in sims:
-        acc += row
-        acc_sq += row * row
-    means = acc / r
+    means = sims.sum(axis=0) / r
     # n-1 denominator; cancellation noise can push the numerator a hair
     # negative, which the floor absorbs.
-    var = np.maximum(acc_sq - r * means * means, 0.0) / (r - 1)
+    var = np.maximum((sims * sims).sum(axis=0) - r * means * means, 0.0) / (r - 1)
     stds = np.maximum(np.sqrt(var), STD_FLOOR)
-    return others, means, stds
+    return means, stds
 
 
 def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -112,7 +108,7 @@ def expected_neighbors(ensemble: ModelEnsemble, term: str, grid: np.ndarray | No
     """Per-term expected-neighbor curve E(s) = sum of pair survivals at s."""
     if grid is None:
         grid = default_grid()
-    _, means, stds = pair_statistics(ensemble, term)
+    means, stds = pair_statistics(ensemble, term)
     expected = mixture_survival(grid, means, stds)
     return NeighborCurve(grid=np.asarray(grid, dtype=np.float64), expected=expected, term=term)
 

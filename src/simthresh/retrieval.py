@@ -320,45 +320,46 @@ _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
 
 
 def read_trec_corpus(path: str) -> Iterator[tuple[str, str]]:
-    """TREC-tagged documents: <DOC> blocks with <DOCNO> and <TEXT> sections."""
+    r"""TREC-tagged documents: <DOC> blocks with <DOCNO> and <TEXT> sections,
+    in UTF-8 (``csvio.read_lines``); a '\r' before a line's '\n' is dropped."""
     in_doc, start = False, 0  # start: line of the open <DOC>
     in_text = False
     doc_lines: list[str] = []
     text_lines: list[str] = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if stripped.startswith("<DOC>"):
-                in_doc, start, doc_lines, text_lines = True, lineno, [], []
-                continue
-            if stripped.startswith("</DOC>"):
-                if not in_doc:
-                    raise ValueError(f"{path}:{lineno}: </DOC> without <DOC>")
-                header = "\n".join(doc_lines)
-                match = _DOCNO_RE.search(header)
-                if match is None:
-                    raise ValueError(f"{path}:{start}: document without <DOCNO>")
-                yield match.group(1).strip(), "\n".join(text_lines)
-                in_doc = in_text = False
-                continue
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\r\n")
+        stripped = line.strip()
+        if stripped.startswith("<DOC>"):
+            in_doc, start, doc_lines, text_lines = True, lineno, [], []
+            continue
+        if stripped.startswith("</DOC>"):
             if not in_doc:
-                continue
-            if stripped.startswith("<TEXT>"):
-                in_text = True
-                remainder = stripped[len("<TEXT>") :]
-                if remainder.endswith("</TEXT>"):
-                    text_lines.append(remainder[: -len("</TEXT>")])
-                    in_text = False
-                elif remainder:
-                    text_lines.append(remainder)
-                continue
-            if stripped.startswith("</TEXT>"):
+                raise ValueError(f"{path}:{lineno}: </DOC> without <DOC>")
+            header = "\n".join(doc_lines)
+            match = _DOCNO_RE.search(header)
+            if match is None:
+                raise ValueError(f"{path}:{start}: document without <DOCNO>")
+            yield match.group(1).strip(), "\n".join(text_lines)
+            in_doc = in_text = False
+            continue
+        if not in_doc:
+            continue
+        if stripped.startswith("<TEXT>"):
+            in_text = True
+            remainder = stripped[len("<TEXT>") :]
+            if remainder.endswith("</TEXT>"):
+                text_lines.append(remainder[: -len("</TEXT>")])
                 in_text = False
-                continue
-            if in_text:
-                text_lines.append(line.rstrip("\n"))
-            else:
-                doc_lines.append(line.rstrip("\n"))
+            elif remainder:
+                text_lines.append(remainder)
+            continue
+        if stripped.startswith("</TEXT>"):
+            in_text = False
+            continue
+        if in_text:
+            text_lines.append(line)
+        else:
+            doc_lines.append(line)
     if in_doc:
         raise ValueError(f"{path}:{start}: unterminated <DOC> block")
 

@@ -47,10 +47,8 @@ def default_stopwords() -> frozenset[str]:
     Assembled from common IR stopword lists as a stand-in; pass a stopword
     file to :class:`Pipeline` to use a specific list.
     """
-    text = resources.files("simthresh").joinpath("data/stopwords_127.txt").read_text("utf-8")
-    return frozenset(
-        line.strip().lower() for line in text.splitlines() if line.strip() and not line.startswith("#")
-    )
+    with resources.as_file(resources.files("simthresh").joinpath("data/stopwords_127.txt")) as path:
+        return load_stopwords(str(path))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 The main threshold is the similarity at which the aggregated expected-neighbor
 curve equals the lexicon-derived mean synonym count; the lower/upper bounds
-are where the confidence band's edges meet the same target.
+are where the confidence band's edges meet the same target. All three are
+linear crossings of the sampled curve, so the thresholds depend on the curve
+and the target alone: ``solve_threshold(read_curve_csv(path), target)``
+reproduces a report from its curve file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,8 +30,6 @@ __all__ = [
 
 # Tolerated upward float wiggle when validating that a curve is non-increasing.
 _MONOTONE_SLACK = 1e-9
-# Bisection refinement stops once the bracket is this narrow (in similarity).
-_BISECT_TOL = 1e-4
 
 
 class TargetUnreachableError(ValueError):
@@ -67,19 +67,9 @@ class ThresholdResult:
             raise ValueError("threshold bounds out of order")
 
 
-def _first_crossing(
-    grid: np.ndarray,
-    values: np.ndarray,
-    target: float,
-    label: str,
-    refine: Callable[[float], float] | None = None,
-) -> float:
-    """Leftmost s where a descending curve passes through ``target``.
-
-    Linear interpolation between the bracketing grid points; when ``refine``
-    supplies the continuous curve, the bracket is narrowed by bisection
-    instead.
-    """
+def _first_crossing(grid: np.ndarray, values: np.ndarray, target: float, label: str) -> float:
+    """Leftmost s where a descending curve passes through ``target``, by
+    linear interpolation between the bracketing grid points."""
     if values[0] < target:
         raise TargetUnreachableError(
             f"{label}: target {target} above curve start {values[0]:.6g}"
@@ -92,14 +82,6 @@ def _first_crossing(
     i = int(hits[0])
     lo, hi = float(grid[i]), float(grid[i + 1])
     v_lo, v_hi = float(values[i]), float(values[i + 1])
-    if refine is not None and refine(lo) >= target >= refine(hi):
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if refine(mid) >= target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
     if v_lo == v_hi:
         return lo
     return lo + (hi - lo) * (v_lo - target) / (v_lo - v_hi)
@@ -109,16 +91,14 @@ def solve_threshold(
     curve: NeighborCurve,
     target: SynonymTarget | float,
     dimensionality: int = 0,
-    expected_fn: Callable[[float], float] | None = None,
 ) -> ThresholdResult:
     """Solve expected(s) = target for the main threshold and band crossings.
 
-    The band's lower edge sits below the mean curve and therefore meets the
-    target at a smaller similarity, giving the lower bound; the upper edge
-    gives the upper bound. Curves without a band yield lower == main == upper.
-    ``expected_fn`` optionally supplies the continuous curve for bisection
-    refinement of the main crossing; band crossings always interpolate the
-    grid samples.
+    Each is the linear crossing of its grid samples (``_first_crossing``), so
+    the result depends on nothing but ``curve`` and ``target``. The band's
+    lower edge sits below the mean curve and therefore meets the target at a
+    smaller similarity, giving the lower bound; the upper edge gives the upper
+    bound. Curves without a band yield lower == main == upper.
     """
     if isinstance(target, (int, float)):
         target = SynonymTarget(mean_synonyms=float(target), source_label="numeric")
@@ -129,7 +109,7 @@ def solve_threshold(
     if np.any(np.diff(expected) > slack):
         raise ValueError("expected-neighbor curve is not non-increasing")
     goal = target.mean_synonyms
-    main = _first_crossing(curve.grid, expected, goal, "expected", refine=expected_fn)
+    main = _first_crossing(curve.grid, expected, goal, "expected")
     if curve.band_low is not None and curve.band_high is not None:
         lower = _first_crossing(curve.grid, np.asarray(curve.band_low), goal, "band_low")
         upper = _first_crossing(curve.grid, np.asarray(curve.band_high), goal, "band_high")

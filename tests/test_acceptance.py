@@ -149,7 +149,7 @@ def test_c03_expected_neighbor_curve_properties():
     base = random_model(rng, 10_000, 32, "big")
     term = base.vocabulary[123]
     ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.01), [term])
-    _, means, stds = pair_statistics(ensemble, term)
+    means, stds = pair_statistics(ensemble, term)
     far = float(means.max() + 10 * stds.max())
     grid = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 801), [far]]))
     curve = expected_neighbors(ensemble, term, grid)

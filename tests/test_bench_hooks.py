@@ -1,10 +1,13 @@
-"""The traced benchmark run patches names in ``simthresh`` by attribute name.
+"""The benchmark scripts reach into ``simthresh`` by name.
 
 ``perfbench/traced_cli.py`` replaces module functions and methods by
-wrappers before the CLI runs. A rename in ``src/`` would make it fail, or
-silently stop timing a layer, so every name it reaches for is checked here by
-reading the script's syntax tree (the script itself is never imported or run).
-The index file contract the benchmark's checks rely on is pinned here too.
+wrappers before the CLI runs, and every script under ``perfbench/`` imports
+names from the package (``setup_probe.py`` times the loaders, ``checks.py``
+reads the index, ``make_lexicon.py`` takes the stopword list). A rename in
+``src/`` would make the benchmark fail, or silently stop timing a layer, so
+every name they reach for is checked here by reading the scripts' syntax
+trees (the scripts themselves are never imported or run). The index file
+contract the benchmark's checks rely on is pinned here too.
 """
 
 import ast
@@ -16,7 +19,8 @@ import pytest
 from simthresh.retrieval import build_index, load_index, save_index
 from simthresh.textproc import Pipeline
 
-TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED_CLI = PERFBENCH / "traced_cli.py"
 
 
 def _modules(tree: ast.Module) -> dict[str, str]:
@@ -74,6 +78,33 @@ def test_hook_resolves(path):
     for attr in path[1:]:
         assert hasattr(obj, attr), f"{TRACED_CLI.name} patches {'.'.join(path)}, which no longer exists"
         obj = getattr(obj, attr)
+
+
+def _imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for each ``from simthresh... import name`` in a script,
+    and (module, None) for each ``import simthresh...``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.extend((alias.name, None) for alias in node.names if alias.name.split(".")[0] == "simthresh")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "simthresh":
+            found.extend((node.module, alias.name) for alias in node.names)
+    return found
+
+
+IMPORTS = [(script.name, *imported) for script in sorted(PERFBENCH.glob("*.py")) for imported in _imports(script)]
+
+
+def test_imports_found():
+    assert {"traced_cli.py", "setup_probe.py", "checks.py", "make_lexicon.py"} <= {script for script, *_ in IMPORTS}
+
+
+@pytest.mark.parametrize("script, module, name", IMPORTS,
+                         ids=[f"{script}:{module}{'' if name is None else '.' + name}" for script, module, name in IMPORTS])
+def test_import_resolves(script, module, name):
+    obj = importlib.import_module(module)
+    if name is not None and not hasattr(obj, name):
+        importlib.import_module(f"{module}.{name}")  # a submodule the package does not import itself
 
 
 def test_index_contract(tmp_path):

@@ -17,7 +17,7 @@ from simthresh.embeddings import EmbeddingModel, load_model, save_model
 from simthresh.evaluation import read_metric_report
 from simthresh.neighbors import read_curve_csv
 from simthresh.retrieval import read_run
-from simthresh.threshold import read_threshold_csv
+from simthresh.threshold import read_threshold_csv, solve_threshold
 from simthresh.uncertainty import read_histogram_csv, read_uncertainty_csv
 
 DATA = Path(__file__).parent / "data"
@@ -146,6 +146,18 @@ class TestThresholdCommand:
         assert dim == 4
         assert lower <= mainv <= upper
         assert curve_out.exists()
+
+    @pytest.mark.parametrize("probes", [["alpha", "gamma"], ["alpha"]], ids=["banded", "one-probe"])
+    def test_report_is_the_crossings_of_the_curve_file(self, tmp_path, probes):
+        probe_file, out, curve_out = tmp_path / "probes.txt", tmp_path / "t.csv", tmp_path / "curve.csv"
+        probe_file.write_text("\n".join(probes) + "\n")
+        rc = main(["threshold", "--models", *REPLICAS, "--probes", str(probe_file), "--target", "2.5",
+                   "--out", str(out), "--curve-out", str(curve_out)])
+        assert rc == 0
+        curve = read_curve_csv(str(curve_out))
+        assert (curve.band_low is None) == (len(probes) == 1)
+        result = solve_threshold(curve, 2.5, dimensionality=4)
+        assert read_threshold_csv(str(out)) == [(4, result.lower, result.main, result.upper)]
 
     def test_degenerate_pair_closed_form(self, tmp_path):
         paths = write_pair_replicas(tmp_path, [0.68, 0.69, 0.70, 0.71, 0.72])
@@ -530,7 +542,7 @@ class TestBadInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("which", ["probes", "config", "topics", "qrels", "run", "stopwords", "synsets",
-                                       "corpus"])
+                                       "corpus", "trec"])
     def test_non_utf8_line_names_file_and_line(self, tmp_path, capsys, which):
         w = pipeline_world(tmp_path)
         w.update(probes=Path(PROBES), config=tmp_path / "run.cfg", run=w["runs"][0])
@@ -549,10 +561,12 @@ class TestBadInputs:
             "stopwords": ["index", "--corpus", w["corpus"], "--stopwords", bad, "--out", out],
             "synsets": ["synonym-stats", "--synsets", bad],
             "corpus": ["index", "--corpus", bad, "--out", out],
+            "trec": ["index", "--corpus", bad, "--corpus-format", "trec", "--out", out],
         }[which]
         capsys.readouterr()
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
+        assert not Path(out).exists()
 
     @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
     def test_non_utf8_token_names_file_and_record(self, tmp_path, capsys, fmt):
@@ -643,6 +657,23 @@ class TestMoreEdges:
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("b,")
 
+    @pytest.mark.parametrize("how", ["neighbors", "search", "config"])
+    def test_nan_threshold_rejected(self, tmp_path, capsys, how):
+        # every comparison with NaN is false: unchecked, it selected the whole vocabulary
+        _, topics, _, model_path, index_path = search_world(tmp_path)
+        config, out = tmp_path / "nan.cfg", tmp_path / "out.txt"
+        config.write_text(f"model = {model_path}\nterm = similar\nthreshold = nan\n")
+        argv = {
+            "neighbors": ["neighbors", "--model", model_path, "--term", "similar", "--threshold", "nan"],
+            "search": ["search", "--index", index_path, "--topics", topics, "--policy", "threshold",
+                       "--threshold", "nan", "--model", model_path],
+            "config": ["neighbors", "--config", config],
+        }[how]
+        capsys.readouterr()
+        assert main([*map(str, argv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+        assert not out.exists()
+
     def test_search_duplicate_topic_fails(self, tmp_path, capsys):
         _, _, _, _, index_path = search_world(tmp_path)
         topics = tmp_path / "topics.tsv"
@@ -674,8 +705,11 @@ def pipeline_world(tmp_path):
     synsets.write_text("a b c\na d\n")
     stopwords = tmp_path / "stop.txt"
     stopwords.write_text("the\nof\nfunctions\n")
+    trec = tmp_path / "corpus.trec"
+    trec.write_text("<DOC>\n<DOCNO>\nt1\n</DOCNO>\n<TEXT>\nsimilarity threshold\nstudies\n</TEXT>\n</DOC>\n"
+                    "<DOC>\n<DOCNO>t2</DOCNO>\n<TEXT>retrieval evaluation</TEXT>\n</DOC>\n")
     return dict(corpus=corpus, topics=topics, qrels=qrels, model=model_path, index=index_path,
-                runs=runs, synsets=synsets, stopwords=stopwords)
+                runs=runs, synsets=synsets, stopwords=stopwords, trec=trec)
 
 
 def command_settings(w, out):
@@ -743,7 +777,7 @@ class TestLineEndings:
             inputs, out = tmp_path / f"in{len(ending)}", tmp_path / f"out{len(ending)}"
             inputs.mkdir()
             out.mkdir()
-            f = {name: inputs / name for name in ("probes", "topics", "qrels", "stopwords", "synsets")}
+            f = {name: inputs / name for name in ("probes", "topics", "qrels", "stopwords", "synsets", "trec")}
             for name, path in f.items():
                 path.write_bytes(w[name].read_bytes().replace(b"\n", ending))
             results += [
@@ -752,8 +786,10 @@ class TestLineEndings:
                 run_and_collect(["evaluate", "--run", str(out / "run.txt"), "--qrels", str(f["qrels"])], out, capsys),
                 run_and_collect(["threshold", "--models", *REPLICAS, "--probes", str(f["probes"]),
                                  "--synsets", str(f["synsets"]), "--out", str(out / "t.csv")], out, capsys),
+                run_and_collect(["index", "--corpus", str(f["trec"]), "--corpus-format", "trec",
+                                 "--out", str(out / "trec.npz")], out, capsys),
             ]
-        assert results[:3] == results[3:]
+        assert results[:4] == results[4:]
 
 
 class TestConfigFile:

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
 from simthresh import neighbors
-from simthresh.embeddings import ModelEnsemble
+from simthresh.embeddings import EmbeddingModel, ModelEnsemble
 from simthresh.neighbors import (
     STD_FLOOR,
     aggregate_curves,
@@ -38,7 +38,7 @@ class TestFitPair:
         assert dist.mean == pytest.approx(0.7, abs=1e-12)
         assert dist.std == STD_FLOOR
         assert dist.sample_count == 5
-        _, means, stds = pair_statistics(pair_ensemble([0.7] * 5), "a")
+        means, stds = pair_statistics(pair_ensemble([0.7] * 5), "a")
         assert means[0] == pytest.approx(0.7, abs=1e-12)
         assert stds[0] == STD_FLOOR
 
@@ -46,7 +46,7 @@ class TestFitPair:
         dist = fit_pair(pair_replicas([0.6, 0.8]), "a", "b")
         assert dist.mean == pytest.approx(0.7, abs=1e-12)
         assert dist.std == pytest.approx(0.1414, abs=1e-4)
-        _, means, stds = pair_statistics(pair_ensemble([0.6, 0.8]), "b")
+        means, stds = pair_statistics(pair_ensemble([0.6, 0.8]), "b")
         assert means[0] == pytest.approx(0.7, abs=1e-12)
         assert stds[0] == pytest.approx(0.1414, abs=1e-4)
 
@@ -60,11 +60,19 @@ class TestFitPair:
         with pytest.raises(KeyError):
             pair_statistics(pair_ensemble([0.6, 0.8]), "zzz")
 
+    def test_probe_alone_in_shared_vocabulary(self):
+        # the replicas share only the probe, so it has no pair to fit
+        replicas = [EmbeddingModel.from_arrays(["a", t], np.eye(2), f"r{t}") for t in ("b", "c")]
+        with pytest.raises(ValueError, match="^shared vocabulary has no other terms$"):
+            pair_statistics(ModelEnsemble(replicas, ["a"]), "a")
+
     def test_matches_streaming_statistics(self, rng):
         base = random_model(rng, 12, 6)
         replicas = perturbed_replicas(base, rng, 5, 0.02)
         ensemble = ModelEnsemble(iter(replicas), ["t0004"])
-        others, means, stds = pair_statistics(ensemble, "t0004")
+        means, stds = pair_statistics(ensemble, "t0004")
+        others = [t for t in ensemble.shared_vocabulary if t != "t0004"]
+        assert len(others) == len(means) == len(stds)
         for i, other in enumerate(others):
             dist = fit_pair(replicas, "t0004", other)
             assert means[i] == pytest.approx(dist.mean, abs=1e-12)
@@ -87,7 +95,7 @@ class TestExpectedNeighbors:
     def test_far_tail_vanishes(self, rng):
         base = random_model(rng, 10, 5)
         ensemble = ModelEnsemble(perturbed_replicas(base, rng, 4, 0.01), ["t0000"])
-        _, means, stds = pair_statistics(ensemble, "t0000")
+        means, stds = pair_statistics(ensemble, "t0000")
         far = float(means.max() + 10 * stds.max())
         value = mixture_survival(np.array([far]), means, stds)
         assert value[0] < 1e-9
@@ -110,7 +118,7 @@ class TestExpectedNeighbors:
         # survivors; agreement within 3 Monte Carlo standard errors.
         base = random_model(rng, 6, 4)
         ensemble = ModelEnsemble(perturbed_replicas(base, rng, 5, 0.05), ["t0002"])
-        _, means, stds = pair_statistics(ensemble, "t0002")
+        means, stds = pair_statistics(ensemble, "t0002")
         draws = 10**6
         for s in (0.2, 0.6, 0.9):
             analytic = mixture_survival(np.array([s]), means, stds)[0]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from simthresh.embeddings import ModelEnsemble
-from simthresh.neighbors import NeighborCurve, aggregate_curves, default_grid, expected_neighbors, mixture_survival
+from simthresh.neighbors import NeighborCurve, aggregate_curves, default_grid, expected_neighbors
 from simthresh.threshold import (
     SynonymTarget,
     TargetUnreachableError,
@@ -107,18 +107,6 @@ class TestSolve:
             assert result.main == pytest.approx(oracle_main, abs=2e-4)
             assert result.lower == pytest.approx(oracle_low, abs=2e-4)
             assert result.upper == pytest.approx(oracle_high, abs=2e-4)
-
-    def test_refinement_against_analytic_mixture(self, rng):
-        grid = default_grid(points=121)  # deliberately coarse grid
-        means = np.array([0.3, 0.62, 0.8])
-        stds = np.array([0.04, 0.08, 0.02])
-        expected = dense_mixture(grid, means, stds)
-        curve = NeighborCurve(grid=grid, expected=expected)
-        refined = solve_threshold(
-            curve, 1.5, expected_fn=lambda s: float(mixture_survival(np.array([s]), means, stds)[0])
-        )
-        oracle = scan_crossing(lambda s: dense_mixture(s, means, stds), 1.5)
-        assert refined.main == pytest.approx(oracle, abs=2e-4)
 
     def test_scale_invariance(self):
         grid = default_grid(points=601)
