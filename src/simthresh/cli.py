@@ -61,7 +61,6 @@ OPTIONS: dict[str, Option] = {
     "k": Option("number of nearest neighbors", int),
     "synsets": Option("synset file for the synonym target"),
     "target": Option("synonym target when no synset file is given", float, 1.6),
-    "dimension": Option("dimensionality to report (default: the models')", int),
     "confidence": Option("confidence of the aggregated band", float, 0.95),
     "grid_low": Option("lowest similarity of the curve grid", float, -0.2),
     "grid_high": Option("highest similarity of the curve grid", float, 1.0),
@@ -181,9 +180,10 @@ def cmd_uncertainty(args: argparse.Namespace) -> int:
 @command("histogram", "similarity histogram CSV for one model", "model probes out",
          "format bins domain_low domain_high")
 def cmd_histogram(args: argparse.Namespace) -> int:
-    model = load_model(args.model, args.format)
+    probes = _read_terms(args.probes)
     config = uncertainty.HistogramConfig(args.domain_low, args.domain_high, args.bins)
-    hist = uncertainty.similarity_histogram(model, _read_terms(args.probes), config)
+    (replica,) = load_reduced([args.model], args.format, probes)
+    hist = uncertainty.similarity_histogram(replica, probes, config)
     uncertainty.write_histogram_csv(hist, args.out)
     print(f"histogram: {hist.total} similarities tallied")
     return 0
@@ -192,11 +192,12 @@ def cmd_histogram(args: argparse.Namespace) -> int:
 @command("neighbors", "list a term's neighbors above a threshold or top-k",
          "model term", "threshold k format out")
 def cmd_neighbors(args: argparse.Namespace) -> int:
-    model = load_model(args.model, args.format)
     thr, k = args.threshold, args.k
     if (thr is None) == (k is None):
         raise ValueError("pass exactly one of --threshold or --k")
-    found = model.neighbors_above(args.term, thr) if thr is not None else model.knn(args.term, k)
+    retrieval.ExpansionPolicy(mode="threshold" if k is None else "knn", threshold=thr, k=k)  # rejects k < 1, NaN
+    (replica,) = load_reduced([args.model], args.format, [args.term])
+    found = replica.neighbors_above(args.term, thr) if k is None else replica.knn(args.term, k)
     if args.out:
         write_csv(args.out, ["token", "similarity"], found)
     else:
@@ -205,7 +206,7 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 
 
 @command("threshold", "derive similarity thresholds from a replica ensemble", "models probes out",
-         "format synsets target dimension confidence grid_low grid_high grid_points curve_out")
+         "format synsets target confidence grid_low grid_high grid_points curve_out")
 def cmd_threshold(args: argparse.Namespace) -> int:
     if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
@@ -218,8 +219,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
-    dim = ensemble.dimensionality if args.dimension is None else args.dimension
-    result = threshold.solve_threshold(curve, target, dimensionality=dim)
+    result = threshold.solve_threshold(curve, target, dimensionality=ensemble.dimensionality)
     threshold.write_threshold_csv([result], args.out)
     if args.curve_out:
         neighbors.write_curve_csv(curve, args.curve_out)
@@ -251,15 +251,14 @@ def cmd_index(args: argparse.Namespace) -> int:
 @command("search", "score topics against an index", "index topics out",
          "policy threshold k model format mu run_tag max_docs stopwords no_stem")
 def cmd_search(args: argparse.Namespace) -> int:
-    index = retrieval.load_index(args.index)
-    topics = retrieval.read_topics(args.topics)
-    embedding = None
     if args.policy != "none":
         _require(args, "threshold" if args.policy == "threshold" else "k")
-        embedding = load_model(_require(args, "model"), args.format)
     policy = retrieval.ExpansionPolicy(mode=args.policy, threshold=args.threshold, k=args.k)
-    pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
     config = retrieval.LmConfig(mu=args.mu)
+    index = retrieval.load_index(args.index)
+    topics = retrieval.read_topics(args.topics)
+    embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)
+    pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
     run: dict[str, list[tuple[str, float]]] = {}
     for topic_id, text in topics:
         terms = pipeline.process(text)

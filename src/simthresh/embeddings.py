@@ -60,35 +60,10 @@ def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: st
         vectors /= np.where(needs, norms, 1.0)[:, None]
 
 
-@dataclass(eq=False)
-class EmbeddingModel:
-    """One trained embedding replica: a vocabulary and unit-norm vectors."""
-
-    model_id: str
-    vocabulary: list[str]
-    vectors: np.ndarray  # shape (len(vocabulary), dimensionality), float64, unit rows
-    _row: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.vocabulary):
-            raise ValueError("vectors must be a (len(vocabulary), dim) matrix")
-        self._row = {}
-        for i, t in enumerate(self.vocabulary):
-            if (first := self._row.setdefault(t, i)) != i:
-                raise ModelFormatError(f"{self.model_id}: record {i}: duplicate token {t!r} (first in record {first})")
-
-    @classmethod
-    def from_arrays(
-        cls, vocabulary: list[str], vectors: np.ndarray, model_id: str = "model"
-    ) -> "EmbeddingModel":
-        """Build a model from raw vectors, normalizing a copy of each row to unit length."""
-        vectors = np.array(vectors, dtype=np.float64, order="C")
-        _normalize_rows(vocabulary, vectors, model_id)
-        return cls(model_id=model_id, vocabulary=list(vocabulary), vectors=vectors)
-
-    @property
-    def dimensionality(self) -> int:
-        return int(self.vectors.shape[1])
+class _Replica:
+    """Token lookup and ranking shared by whole and reduced replicas. A
+    subclass gives ``model_id``, ``vocabulary``, its record map ``_row`` and
+    ``similarities_to``."""
 
     def __contains__(self, token: str) -> bool:
         return token in self._row
@@ -101,19 +76,6 @@ class EmbeddingModel:
             return self._row[token]
         except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary of model {self.model_id!r}") from None
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.vectors[self.row(token)]
-
-    def cosine(self, t1: str, t2: str) -> float:
-        """Cosine similarity of two vocabulary tokens, clamped to [-1, 1]."""
-        dot = float(np.dot(self.vector(t1), self.vector(t2)))
-        return min(1.0, max(-1.0, dot))
-
-    def similarities_to(self, token: str) -> np.ndarray:
-        """Cosine of ``token`` against the whole vocabulary (self included)."""
-        sims = self.vectors @ self.vector(token)
-        return np.clip(sims, -1.0, 1.0)
 
     @cached_property
     def _token_array(self) -> np.ndarray:
@@ -150,27 +112,69 @@ class EmbeddingModel:
 
 
 @dataclass(eq=False)
-class ReducedReplica:
+class EmbeddingModel(_Replica):
+    """One trained embedding replica: a vocabulary and unit-norm vectors."""
+
+    model_id: str
+    vocabulary: list[str]
+    vectors: np.ndarray  # shape (len(vocabulary), dimensionality), float64, unit rows
+    _row: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.vocabulary):
+            raise ValueError("vectors must be a (len(vocabulary), dim) matrix")
+        self._row = {}
+        for i, t in enumerate(self.vocabulary):
+            if (first := self._row.setdefault(t, i)) != i:
+                raise ModelFormatError(f"{self.model_id}: record {i}: duplicate token {t!r} (first in record {first})")
+
+    @classmethod
+    def from_arrays(
+        cls, vocabulary: list[str], vectors: np.ndarray, model_id: str = "model"
+    ) -> "EmbeddingModel":
+        """Build a model from raw vectors, normalizing a copy of each row to unit length."""
+        vectors = np.array(vectors, dtype=np.float64, order="C")
+        _normalize_rows(vocabulary, vectors, model_id)
+        return cls(model_id=model_id, vocabulary=list(vocabulary), vectors=vectors)
+
+    @property
+    def dimensionality(self) -> int:
+        return int(self.vectors.shape[1])
+
+    def vector(self, token: str) -> np.ndarray:
+        return self.vectors[self.row(token)]
+
+    def cosine(self, t1: str, t2: str) -> float:
+        """Cosine similarity of two vocabulary tokens, clamped to [-1, 1]."""
+        dot = float(np.dot(self.vector(t1), self.vector(t2)))
+        return min(1.0, max(-1.0, dot))
+
+    def similarities_to(self, token: str) -> np.ndarray:
+        """Cosine of ``token`` against the whole vocabulary (self included)."""
+        sims = self.vectors @ self.vector(token)
+        return np.clip(sims, -1.0, 1.0)
+
+
+@dataclass(eq=False)
+class ReducedReplica(_Replica):
     """What an ensemble takes from one replica: its id, vocabulary and
-    dimensionality, and each probe's record and cosine row against the whole
-    vocabulary (itself included). A probe missing from the vocabulary has
-    neither."""
+    dimensionality, and each probe's cosine row against the whole vocabulary
+    (itself included). A probe missing from the vocabulary has no row."""
 
     model_id: str
     vocabulary: list[str]
     dimensionality: int
-    records: dict[str, int]  # probe -> its record
     rows: dict[str, np.ndarray]  # probe -> similarities_to(probe) of the full model
 
-    def row(self, token: str) -> int:
-        try:
-            return self.records[token]
-        except KeyError:
-            raise KeyError(f"token {token!r} is not a probe found in model {self.model_id!r}") from None
+    @cached_property
+    def _row(self) -> dict[str, int]:  # built on first use, so a worker does not send it back
+        return dict(zip(self.vocabulary, range(len(self.vocabulary))))
 
     def similarities_to(self, token: str) -> np.ndarray:
         """Cosine of probe ``token`` against the whole vocabulary (self included)."""
-        self.row(token)  # raises for a token that is not a probe
+        if token not in self.rows:
+            self.row(token)  # raises for a token the vocabulary lacks
+            raise KeyError(f"token {token!r} is not a probe found in model {self.model_id!r}")
         return self.rows[token]
 
 
@@ -181,7 +185,6 @@ def reduce_replica(model: EmbeddingModel, probes: Iterable[str]) -> ReducedRepli
         model_id=model.model_id,
         vocabulary=model.vocabulary,
         dimensionality=model.dimensionality,
-        records={t: model.row(t) for t in present},
         rows={t: model.similarities_to(t) for t in present},
     )
 
@@ -238,13 +241,13 @@ class ModelEnsemble:
     """The probes' similarity rows in replicas trained identically except for
     random initialization.
 
-    Replicas are consumed one at a time, as ``EmbeddingModel``s, which are
-    reduced here, or already as ``ReducedReplica``s (``load_reduced``). Each
-    is checked for the first one's dimensionality and for every probe, gives
-    one cosine row per probe over the shared vocabulary (kept in the first
-    replica's order), and is released before the next is produced, so a
-    generator of loaded replicas never has two alive. Without probes the
-    ensemble only aligns the vocabularies.
+    Replicas are consumed one at a time, as ``EmbeddingModel``s or as
+    ``ReducedReplica``s (``load_reduced``). Each is checked for the first
+    one's dimensionality and for every probe, gives one cosine row per probe
+    over the shared vocabulary (kept in the first replica's order), and is
+    released before the next is produced, so a generator of loaded replicas
+    never has two alive. Without probes the ensemble only aligns the
+    vocabularies.
     """
 
     replicas: InitVar[Iterable[EmbeddingModel | ReducedReplica]]
@@ -258,23 +261,21 @@ class ModelEnsemble:
         self.probes = tuple(self.probes)
         self._rows = {t: [] for t in self.probes}
         for replica in replicas:
-            if isinstance(replica, EmbeddingModel):
-                replica = reduce_replica(replica, self.probes)  # drops the model: a generator can free it
             if self.replica_count == 0:
                 self.dimensionality, shared = replica.dimensionality, np.asarray(replica.vocabulary, dtype=object)
             elif replica.dimensionality != self.dimensionality:
                 dims = sorted({self.dimensionality, replica.dimensionality})
                 raise ValueError(f"replicas disagree on dimensionality: {dims}")
-            record = dict(zip(replica.vocabulary, range(len(replica.vocabulary))))
+            record = replica._row
             keep = np.array([t in record for t in shared], dtype=bool)
             if not keep.all():
                 shared = shared[keep]
                 self._rows = {t: [r[keep] for r in rows] for t, rows in self._rows.items()}
             cols = np.array([record[t] for t in shared], dtype=np.int64)
             for t, rows in self._rows.items():
-                if t not in replica.rows:
+                if t not in replica:
                     raise KeyError(f"token {t!r} missing from replica {replica.model_id!r}")
-                rows.append(replica.rows[t][cols])
+                rows.append(replica.similarities_to(t)[cols])
             self.replica_count += 1
             del replica, record  # lets a generator free this replica before producing the next
         if self.replica_count < 2:

@@ -55,8 +55,8 @@ class LmConfig:
     mu: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
 
 @dataclass(eq=False)
@@ -217,6 +217,8 @@ class ExpansionPolicy:
             raise ValueError(f"unknown expansion mode {self.mode!r}")
         if self.mode == "threshold" and self.threshold is None:
             raise ValueError("threshold mode needs a threshold value")
+        if self.mode == "threshold" and np.isnan(self.threshold):
+            raise ValueError(f"threshold must be a number, got {self.threshold}")
         if self.mode == "knn" and (self.k is None or self.k < 1):
             raise ValueError("knn mode needs k >= 1")
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -130,6 +131,17 @@ class TestHistogramAndNeighbors:
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "knn mode needs k >= 1"),
+        (["--threshold", "0.5", "--k", "2"], "pass exactly one of --threshold or --k"),
+        ([], "pass exactly one of --threshold or --k"),
+        (["--threshold", "nan"], "threshold must be a number, got nan"),
+    ])
+    def test_neighbors_settings_checked_before_the_model(self, tmp_path, capsys, flags, message):
+        rc = main(["neighbors", "--model", str(tmp_path / "missing.vec"), "--term", "alpha", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestThresholdCommand:
     def test_toy_ensemble_report(self, tmp_path):
@@ -215,6 +227,13 @@ class TestThresholdCommand:
         }[command]
         assert main([command, "--probes", PROBES, *argv]) == 1
         assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
+
+    def test_one_replica_rejected_before_it_is_read(self, tmp_path, capsys):
+        rc = main(["threshold", "--models", str(tmp_path / "one.vec"), "--probes", PROBES,
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need at least 2 replica model paths\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_descending_grid_one_error_line(self, tmp_path, capsys):
         # every probe fails on the worker pool; the error is reported once, as in a sequential loop
@@ -674,6 +693,29 @@ class TestMoreEdges:
         assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("setting, value, message", [
+        ("threshold", "nan", "threshold must be a number, got nan"),
+        ("mu", "inf", "mu must be positive and finite, got inf"),
+    ])
+    def test_search_setting_rejected_without_a_query_stem_in_the_model(self, tmp_path, capsys, how, setting,
+                                                                       value, message):
+        # the model holds no query stem, so no neighbor query ever sees the threshold
+        _, topics, _, _, index_path = search_world(tmp_path)
+        model_path, out = tmp_path / "stemless.vec", tmp_path / "run.txt"
+        save_model(EmbeddingModel.from_arrays(["unrelat", "other"], np.eye(2), "stemless"), str(model_path))
+        settings = dict(index=index_path, topics=topics, policy="threshold", threshold="0.5", model=model_path)
+        settings[setting] = value
+        if how == "flag":
+            argv = as_flags("search", settings)
+        else:
+            as_config(tmp_path / "search.cfg", settings)
+            argv = ["search", "--config", str(tmp_path / "search.cfg")]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_search_duplicate_topic_fails(self, tmp_path, capsys):
         _, _, _, _, index_path = search_world(tmp_path)
         topics = tmp_path / "topics.tsv"
@@ -721,7 +763,7 @@ def command_settings(w, out):
         "histogram": dict(model=REPLICAS[2], probes=PROBES, bins="30", domain_low="-0.5",
                           domain_high="1.0", out=out / "hist.csv"),
         "neighbors": dict(model=REPLICAS[0], term="alpha", threshold="0.1"),
-        "threshold": dict(models=REPLICAS[:4], probes=PROBES, target="2.5", dimension="7",
+        "threshold": dict(models=REPLICAS[:4], probes=PROBES, target="2.5",
                           confidence="0.9", grid_low="-0.5", grid_high="1.0", grid_points="1201",
                           out=out / "t.csv", curve_out=out / "curve.csv"),
         "synonym-stats": dict(synsets=w["synsets"], out=out / "stats.csv"),
@@ -766,6 +808,44 @@ def run_and_collect(argv, out, capsys):
     assert main(argv) == 0
     files = {p.name: contents(p) for p in sorted(out.iterdir()) if p.suffix != ".cfg"}
     return capsys.readouterr().out, files
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+class TestReplicasReadInWorkers:
+    """The commands that name their terms before reading a model never build
+    an ``EmbeddingModel`` in their own process: only the forked workers of
+    ``load_reduced`` hold a whole replica."""
+
+    @staticmethod
+    def argv(command, out):
+        return {
+            "uncertainty": ["--reference", REPLICAS[0], "--other", REPLICAS[1], "--probes", PROBES,
+                            "--curve-out", str(out / "curve.csv"), "--histogram-out", str(out / "hist.csv")],
+            "threshold": ["--models", *REPLICAS, "--probes", PROBES, "--out", str(out / "t.csv")],
+            "histogram": ["--model", REPLICAS[0], "--probes", PROBES, "--out", str(out / "hist.csv")],
+            "neighbors": ["--model", REPLICAS[0], "--term", "alpha", "--k", "2", "--out", str(out / "nn.csv")],
+        }[command]
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    @pytest.mark.parametrize("command", ["uncertainty", "threshold", "histogram", "neighbors"])
+    def test_no_whole_model_in_the_command(self, tmp_path, monkeypatch, command, cpus):
+        if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity")
+        pid, build = os.getpid(), EmbeddingModel.__post_init__
+
+        def in_workers_only(model):
+            assert os.getpid() != pid, f"{command} built a whole model in its own process"
+            build(model)
+
+        monkeypatch.setattr(EmbeddingModel, "__post_init__", in_workers_only)
+        mask = os.sched_getaffinity(0) if cpus == "one" else None
+        if mask is not None:
+            os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert main([command, *self.argv(command, tmp_path)]) == 0
+        finally:
+            if mask is not None:
+                os.sched_setaffinity(0, mask)
 
 
 class TestLineEndings:
@@ -922,12 +1002,16 @@ class TestReadme:
         assert read_config(str(path))
 
     def test_settings_table_lists_every_default(self):
-        rows = {}
+        rows, commands = {}, {}
         for line in README.read_text(encoding="utf-8").splitlines():
             cells = [c.strip() for c in line.split("|")[1:-1]]
             for name in re.findall(r"`(\w+)`", cells[0]) if len(cells) == 3 else []:
                 rows[name] = cells[1]
+                listed = set(cells[2].removeprefix("all but ").split(", "))
+                commands[name] = set(COMMANDS) - listed if cells[2].startswith("all but ") else listed
         assert set(rows) == set(OPTIONS)
         for name, opt in OPTIONS.items():
             if opt.default is not None:
                 assert rows[name].lower() == str(opt.default).lower(), name
+            registered = {c for c, (_, _, required, optional) in COMMANDS.items() if name in required + optional}
+            assert commands[name] == registered, name

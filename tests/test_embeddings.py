@@ -420,6 +420,30 @@ class TestNeighborQueries:
         ranked = [t for t, _ in model.knn("hub", 3)]
         assert ranked == ["mid", "abc", "zed"]
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 12))
+    def test_reduced_replica_ranks_like_the_model(self, data, size):
+        # Components from a small integer set plant many equal similarities, so the token tie-break decides.
+        rows = data.draw(st.lists(st.lists(st.integers(-1, 2), min_size=3, max_size=3).filter(any),
+                                  min_size=size, max_size=size))
+        tokens = data.draw(st.lists(st.text("abcz", min_size=1, max_size=3), min_size=size, max_size=size,
+                                    unique=True))
+        model = EmbeddingModel.from_arrays(tokens, np.array(rows, dtype=np.float64))
+        probe = data.draw(st.sampled_from(tokens))
+        reduced = reduce_replica(model, [probe])
+        for k in range(1, size + 1):
+            assert reduced.knn(probe, k) == model.knn(probe, k)
+        for theta in [-1.0, 1.5, *(s for _, s in model.knn(probe, size))]:
+            assert reduced.neighbors_above(probe, theta) == model.neighbors_above(probe, theta)
+
+    def test_reduced_replica_lookup_errors_name_the_model(self):
+        reduced = reduce_replica(hub_model({"b": 0.4, "c": 0.1}), ["a"])
+        with pytest.raises(KeyError, match=r"^\"token 'zz' not in vocabulary of model 'toy'\"$"):
+            reduced.knn("zz", 1)
+        with pytest.raises(KeyError, match=r"^\"token 'b' is not a probe found in model 'toy'\"$"):
+            reduced.neighbors_above("b", 0.0)
+        assert ("b" in reduced, len(reduced), reduced.row("c")) == (True, 3, 2)
+
     def test_brute_force_agreement(self, rng):
         model = random_model(rng, 30, 8)
         token = "t0012"
@@ -593,8 +617,8 @@ class TestLoadReduced:
     def assert_identical(got, want) -> None:
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            assert (a.model_id, a.vocabulary, a.dimensionality, a.records) == (
-                b.model_id, b.vocabulary, b.dimensionality, b.records)
+            assert (a.model_id, a.vocabulary, a.dimensionality) == (b.model_id, b.vocabulary, b.dimensionality)
+            assert {t: a.row(t) for t in a.rows} == {t: b.row(t) for t in b.rows}
             assert list(a.rows) == list(b.rows)
             for t in a.rows:
                 assert a.rows[t].dtype == b.rows[t].dtype and a.rows[t].tobytes() == b.rows[t].tobytes()
@@ -624,5 +648,9 @@ class TestLoadReduced:
         reduced = ModelEnsemble(load_reduced(paths, "word2vec_binary", probes), probes)
         assert reduced.shared_vocabulary == models.shared_vocabulary
         assert (reduced.replica_count, reduced.dimensionality) == (5, 6)
+        mixed = ModelEnsemble((reduce_replica(load_model(p, "word2vec_binary"), probes) if i % 2
+                               else load_model(p, "word2vec_binary") for i, p in enumerate(paths)), probes)
+        assert mixed.shared_vocabulary == models.shared_vocabulary
         for t in probes:
             assert reduced.similarities(t).tobytes() == models.similarities(t).tobytes()
+            assert mixed.similarities(t).tobytes() == models.similarities(t).tobytes()
