@@ -1,84 +1,35 @@
 """Similarity uncertainty, neighbor thresholds, and retrieval validation for
-word embedding replicas."""
+word embedding replicas.
 
-from .embeddings import EmbeddingModel, ModelEnsemble, load_model, save_model
-from .evaluation import (
-    Qrels,
-    RunScores,
-    SignificanceResult,
-    average_precision,
-    condense,
-    evaluate_run,
-    ndcg_at,
-    paired_ttest,
-    read_qrels,
-)
-from .neighbors import (
-    NeighborCurve,
-    aggregate_curves,
-    default_grid,
-    expected_neighbors,
-    probe_curves,
-)
-from .retrieval import (
-    ExpansionPolicy,
-    Index,
-    LmConfig,
-    TranslationTable,
-    build_index,
-    build_translation_table,
-    lm_score,
-    tlm_score,
-)
-from .textproc import Pipeline, tokenize
-from .threshold import SynonymTarget, ThresholdResult, solve_threshold, synonym_statistics
-from .uncertainty import (
-    HistogramConfig,
-    SimilarityHistogram,
-    UncertaintyCurve,
-    similarity_histogram,
-    uncertainty_curve,
-)
+Public names resolve on first access, so importing the package loads neither
+numpy nor scipy until a name that needs them is used.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmbeddingModel",
-    "ModelEnsemble",
-    "load_model",
-    "save_model",
-    "HistogramConfig",
-    "UncertaintyCurve",
-    "SimilarityHistogram",
-    "uncertainty_curve",
-    "similarity_histogram",
-    "NeighborCurve",
-    "default_grid",
-    "expected_neighbors",
-    "probe_curves",
-    "aggregate_curves",
-    "SynonymTarget",
-    "ThresholdResult",
-    "solve_threshold",
-    "synonym_statistics",
-    "Pipeline",
-    "tokenize",
-    "Index",
-    "LmConfig",
-    "TranslationTable",
-    "ExpansionPolicy",
-    "build_index",
-    "build_translation_table",
-    "lm_score",
-    "tlm_score",
-    "Qrels",
-    "RunScores",
-    "SignificanceResult",
-    "condense",
-    "average_precision",
-    "ndcg_at",
-    "evaluate_run",
-    "paired_ttest",
-    "read_qrels",
-    "__version__",
-]
+_MODULES = {name: module for module, names in {  # public name -> the module that defines it
+    "embeddings": "EmbeddingModel ModelEnsemble load_model save_model",
+    "uncertainty": "HistogramConfig UncertaintyCurve SimilarityHistogram uncertainty_curve similarity_histogram",
+    "neighbors": "NeighborCurve default_grid expected_neighbors probe_curves aggregate_curves",
+    "threshold": "SynonymTarget ThresholdResult solve_threshold synonym_statistics",
+    "textproc": "Pipeline tokenize",
+    "retrieval": "Index LmConfig TranslationTable ExpansionPolicy build_index build_translation_table "
+                 "lm_score tlm_score",
+    "evaluation": "Qrels RunScores SignificanceResult condense average_precision ndcg_at evaluate_run "
+                  "paired_ttest read_qrels",
+}.items() for name in names.split()}
+
+__all__ = [*_MODULES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_MODULES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -4,7 +4,9 @@ Every command is deterministic given its inputs; errors exit nonzero with a
 message on stderr. Each setting is declared once, in ``OPTIONS``: its flag is
 ``--`` plus its name with ``-`` for ``_``, and a flat ``key = value`` config
 file (``--config``) gives it under its name. ``resolve`` fills each setting
-from the flag, else the config file, else the declared default.
+from the flag, else the config file, else the declared default. Each command
+imports the modules it runs, so ``evaluate`` and ``compare`` start without
+numpy or scipy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import argparse
 import sys
 from typing import Callable, NamedTuple
 
-from . import evaluation, neighbors, retrieval, threshold, uncertainty
 from .csvio import format_csv, read_lines, write_csv
-from .embeddings import ModelEnsemble, load_model, load_reduced
-from .textproc import Pipeline
+from .evaluation import MAX_RUN_DOCS
 
 __all__ = ["main"]
 
@@ -74,7 +74,7 @@ OPTIONS: dict[str, Option] = {
     "policy": Option("query expansion policy", default="none", choices=("none", "threshold", "knn")),
     "mu": Option("Dirichlet smoothing weight", float, 1000.0),
     "run_tag": Option("run tag written in the run file", default="simthresh"),
-    "max_docs": Option("documents kept per topic", int, retrieval.MAX_RUN_DOCS),
+    "max_docs": Option("documents kept per topic", int, MAX_RUN_DOCS),
     "run": Option("run file, TREC format"),
     "qrels": Option("relevance judgments file"),
     "cutoff": Option("NDCG rank cutoff", int, 20),
@@ -161,12 +161,22 @@ def _read_terms(path: str) -> list[str]:
     return list(terms)
 
 
+def load_model(path: str, fmt: str):
+    """``embeddings.load_model``, imported on the first call: only ``search`` loads a whole model."""
+    from .embeddings import load_model
+
+    return load_model(path, fmt)
+
+
 @command("uncertainty", "replica disagreement curve (and histogram) CSVs",
          "reference other probes curve_out", "format histogram_out bins domain_low domain_high")
 def cmd_uncertainty(args: argparse.Namespace) -> int:
+    from . import uncertainty
+    from .embeddings import load_reduced
+
     probes = _read_terms(args.probes)
-    reference, other = load_reduced([args.reference, args.other], args.format, probes)
     config = uncertainty.HistogramConfig(args.domain_low, args.domain_high, args.bins)
+    reference, other = load_reduced([args.reference, args.other], args.format, probes)
     curve = uncertainty.uncertainty_curve(reference, other, probes, config)
     uncertainty.write_uncertainty_csv(curve, args.curve_out)
     if args.histogram_out:
@@ -180,6 +190,9 @@ def cmd_uncertainty(args: argparse.Namespace) -> int:
 @command("histogram", "similarity histogram CSV for one model", "model probes out",
          "format bins domain_low domain_high")
 def cmd_histogram(args: argparse.Namespace) -> int:
+    from . import uncertainty
+    from .embeddings import load_reduced
+
     probes = _read_terms(args.probes)
     config = uncertainty.HistogramConfig(args.domain_low, args.domain_high, args.bins)
     (replica,) = load_reduced([args.model], args.format, probes)
@@ -192,10 +205,13 @@ def cmd_histogram(args: argparse.Namespace) -> int:
 @command("neighbors", "list a term's neighbors above a threshold or top-k",
          "model term", "threshold k format out")
 def cmd_neighbors(args: argparse.Namespace) -> int:
+    from .embeddings import load_reduced
+    from .retrieval import ExpansionPolicy
+
     thr, k = args.threshold, args.k
     if (thr is None) == (k is None):
         raise ValueError("pass exactly one of --threshold or --k")
-    retrieval.ExpansionPolicy(mode="threshold" if k is None else "knn", threshold=thr, k=k)  # rejects k < 1, NaN
+    ExpansionPolicy(mode="threshold" if k is None else "knn", threshold=thr, k=k)  # rejects k < 1, NaN
     (replica,) = load_reduced([args.model], args.format, [args.term])
     found = replica.neighbors_above(args.term, thr) if k is None else replica.knn(args.term, k)
     if args.out:
@@ -208,15 +224,20 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
 @command("threshold", "derive similarity thresholds from a replica ensemble", "models probes out",
          "format synsets target confidence grid_low grid_high grid_points curve_out")
 def cmd_threshold(args: argparse.Namespace) -> int:
+    from . import neighbors, threshold
+    from .embeddings import ModelEnsemble, load_reduced
+
     if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
     probes = _read_terms(args.probes)
+    grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
+    if not 0.0 < args.confidence < 1.0:  # aggregate_curves checks it too, but one probe makes no band
+        raise ValueError("confidence must be in (0, 1)")
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     if args.synsets:
         target = threshold.synonym_statistics(args.synsets)
     else:
         target = threshold.SynonymTarget(mean_synonyms=args.target, source_label="configured")
-    grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
     result = threshold.solve_threshold(curve, target, dimensionality=ensemble.dimensionality)
@@ -230,6 +251,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 @command("synonym-stats", "mean/std synonym counts from a synset file", "synsets", "out")
 def cmd_synonym_stats(args: argparse.Namespace) -> int:
+    from . import threshold
+
     target = threshold.synonym_statistics(args.synsets)
     if args.out:
         write_csv(args.out, ["mean_synonyms", "std_synonyms", "term_count"],
@@ -240,6 +263,9 @@ def cmd_synonym_stats(args: argparse.Namespace) -> int:
 
 @command("index", "build an inverted index from a corpus", "corpus out", "corpus_format stopwords no_stem")
 def cmd_index(args: argparse.Namespace) -> int:
+    from . import retrieval
+    from .textproc import Pipeline
+
     corpus = retrieval.read_corpus(args.corpus, args.corpus_format)
     pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
     index = retrieval.build_index(corpus, pipeline)
@@ -251,6 +277,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 @command("search", "score topics against an index", "index topics out",
          "policy threshold k model format mu run_tag max_docs stopwords no_stem")
 def cmd_search(args: argparse.Namespace) -> int:
+    from . import retrieval
+    from .textproc import Pipeline
+
     if args.policy != "none":
         _require(args, "threshold" if args.policy == "threshold" else "k")
     policy = retrieval.ExpansionPolicy(mode=args.policy, threshold=args.threshold, k=args.k)
@@ -273,7 +302,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 @command("evaluate", "MAP and NDCG over (condensed) run lists", "run qrels", "out cutoff no_condense")
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    run = retrieval.read_run(args.run)
+    from . import evaluation
+
+    run = evaluation.read_run(args.run)
     qrels = evaluation.read_qrels(args.qrels)
     ap = evaluation.evaluate_run(run, qrels, "map", args.cutoff, not args.no_condense)
     ndcg = evaluation.evaluate_run(run, qrels, "ndcg", args.cutoff, not args.no_condense)
@@ -286,10 +317,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 @command("compare", "paired t-test between two runs", "run_a run_b qrels",
          "metric out cutoff no_condense")
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     qrels = evaluation.read_qrels(args.qrels)
     condense_lists = not args.no_condense
-    a = evaluation.evaluate_run(retrieval.read_run(args.run_a), qrels, args.metric, args.cutoff, condense_lists)
-    b = evaluation.evaluate_run(retrieval.read_run(args.run_b), qrels, args.metric, args.cutoff, condense_lists)
+    a = evaluation.evaluate_run(evaluation.read_run(args.run_a), qrels, args.metric, args.cutoff, condense_lists)
+    b = evaluation.evaluate_run(evaluation.read_run(args.run_b), qrels, args.metric, args.cutoff, condense_lists)
     result = evaluation.paired_ttest(a, b)
     if args.out:
         evaluation.write_comparison_report(args.out, args.metric, a.mean, b.mean, result)

@@ -10,9 +10,8 @@ commas.
 
 from __future__ import annotations
 
+from numbers import Integral, Real
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 __all__ = ["format_csv", "write_csv", "read_csv", "read_lines"]
 
@@ -20,7 +19,7 @@ __all__ = ["format_csv", "write_csv", "read_csv", "read_lines"]
 def _cell(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, Real) and not isinstance(x, Integral):  # float and numpy's floats, without importing numpy
         return repr(float(x))
     return str(x)
 

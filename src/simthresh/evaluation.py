@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
+import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .csvio import read_csv, read_lines, write_csv
 
@@ -26,6 +25,7 @@ __all__ = [
     "evaluate_run",
     "paired_ttest",
     "read_qrels",
+    "read_run",
     "write_metric_report",
     "write_comparison_report",
 ]
@@ -33,6 +33,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SIGNIFICANCE_LEVEL = 0.05
+MAX_RUN_DOCS = 1000  # documents per topic in a TREC run
 
 Run = dict[str, list[tuple[str, float]]]
 
@@ -75,6 +76,30 @@ def read_qrels(path: str) -> Qrels:
     if not qrels.grades:
         raise ValueError(f"{path}: no judgments found")
     return qrels
+
+
+def read_run(path: str) -> Run:
+    """TREC run format, in file order per topic. A document may occur once per
+    topic: a repeat would count as a second hit in every metric."""
+    run: Run = {}
+    first: dict[tuple[str, str], int] = {}  # (topic id, doc id) -> line
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
+        topic_id, _, doc_id, _, score, _ = parts
+        try:
+            value = float(score)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if (seen := first.setdefault((topic_id, doc_id), lineno)) != lineno:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate document {doc_id!r} for topic {topic_id!r} (first on line {seen})"
+            )
+        run.setdefault(topic_id, []).append((doc_id, value))
+    return run
 
 
 def condense(run: Run, qrels: Qrels) -> Run:
@@ -164,13 +189,29 @@ class SignificanceResult:
 
 
 def _t_sf_two_sided(t: float, df: int) -> float:
-    """Two-sided p for Student's t via the regularized incomplete beta."""
-    from scipy.special import betainc  # imported here: only compare needs scipy
-
-    if math.isinf(t):
-        return 0.0
-    x = df / (df + t * t)
-    return float(betainc(df / 2.0, 0.5, x))
+    """Two-sided p for Student's t: the regularized incomplete beta
+    I_x(df/2, 1/2) at x = df / (df + t^2), from its continued fraction
+    (modified Lentz method)."""
+    a, b, t2 = df / 2.0, 0.5, t * t
+    x, y = df / (df + t2), t2 / (df + t2)  # y = 1 - x, without the cancellation
+    if x == 0.0 or y == 0.0:  # |t| infinite (or t^2 overflows), or t == 0
+        return x
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y))
+    flip = x >= (a + 1.0) / (a + b + 2.0)
+    if flip:  # I_x(a, b) = 1 - I_y(b, a), whose fraction converges fast here
+        a, b, x = b, a, y
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0) or tiny)
+    h = d
+    for m in range(1, 10_000):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / (1.0 + coef * d or tiny)
+            c = 1.0 + coef / c or tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return 1.0 - front * h / a if flip else front * h / a
 
 
 def paired_ttest(a: RunScores, b: RunScores) -> SignificanceResult:
@@ -186,9 +227,9 @@ def paired_ttest(a: RunScores, b: RunScores) -> SignificanceResult:
     n = len(topics)
     if n < 2:
         raise ValueError("paired t-test needs at least 2 topics")
-    diffs = np.array([a.per_topic[t] - b.per_topic[t] for t in topics])
-    mean = float(diffs.mean())
-    std = float(diffs.std(ddof=1))
+    diffs = [a.per_topic[t] - b.per_topic[t] for t in topics]
+    mean = float(statistics.mean(diffs))
+    std = statistics.stdev(diffs)
     if std == 0.0:
         if mean == 0.0:
             return SignificanceResult(t_statistic=0.0, p_value=1.0, significant=False, n_topics=n)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .csvio import read_lines
 from .embeddings import EmbeddingModel
+from .evaluation import MAX_RUN_DOCS, read_run  # noqa: F401  (read_run stays importable from here)
 from .textproc import Pipeline
 
 __all__ = [
@@ -40,12 +41,9 @@ __all__ = [
     "read_trec_corpus",
     "read_topics",
     "write_run",
-    "read_run",
 ]
 
 logger = logging.getLogger(__name__)
-
-MAX_RUN_DOCS = 1000
 
 
 @dataclass(frozen=True)
@@ -277,7 +275,9 @@ def tlm_score(
         raise ValueError("query has no terms with collection evidence")
     expansions = [table.expansion(t) for t in kept]
     postings = {term: index.postings(term) for entry in expansions for term, _ in entry}
-    candidates = np.unique(np.concatenate([docs for docs, _ in postings.values()]))
+    # np.unique would import numpy.ma; the postings' union is their sorted documents without repeats.
+    merged = np.sort(np.concatenate([docs for docs, _ in postings.values()]))
+    candidates = merged[np.diff(merged, prepend=-1) != 0]
     # Per expansion term over the candidates: tf + mu * P(term | collection).
     numerators = {}
     for term, (docs, tfs) in postings.items():
@@ -407,30 +407,6 @@ def write_run(
         for topic_id in sorted(run, key=_topic_sort_key):
             for rank, (doc_id, score) in enumerate(run[topic_id][:max_docs], start=1):
                 fh.write(f"{topic_id} Q0 {doc_id} {rank} {score!r} {run_tag}\n")
-
-
-def read_run(path: str) -> dict[str, list[tuple[str, float]]]:
-    """TREC run format, in file order per topic. A document may occur once per
-    topic: a repeat would count as a second hit in every metric."""
-    run: dict[str, list[tuple[str, float]]] = {}
-    first: dict[tuple[str, str], int] = {}  # (topic id, doc id) -> line
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
-        topic_id, _, doc_id, _, score, _ = parts
-        try:
-            value = float(score)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if (seen := first.setdefault((topic_id, doc_id), lineno)) != lineno:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate document {doc_id!r} for topic {topic_id!r} (first on line {seen})"
-            )
-        run.setdefault(topic_id, []).append((doc_id, value))
-    return run
 
 
 def _topic_sort_key(topic_id: str) -> tuple[int, str]:

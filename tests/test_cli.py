@@ -142,6 +142,24 @@ class TestHistogramAndNeighbors:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("uncertainty", ["--bins", "0"], "bin_count must be positive"),
+        ("uncertainty", ["--domain-low", "1", "--domain-high", "0.5"], "domain_low must be < domain_high"),
+        ("histogram", ["--bins", "0"], "bin_count must be positive"),
+        ("threshold", ["--confidence", "5"], "confidence must be in (0, 1)"),
+        ("threshold", ["--confidence", "0"], "confidence must be in (0, 1)"),
+        ("threshold", ["--grid-points", "1"], "grid needs at least 2 points"),
+    ])
+    def test_settings_checked_before_the_replicas(self, tmp_path, capsys, command, flags, message):
+        missing, out = [str(tmp_path / f"missing_{r}.vec") for r in range(2)], str(tmp_path / "out.csv")
+        models = {"uncertainty": ["--reference", missing[0], "--other", missing[1], "--curve-out", out],
+                  "histogram": ["--model", missing[0], "--out", out],
+                  "threshold": ["--models", *missing, "--out", out]}[command]
+        rc = main([command, *models, "--probes", PROBES, *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestThresholdCommand:
     def test_toy_ensemble_report(self, tmp_path):
@@ -227,6 +245,16 @@ class TestThresholdCommand:
         }[command]
         assert main([command, "--probes", PROBES, *argv]) == 1
         assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
+
+    def test_confidence_checked_with_one_probe(self, tmp_path, capsys):
+        # One probe makes no band, so nothing downstream would look at the confidence.
+        probe_file, out = tmp_path / "probes.txt", tmp_path / "t.csv"
+        probe_file.write_text("alpha\n")
+        rc = main(["threshold", "--models", *REPLICAS, "--probes", str(probe_file), "--confidence", "5",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: confidence must be in (0, 1)\n"
+        assert not out.exists()
 
     def test_one_replica_rejected_before_it_is_read(self, tmp_path, capsys):
         rc = main(["threshold", "--models", str(tmp_path / "one.vec"), "--probes", PROBES,
@@ -622,13 +650,6 @@ class TestBadInputs:
 
 
 class TestMoreEdges:
-    def test_import_leaves_scipy_unloaded(self):
-        # Only the mixture, the band and the t-test need scipy; importing it costs every command ~0.2 s.
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, simthresh, simthresh.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout == "[]\n"
-
     @pytest.mark.skipif(not hasattr(os, "mkfifo") or not Path(f"/proc/{os.getpid()}/task").exists(),
                         reason="needs named pipes and /proc child lists")
     def test_ctrl_c_while_replicas_load(self, tmp_path):
@@ -808,6 +829,39 @@ def run_and_collect(argv, out, capsys):
     assert main(argv) == 0
     files = {p.name: contents(p) for p in sorted(out.iterdir()) if p.suffix != ".cfg"}
     return capsys.readouterr().out, files
+
+
+class TestImportedModules:
+    """Each command imports only the modules it runs: numpy and scipy cost a
+    short command most of its time. Each case runs in a fresh process, whose
+    ``sys.modules`` is read when it ends."""
+
+    NUMERIC = {"numpy", "scipy"}
+    CASES = {  # case -> (modules it must not load, a module it must load)
+        "import-simthresh": (NUMERIC, "simthresh"),
+        "import-cli": (NUMERIC, "simthresh.cli"),
+        "evaluate": (NUMERIC, "simthresh.evaluation"),
+        "compare": (NUMERIC, "simthresh.evaluation"),
+        "search": ({"scipy", "numpy.ma"}, "numpy"),
+        "threshold": (set(), "scipy.special"),
+        **{command: ({"scipy"}, "numpy") for command in ("uncertainty", "histogram", "neighbors", "synonym-stats",
+                                                          "index")},
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_only_what_the_command_runs(self, tmp_path, case):
+        forbidden, needed = self.CASES[case]
+        if case.startswith("import-"):
+            code, argv = f"import {needed}", []
+        else:
+            code = "from simthresh.cli import main; assert main(sys.argv[1:]) == 0"
+            argv = as_flags(case, command_settings(pipeline_world(tmp_path), tmp_path)[case])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", f"import sys; {code}; print(*sorted(sys.modules))", *argv],
+                              env=env, capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert needed in loaded
+        assert not {m for m in loaded for f in forbidden if m == f or m.startswith(f + ".")}, case
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simthresh.csvio import format_csv, read_csv, read_lines, write_csv
+from simthresh.csvio import _cell, format_csv, read_csv, read_lines, write_csv
 from simthresh.evaluation import RunScores, read_metric_report, write_metric_report
 from simthresh.neighbors import NeighborCurve, read_curve_csv, write_curve_csv
 from simthresh.threshold import SynonymTarget, ThresholdResult, read_threshold_csv, write_threshold_csv
@@ -17,6 +17,21 @@ from simthresh.uncertainty import (
 
 
 class TestCodec:
+    @pytest.mark.parametrize("value, text", [
+        (np.float64(0.1), "0.1"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.int64(5), "5"),
+        (np.bool_(True), "True"),
+        (True, "True"),
+        (7, "7"),
+        (0.25, "0.25"),
+        (float("-inf"), "-inf"),
+        (None, ""),
+    ], ids=["float64", "float32", "int64", "numpy-bool", "bool", "int", "float", "float-inf", "none"])
+    def test_cell(self, value, text):
+        # csvio tells floats from integers without importing numpy; numpy's scalars must write as before.
+        assert _cell(value) == text
+
     def test_layout(self):
         text = format_csv(["name", "x", "n", "gap"], [("a", 0.1, 3, None), ("b", np.float64(1e-300), 0, 2.5)],
                           ["source=test"])

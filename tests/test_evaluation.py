@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 
 from simthresh.evaluation import (
+    _t_sf_two_sided,
     Qrels,
     RunScores,
     average_precision,
@@ -228,6 +232,15 @@ class TestPairedTtest:
             ba = paired_ttest(b, a)
             assert ab.t_statistic == pytest.approx(-ba.t_statistic, abs=1e-12)
             assert ab.p_value == pytest.approx(ba.p_value, abs=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(df=st.integers(1, 1000), t=st.floats(-1e3, 1e3) | st.sampled_from([math.inf, -math.inf]))
+    def test_tail_matches_scipy(self, df, t):
+        # scipy evaluates I_x(df/2, 1/2) at whichever of x = df / (df + t^2) and 1 - x is the smaller,
+        # computed directly: 1 - x rounded from x would lose the digits that decide p near 1.
+        x, y = df / (df + t * t), t * t / (df + t * t)
+        want = 0.0 if math.isinf(t) else float(betainc(df / 2, 0.5, x) if x <= y else betaincc(0.5, df / 2, y))
+        assert _t_sf_two_sided(t, df) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_topic_mismatch(self):
         a = RunScores(metric="map", per_topic={"1": 0.5, "2": 0.5})

@@ -146,6 +146,25 @@ class TestIndexProperties:
         assert tlm_score(shuffled, LmConfig(), table, query) == want
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=st.dictionaries(st.text("abc", min_size=1, max_size=3), st.lists(WORDS, max_size=6),
+                               min_size=1, max_size=8),
+        query=st.lists(WORDS, min_size=1, max_size=3),
+        expansion=st.lists(WORDS, max_size=3),
+    )
+    def test_candidates_are_the_union_of_the_postings(self, corpus, query, expansion):
+        index = build_index([(d, " ".join(terms)) for d, terms in corpus.items()], PLAIN)
+        query = [t for t in query if len(index.postings(t)[0])]
+        assume(query)
+        table = TranslationTable()
+        for t in query:
+            table.add(t, [(t, 1.0)] + [(e, 0.5) for e in expansion if e != t])
+        ranked = tlm_score(index, LmConfig(), table, query)
+        union = np.unique(np.concatenate([index.postings(e)[0] for t in query for e, _ in table.expansion(t)]))
+        assert sorted(index.doc_ids.index(d) for d, _ in ranked) == union.tolist()
+
+
 class TestLmScore:
     def test_hand_example(self):
         # Only d1 contains the query term, so only d1 is ranked; the smoothing
