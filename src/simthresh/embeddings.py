@@ -77,18 +77,19 @@ class _Replica:
         except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary of model {self.model_id!r}") from None
 
-    @cached_property
-    def _token_array(self) -> np.ndarray:
-        """The vocabulary as one string array (as wide as the longest token), built on the first ranking."""
-        return np.asarray(self.vocabulary, dtype=np.str_)
-
-    def _ranked_others(self, token: str) -> tuple[np.ndarray, np.ndarray]:
-        """All other tokens ordered by similarity desc, token asc on ties."""
+    def _ranked_others(self, token: str, threshold: float, k: int | None = None) -> list[tuple[str, float]]:
+        """The other tokens with similarity >= threshold, most similar first
+        and token ascending on ties, at most ``k`` of them. Only those kept
+        are sorted: with ``k``, the others below the k-th largest similarity
+        are dropped first, so ties at the cut stay in until the sort."""
         row = self.row(token)
         sims = np.delete(self.similarities_to(token), row)
-        tokens = np.delete(self._token_array, row)
-        order = np.lexsort((tokens, -sims))
-        return tokens[order], sims[order]
+        if k is not None and k < len(sims):
+            threshold = max(threshold, np.partition(sims, len(sims) - k)[len(sims) - k])
+        kept = np.flatnonzero(sims >= threshold)
+        tokens = np.asarray([self.vocabulary[i] for i in kept + (kept >= row)], dtype=np.str_)
+        order = np.lexsort((tokens, -sims[kept]))[:k]
+        return [(str(tokens[i]), float(sims[kept[i]])) for i in order]
 
     def neighbors_above(self, token: str, threshold: float) -> list[tuple[str, float]]:
         """Every other token with similarity >= threshold, most similar first.
@@ -99,16 +100,13 @@ class _Replica:
         """
         if np.isnan(threshold):
             raise ValueError(f"threshold must be a number, got {threshold}")
-        tokens, sims = self._ranked_others(token)
-        n = int(np.searchsorted(-sims, -threshold, side="right"))
-        return [(str(t), float(s)) for t, s in zip(tokens[:n], sims[:n])]
+        return self._ranked_others(token, threshold)
 
     def knn(self, token: str, k: int) -> list[tuple[str, float]]:
         """Top-k most similar tokens (fewer if the vocabulary is smaller)."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        tokens, sims = self._ranked_others(token)
-        return [(str(t), float(s)) for t, s in zip(tokens[:k], sims[:k])]
+        return self._ranked_others(token, -np.inf, k)
 
 
 @dataclass(eq=False)
@@ -202,19 +200,19 @@ def _load_reduced(path: str, fmt: str, probes: tuple[str, ...]) -> ReducedReplic
 def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Iterator[ReducedReplica]:
     """``reduce_replica(load_model(path, fmt), probes)`` for each path, in path order.
 
-    The replicas are loaded and reduced in worker processes, one per CPU in
-    the process's affinity mask (``taskset`` limits them), at most one per
-    path, so their parses overlap and this process never holds a whole
-    replica. Where ``fork`` is not available they are loaded here, one at a
-    time. The first error in path order is raised. At most one load per
-    worker is in flight, so after an interrupt, or closing the iterator, no
-    further load starts. The workers are forked when the first replica is
-    asked for, so ask before starting threads."""
+    Two or more replicas are loaded and reduced in worker processes, one per
+    CPU in the process's affinity mask (``taskset`` limits them), at most one
+    per path, so their parses overlap and this process never holds a whole
+    replica. A single path, and any paths where ``fork`` is not available,
+    are loaded here, one at a time. The first error in path order is raised.
+    At most one load per worker is in flight, so after an interrupt, or
+    closing the iterator, no further load starts. The workers are forked
+    when the first replica is asked for, so ask before starting threads."""
     import multiprocessing  # imported here, as the pool: commands that load no replica skip both
     from concurrent.futures import ProcessPoolExecutor
 
     probes = tuple(probes)
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if len(paths) == 1 or "fork" not in multiprocessing.get_all_start_methods():
         for path in paths:
             yield _load_reduced(path, fmt, probes)
         return

@@ -85,22 +85,43 @@ def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     In float64 1 - ndtr(z) is exactly 1 for z <= -8.2924 and exactly 0 for
     z >= 8.2924, so each pair is evaluated only where |z| < 8.5 (a margin for
     rounding in z), in blocks of 128 pairs sorted by window; below its window
-    a pair adds exactly 1."""
-    from scipy.special import ndtr  # imported here: commands that never evaluate a mixture skip scipy
+    a pair adds exactly 1. The blocks are split into one contiguous run per
+    worker (``_worker_count``), balanced by the cells each block evaluates,
+    and the runs are evaluated on threads (``ndtr`` and numpy release the
+    GIL), which end before the call returns. The block sums are added in
+    block order, so the result does not depend on the worker count."""
+    # imported here: commands that never evaluate a mixture skip scipy and the pool
+    from concurrent.futures import ThreadPoolExecutor
+    from scipy.special import ndtr
 
     grid = np.asarray(grid, dtype=np.float64)
     if not np.all(np.diff(grid) >= 0):
         raise ValueError("grid must be ascending")
     lo, hi = np.searchsorted(grid, means - 8.5 * stds), np.searchsorted(grid, means + 8.5 * stds)
     order = np.lexsort((lo, hi))
-    total, buf = np.zeros(len(grid)), np.empty(len(grid) * 128)
-    for start in range(0, len(means), 128):
-        pick = order[start : start + 128]
-        a, b = lo[pick].min(), hi[pick].max()
-        total[:a] += len(pick)
-        z = buf[: (b - a) * len(pick)].reshape(b - a, len(pick))
-        np.divide(np.subtract(grid[a:b, None], means[pick], out=z), stds[pick], out=z)
-        total[a:b] += np.subtract(1.0, ndtr(z, out=z), out=z).sum(axis=1)
+    picks = (order[i : i + 128] for i in range(0, len(order), 128))
+    blocks = [(pick, lo[pick].min(), hi[pick].max()) for pick in picks]
+    cells = np.cumsum([(b - a) * len(pick) for pick, a, b in blocks])
+    workers = _worker_count(len(blocks))
+    # run k (from 1) holds the blocks whose running cell count is in ((k-1)/workers, k/workers] of all cells
+    ends = np.searchsorted(cells, (cells[-1] if blocks else 0) * np.arange(1, workers + 1) / workers, side="right")
+
+    def block_sums(run: list[tuple[np.ndarray, int, int]]) -> list[np.ndarray]:
+        buf = np.empty(len(grid) * 128)
+        sums = []
+        for pick, a, b in run:
+            z = buf[: (b - a) * len(pick)].reshape(b - a, len(pick))
+            np.divide(np.subtract(grid[a:b, None], means[pick], out=z), stds[pick], out=z)
+            sums.append(np.subtract(1.0, ndtr(z, out=z), out=z).sum(axis=1))
+        return sums
+
+    runs = [blocks[i:j] for i, j in zip([0, *ends], ends)]
+    total = np.zeros(len(grid))
+    with ThreadPoolExecutor(workers) as pool:
+        for run, sums in zip(runs, pool.map(block_sums, runs)):
+            for (pick, a, b), s in zip(run, sums):
+                total[:a] += len(pick)
+                total[a:b] += s
     return total
 
 
@@ -115,34 +136,8 @@ def expected_neighbors(ensemble: ModelEnsemble, term: str, grid: np.ndarray | No
 
 def probe_curves(ensemble: ModelEnsemble, grid: np.ndarray | None = None) -> list[NeighborCurve]:
     """``expected_neighbors`` of every probe of ``ensemble``, in probe order.
-
-    The probes run on a thread pool with one worker per CPU in the process's
-    affinity mask (``taskset`` limits it), at most one per probe. Each curve
-    is computed whole by one worker with the sequential code, and ``ndtr``
-    and numpy release the GIL, so the threads overlap and the result does not
-    depend on the worker count. On failure the error the sequential loop
-    would raise first is raised, and once a probe fails no later probe
-    starts; an interrupt cancels the probes not yet started."""
-    from concurrent.futures import ThreadPoolExecutor  # imported here: commands that build no curve skip it
-
-    probes = ensemble.probes
-    failed: list[int] = []  # indices of probes that raised; list.append is atomic
-
-    def curve(i: int) -> NeighborCurve | None:
-        if failed and i > min(failed):
-            return None  # the sequential loop stops before this probe; its result is never read
-        try:
-            return expected_neighbors(ensemble, probes[i], grid)
-        except BaseException:
-            failed.append(i)
-            raise
-
-    pool = ThreadPoolExecutor(max_workers=_worker_count(len(probes)))
-    try:
-        futures = [pool.submit(curve, i) for i in range(len(probes))]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    Each curve's mixture is spread over the CPUs by ``mixture_survival``."""
+    return [expected_neighbors(ensemble, t, grid) for t in ensemble.probes]
 
 
 def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> NeighborCurve:

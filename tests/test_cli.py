@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -866,9 +867,10 @@ class TestImportedModules:
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
 class TestReplicasReadInWorkers:
-    """The commands that name their terms before reading a model never build
-    an ``EmbeddingModel`` in their own process: only the forked workers of
-    ``load_reduced`` hold a whole replica."""
+    """The commands that name their terms before reading two or more models
+    never build an ``EmbeddingModel`` in their own process: only the forked
+    workers of ``load_reduced`` hold a whole replica. A command that reads one
+    model loads it in its own process, without a pool."""
 
     @staticmethod
     def argv(command, out):
@@ -881,7 +883,7 @@ class TestReplicasReadInWorkers:
         }[command]
 
     @pytest.mark.parametrize("cpus", ["all", "one"])
-    @pytest.mark.parametrize("command", ["uncertainty", "threshold", "histogram", "neighbors"])
+    @pytest.mark.parametrize("command", ["uncertainty", "threshold"])
     def test_no_whole_model_in_the_command(self, tmp_path, monkeypatch, command, cpus):
         if cpus == "one" and not hasattr(os, "sched_setaffinity"):
             pytest.skip("needs os.sched_setaffinity")
@@ -900,6 +902,22 @@ class TestReplicasReadInWorkers:
         finally:
             if mask is not None:
                 os.sched_setaffinity(0, mask)
+
+    @pytest.mark.parametrize("command", ["histogram", "neighbors"])
+    def test_one_model_loads_in_the_command(self, tmp_path, monkeypatch, command):
+        pid, build, built = os.getpid(), EmbeddingModel.__post_init__, []
+
+        def in_this_process(model):
+            built.append(os.getpid())
+            build(model)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one model")
+
+        monkeypatch.setattr(EmbeddingModel, "__post_init__", in_this_process)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert main([command, *self.argv(command, tmp_path)]) == 0
+        assert built == [pid]
 
 
 class TestLineEndings:

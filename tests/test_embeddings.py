@@ -420,8 +420,8 @@ class TestNeighborQueries:
         ranked = [t for t, _ in model.knn("hub", 3)]
         assert ranked == ["mid", "abc", "zed"]
 
-    @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), size=st.integers(2, 12))
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 12))
     def test_reduced_replica_ranks_like_the_model(self, data, size):
         # Components from a small integer set plant many equal similarities, so the token tie-break decides.
         rows = data.draw(st.lists(st.lists(st.integers(-1, 2), min_size=3, max_size=3).filter(any),
@@ -430,11 +430,15 @@ class TestNeighborQueries:
                                     unique=True))
         model = EmbeddingModel.from_arrays(tokens, np.array(rows, dtype=np.float64))
         probe = data.draw(st.sampled_from(tokens))
-        reduced = reduce_replica(model, [probe])
-        for k in range(1, size + 1):
-            assert reduced.knn(probe, k) == model.knn(probe, k)
-        for theta in [-1.0, 1.5, *(s for _, s in model.knn(probe, size))]:
-            assert reduced.neighbors_above(probe, theta) == model.neighbors_above(probe, theta)
+        # Only the kept neighbors are sorted; the reference sorts every other token by (-similarity, token).
+        sims = [float(s) for s in model.similarities_to(probe)]
+        reference = sorted(((t, s) for t, s in zip(tokens, sims) if t != probe), key=lambda p: (-p[1], p[0]))
+        thresholds = [-np.inf, -1.5, -1.0, 1.0 + 1e-9, 2.0, np.inf, *sims, *np.nextafter(sims, np.inf)]
+        for replica in (model, reduce_replica(model, [probe])):
+            for k in range(1, size + 3):  # k >= V included
+                assert replica.knn(probe, k) == reference[:k]
+            for theta in thresholds:
+                assert replica.neighbors_above(probe, theta) == [p for p in reference if p[1] >= theta]
 
     def test_reduced_replica_lookup_errors_name_the_model(self):
         reduced = reduce_replica(hub_model({"b": 0.4, "c": 0.1}), ["a"])
@@ -640,6 +644,17 @@ class TestLoadReduced:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         self.assert_identical(list(load_reduced(paths, "word2vec_binary", self.PROBES)), want)
+
+    def test_one_path_in_process(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, "word2vec_text", count=1)[0]
+        pooled = list(load_reduced([path, path], "word2vec_text", self.PROBES))  # two paths: the pool
+        assert len(pooled) == 2
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started for one path")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        self.assert_identical(list(load_reduced([path], "word2vec_text", self.PROBES)), pooled[:1])
 
     def test_ensemble_of_reduced_equals_ensemble_of_models(self, tmp_path):
         paths = self.write(tmp_path, "word2vec_binary")

@@ -1,12 +1,16 @@
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
@@ -28,6 +32,8 @@ from simthresh.neighbors import (
 
 from conftest import dense_mixture, pair_ensemble, pair_replicas, perturbed_replicas, random_model
 from pair_oracle import fit_pair
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 class TestFitPair:
@@ -262,6 +268,72 @@ class TestWindowedKernel:
     def test_non_ascending_grid_rejected(self):
         with pytest.raises(ValueError, match="grid must be ascending"):
             mixture_survival(np.array([0.5, 0.2]), np.array([0.3]), np.array([0.1]))
+
+
+class TestKernelWorkers:
+    """``mixture_survival`` spreads its blocks over worker threads; the bytes
+    do not depend on how many, and no thread outlives a call."""
+
+    WORKERS = (1, 2, 3, 4)
+
+    @staticmethod
+    def survival_with(workers: int, grid, means, stds) -> np.ndarray:
+        with mock.patch.object(neighbors, "_worker_count", lambda tasks: workers):
+            return mixture_survival(grid, means, stds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixtures())
+    @example((np.linspace(-0.5, 1.0, 7), np.empty(0), np.empty(0)))  # no pairs: more workers than blocks
+    def test_same_bytes_for_any_worker_count(self, case):
+        # at most 300 pairs: 3 blocks, so 4 workers always outnumber them
+        results = [self.survival_with(w, *case).tobytes() for w in self.WORKERS]
+        assert results == [mixture_survival(*case).tobytes()] * len(self.WORKERS)
+
+    def test_many_blocks_for_any_worker_count(self, rng):
+        means, stds = rng.uniform(-1, 1, 2000), rng.uniform(STD_FLOOR, 0.1, 2000)
+        grid = default_grid()
+        want = self.survival_with(1, grid, means, stds).tobytes()
+        assert all(self.survival_with(w, grid, means, stds).tobytes() == want for w in self.WORKERS[1:])
+
+    def test_blocks_run_off_the_calling_thread(self, rng, monkeypatch):
+        import scipy.special  # the kernel imports ndtr from here on each call
+
+        threads, ndtr_of = set(), scipy.special.ndtr
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return ndtr_of(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, "ndtr", recorded)
+        means, stds = rng.uniform(-1, 1, 1000), rng.uniform(0.01, 0.1, 1000)
+        self.survival_with(3, default_grid(points=601), means, stds)
+        assert threads and threading.get_ident() not in threads  # a pool thread may take more than one run
+
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_no_thread_outlives_a_call(self, rng, workers):
+        # a fork after the call (load_reduced for the next ensemble) must not copy running threads
+        before = threading.active_count()
+        self.survival_with(workers, default_grid(points=301), rng.uniform(-1, 1, 700), rng.uniform(0.01, 0.1, 700))
+        assert threading.active_count() == before
+
+    def test_clean_under_dev_mode_and_warnings_as_errors(self):
+        code = (
+            "import threading, numpy as np\n"
+            "from unittest import mock\n"
+            "from simthresh import neighbors\n"
+            "rng = np.random.default_rng(1)\n"
+            "means, stds = rng.uniform(-1, 1, 700), rng.uniform(0.01, 0.1, 700)\n"
+            "grid = neighbors.default_grid(points=301)\n"
+            "want = neighbors.mixture_survival(grid, means, stds).tobytes()\n"
+            "for w in (1, 2, 3, 4):\n"
+            "    with mock.patch.object(neighbors, '_worker_count', lambda tasks: w):\n"
+            "        assert neighbors.mixture_survival(grid, means, stds).tobytes() == want\n"
+            "assert threading.active_count() == 1\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestAggregation:
