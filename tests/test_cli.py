@@ -882,11 +882,22 @@ class TestReplicasReadInWorkers:
             "neighbors": ["--model", REPLICAS[0], "--term", "alpha", "--k", "2", "--out", str(out / "nn.csv")],
         }[command]
 
+    def run_on(self, cpus, command, out):
+        """Run ``command`` under all CPUs, or pinned to one CPU of the affinity mask."""
+        if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs os.sched_setaffinity")
+        mask = os.sched_getaffinity(0) if cpus == "one" else None
+        if mask is not None:
+            os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert main([command, *self.argv(command, out)]) == 0
+        finally:
+            if mask is not None:
+                os.sched_setaffinity(0, mask)
+
     @pytest.mark.parametrize("cpus", ["all", "one"])
     @pytest.mark.parametrize("command", ["uncertainty", "threshold"])
     def test_no_whole_model_in_the_command(self, tmp_path, monkeypatch, command, cpus):
-        if cpus == "one" and not hasattr(os, "sched_setaffinity"):
-            pytest.skip("needs os.sched_setaffinity")
         pid, build = os.getpid(), EmbeddingModel.__post_init__
 
         def in_workers_only(model):
@@ -894,17 +905,11 @@ class TestReplicasReadInWorkers:
             build(model)
 
         monkeypatch.setattr(EmbeddingModel, "__post_init__", in_workers_only)
-        mask = os.sched_getaffinity(0) if cpus == "one" else None
-        if mask is not None:
-            os.sched_setaffinity(0, {min(mask)})
-        try:
-            assert main([command, *self.argv(command, tmp_path)]) == 0
-        finally:
-            if mask is not None:
-                os.sched_setaffinity(0, mask)
+        self.run_on(cpus, command, tmp_path)
 
+    @pytest.mark.parametrize("cpus", ["all", "one"])
     @pytest.mark.parametrize("command", ["histogram", "neighbors"])
-    def test_one_model_loads_in_the_command(self, tmp_path, monkeypatch, command):
+    def test_one_model_loads_in_the_command(self, tmp_path, monkeypatch, command, cpus):
         pid, build, built = os.getpid(), EmbeddingModel.__post_init__, []
 
         def in_this_process(model):
@@ -916,7 +921,7 @@ class TestReplicasReadInWorkers:
 
         monkeypatch.setattr(EmbeddingModel, "__post_init__", in_this_process)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        assert main([command, *self.argv(command, tmp_path)]) == 0
+        self.run_on(cpus, command, tmp_path)
         assert built == [pid]
 
 
