@@ -284,6 +284,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         _require(args, "threshold" if args.policy == "threshold" else "k")
     policy = retrieval.ExpansionPolicy(mode=args.policy, threshold=args.threshold, k=args.k)
     config = retrieval.LmConfig(mu=args.mu)
+    if args.max_docs < 1:  # write_run checks it too, but only after every topic is scored
+        raise ValueError("max_docs must be >= 1")
     index = retrieval.load_index(args.index)
     topics = retrieval.read_topics(args.topics)
     embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)

@@ -9,11 +9,11 @@ results are fully deterministic.
 from __future__ import annotations
 
 import os
+import signal
 import stat
 import struct
-from collections import deque
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -204,34 +204,33 @@ def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Itera
     CPU in the process's affinity mask (``taskset`` limits them), at most one
     per path, so their parses overlap and this process never holds a whole
     replica. A single path, and any paths where ``fork`` is not available,
-    are loaded here, one at a time. The first error in path order is raised.
-    At most one load per worker is in flight, so after an interrupt, or
-    closing the iterator, no further load starts. The workers are forked
-    when the first replica is asked for, so ask before starting threads."""
-    import multiprocessing  # imported here, as the pool: commands that load no replica skip both
-    from concurrent.futures import ProcessPoolExecutor
+    are loaded here, one at a time. The first error in path order is raised;
+    a worker that dies (killed for memory, say) raises ``ChildProcessError``.
+    The workers ignore SIGINT, and an interrupt of this process, an error or
+    closing the iterator terminates them, running loads included. They are
+    forked when the first replica is asked for: ask before starting threads."""
+    import multiprocessing  # imported here: commands that load no replica skip it and its pool
 
     probes = tuple(probes)
     if len(paths) == 1 or "fork" not in multiprocessing.get_all_start_methods():
         for path in paths:
             yield _load_reduced(path, fmt, probes)
         return
-
-    workers = _worker_count(len(paths))
+    others = set(multiprocessing.active_children())
     # fork, not the default of later Pythons (forkserver), which imports numpy again in every worker
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        # The pool hands a submitted load to a worker's queue at once, where it can no longer be
-        # cancelled: with every path submitted, a worker would start the next load after Ctrl-C.
-        waiting = iter(paths)
-        futures = deque(pool.submit(_load_reduced, path, fmt, probes) for path in islice(waiting, workers))
-        while futures:
-            replica = futures.popleft().result()
-            futures.extend(pool.submit(_load_reduced, path, fmt, probes) for path in islice(waiting, 1))
-            yield replica
-            del replica  # neither the deque nor this frame keeps a consumed replica while the next one loads
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with multiprocessing.get_context("fork").Pool(
+        _worker_count(len(paths)), initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    ) as pool:
+        workers = set(multiprocessing.active_children()) - others
+        results = pool.imap(partial(_load_reduced, fmt=fmt, probes=probes), paths)
+        for _ in paths:
+            while True:
+                try:
+                    yield results.next(timeout=1.0)
+                    break
+                except multiprocessing.TimeoutError:  # the pool replaces a killed worker, but not its load
+                    if dead := [w.exitcode for w in workers if w.exitcode is not None]:
+                        raise ChildProcessError(f"a worker loading replicas died (exit code {dead[0]})") from None
 
 
 @dataclass(eq=False)

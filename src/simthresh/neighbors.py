@@ -35,6 +35,8 @@ STD_FLOOR = 1e-6
 def default_grid(low: float = -0.2, high: float = 1.0, points: int = 2401) -> np.ndarray:
     """Uniform similarity grid; the default step (5e-4) keeps interpolation
     error below the 3-decimal reporting precision of derived thresholds."""
+    if not (np.isfinite(low) and np.isfinite(high) and low < high):
+        raise ValueError(f"grid needs finite ends with grid_low < grid_high, got {low} and {high}")
     if points < 2:
         raise ValueError("grid needs at least 2 points")
     return np.linspace(low, high, points)
@@ -85,11 +87,12 @@ def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     In float64 1 - ndtr(z) is exactly 1 for z <= -8.2924 and exactly 0 for
     z >= 8.2924, so each pair is evaluated only where |z| < 8.5 (a margin for
     rounding in z), in blocks of 128 pairs sorted by window; below its window
-    a pair adds exactly 1. The blocks are split into one contiguous run per
-    worker (``_worker_count``), balanced by the cells each block evaluates,
-    and the runs are evaluated on threads (``ndtr`` and numpy release the
-    GIL), which end before the call returns. The block sums are added in
-    block order, so the result does not depend on the worker count."""
+    a pair adds exactly 1. The blocks are evaluated on threads (``ndtr`` and
+    numpy release the GIL), one per CPU (``_worker_count``), each taking the
+    next block as it finishes one; the threads end before the call returns,
+    and after an interrupt no further block starts. The block sums are added
+    in block order as they arrive, so the result does not depend on the
+    worker count."""
     # imported here: commands that never evaluate a mixture skip scipy and the pool
     from concurrent.futures import ThreadPoolExecutor
     from scipy.special import ndtr
@@ -101,27 +104,18 @@ def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     order = np.lexsort((lo, hi))
     picks = (order[i : i + 128] for i in range(0, len(order), 128))
     blocks = [(pick, lo[pick].min(), hi[pick].max()) for pick in picks]
-    cells = np.cumsum([(b - a) * len(pick) for pick, a, b in blocks])
-    workers = _worker_count(len(blocks))
-    # run k (from 1) holds the blocks whose running cell count is in ((k-1)/workers, k/workers] of all cells
-    ends = np.searchsorted(cells, (cells[-1] if blocks else 0) * np.arange(1, workers + 1) / workers, side="right")
 
-    def block_sums(run: list[tuple[np.ndarray, int, int]]) -> list[np.ndarray]:
-        buf = np.empty(len(grid) * 128)
-        sums = []
-        for pick, a, b in run:
-            z = buf[: (b - a) * len(pick)].reshape(b - a, len(pick))
-            np.divide(np.subtract(grid[a:b, None], means[pick], out=z), stds[pick], out=z)
-            sums.append(np.subtract(1.0, ndtr(z, out=z), out=z).sum(axis=1))
-        return sums
+    def block_sum(block: tuple[np.ndarray, int, int]) -> np.ndarray:
+        pick, a, b = block
+        z = np.subtract(grid[a:b, None], means[pick])
+        np.divide(z, stds[pick], out=z)
+        return np.subtract(1.0, ndtr(z, out=z), out=z).sum(axis=1)
 
-    runs = [blocks[i:j] for i, j in zip([0, *ends], ends)]
     total = np.zeros(len(grid))
-    with ThreadPoolExecutor(workers) as pool:
-        for run, sums in zip(runs, pool.map(block_sums, runs)):
-            for (pick, a, b), s in zip(run, sums):
-                total[:a] += len(pick)
-                total[a:b] += s
+    with ThreadPoolExecutor(_worker_count(len(blocks))) as pool:
+        for (pick, a, b), s in zip(blocks, pool.map(block_sum, blocks)):
+            total[:a] += len(pick)
+            total[a:b] += s
     return total
 
 

@@ -43,8 +43,9 @@ class HistogramConfig:
     bin_count: int = 500
 
     def __post_init__(self) -> None:
-        if not self.domain_low < self.domain_high:
-            raise ValueError("domain_low must be < domain_high")
+        low, high = self.domain_low, self.domain_high
+        if not (np.isfinite(low) and np.isfinite(high) and low < high):
+            raise ValueError(f"domain needs finite ends with domain_low < domain_high, got {low} and {high}")
         if self.bin_count < 1:
             raise ValueError("bin_count must be positive")
 

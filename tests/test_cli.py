@@ -1,6 +1,6 @@
-import concurrent.futures
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import re
 import shlex
@@ -145,12 +145,23 @@ class TestHistogramAndNeighbors:
 
     @pytest.mark.parametrize("command, flags, message", [
         ("uncertainty", ["--bins", "0"], "bin_count must be positive"),
-        ("uncertainty", ["--domain-low", "1", "--domain-high", "0.5"], "domain_low must be < domain_high"),
+        ("uncertainty", ["--domain-low", "1", "--domain-high", "0.5"],
+         "domain needs finite ends with domain_low < domain_high, got 1.0 and 0.5"),
         ("histogram", ["--bins", "0"], "bin_count must be positive"),
         ("threshold", ["--confidence", "5"], "confidence must be in (0, 1)"),
         ("threshold", ["--confidence", "0"], "confidence must be in (0, 1)"),
         ("threshold", ["--grid-points", "1"], "grid needs at least 2 points"),
+        ("histogram", ["--domain-high", "inf"],
+         "domain needs finite ends with domain_low < domain_high, got -0.2 and inf"),
+        ("uncertainty", ["--domain-low", "nan"],
+         "domain needs finite ends with domain_low < domain_high, got nan and 1.0"),
+        ("threshold", ["--grid-low", "1", "--grid-high", "-0.2"],
+         "grid needs finite ends with grid_low < grid_high, got 1.0 and -0.2"),
+        ("threshold", ["--grid-low", "0.5", "--grid-high", "0.5"],
+         "grid needs finite ends with grid_low < grid_high, got 0.5 and 0.5"),
+        ("threshold", ["--grid-high", "inf"], "grid needs finite ends with grid_low < grid_high, got -0.2 and inf"),
     ])
+    @pytest.mark.filterwarnings("error")  # a bad axis must not reach numpy, which warns before it fails
     def test_settings_checked_before_the_replicas(self, tmp_path, capsys, command, flags, message):
         missing, out = [str(tmp_path / f"missing_{r}.vec") for r in range(2)], str(tmp_path / "out.csv")
         models = {"uncertainty": ["--reference", missing[0], "--other", missing[1], "--curve-out", out],
@@ -265,11 +276,10 @@ class TestThresholdCommand:
         assert not (tmp_path / "t.csv").exists()
 
     def test_descending_grid_one_error_line(self, tmp_path, capsys):
-        # every probe fails on the worker pool; the error is reported once, as in a sequential loop
         rc = main(["threshold", "--models", *REPLICAS, "--probes", PROBES, "--grid-low", "1", "--grid-high", "0",
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: grid must be ascending\n"
+        assert capsys.readouterr().err == "error: grid needs finite ends with grid_low < grid_high, got 1.0 and 0.0\n"
 
     def test_numeric_target_without_synsets_accepted(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -535,12 +545,12 @@ class TestBadInputs:
         assert "pickle" not in err
 
     def test_max_docs_below_one_rejected(self, tmp_path, capsys):
-        _, topics, _, _, index_path = search_world(tmp_path)
+        # checked before any input is read: the index and the topics are missing
         out = tmp_path / "r.txt"
-        rc = main(["search", "--index", str(index_path), "--topics", str(topics),
-                   "--max-docs", "-990", "--out", str(out)])
+        rc = main(["search", "--index", str(tmp_path / "missing.npz"), "--topics", str(tmp_path / "missing.txt"),
+                   "--max-docs", "0", "--out", str(out)])
         assert rc == 1
-        assert "max_docs must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: max_docs must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("which, lines, lineno, message", [
@@ -653,10 +663,12 @@ class TestBadInputs:
 class TestMoreEdges:
     @pytest.mark.skipif(not hasattr(os, "mkfifo") or not Path(f"/proc/{os.getpid()}/task").exists(),
                         reason="needs named pipes and /proc child lists")
-    def test_ctrl_c_while_replicas_load(self, tmp_path):
+    @pytest.mark.parametrize("stop", ["process-group", "command-only", "worker-killed"])
+    def test_ctrl_c_while_replicas_load(self, tmp_path, stop):
         # The replicas are named pipes nobody writes to, so each loading worker blocks opening one
-        # until Ctrl-C, a SIGINT to the whole process group, reaches it. Pinned to one CPU, one
-        # worker loads the two replicas: the second load must not start after the interrupt.
+        # until it is stopped. A SIGINT to the whole process group (Ctrl-C) or to the command's
+        # process alone, or a worker killed (as for memory), must stop the command and every
+        # worker, running loads included. Pinned to one CPU, one worker loads the two replicas.
         replicas = [tmp_path / "r0.vec", tmp_path / "r1.vec"]
         for path in replicas:
             os.mkfifo(path)
@@ -674,7 +686,10 @@ class TestMoreEdges:
                 assert time.monotonic() < deadline, "no worker process started"
                 time.sleep(0.05)
             time.sleep(0.5)  # lets the workers reach the blocking open
-            os.killpg(proc.pid, signal.SIGINT)
+            if stop == "worker-killed":
+                os.kill(int(workers[0]), signal.SIGKILL)
+            else:
+                (os.killpg if stop == "process-group" else os.kill)(proc.pid, signal.SIGINT)
             assert proc.wait(timeout=10) != 0
             deadline = time.monotonic() + 5
             while alive := [pid for pid in workers if Path(f"/proc/{pid}").exists()]:
@@ -920,7 +935,7 @@ class TestReplicasReadInWorkers:
             raise AssertionError("a process pool was started for one model")
 
         monkeypatch.setattr(EmbeddingModel, "__post_init__", in_this_process)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
         self.run_on(cpus, command, tmp_path)
         assert built == [pid]
 

@@ -1,5 +1,5 @@
-import concurrent.futures
 import multiprocessing
+import multiprocessing.pool
 import os
 import struct
 import subprocess
@@ -642,7 +642,7 @@ class TestLoadReduced:
             raise AssertionError("a process pool was started where fork is not available")
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
         self.assert_identical(list(load_reduced(paths, "word2vec_binary", self.PROBES)), want)
 
     def test_one_path_in_process(self, tmp_path, monkeypatch):
@@ -653,8 +653,34 @@ class TestLoadReduced:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started for one path")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
         self.assert_identical(list(load_reduced([path], "word2vec_text", self.PROBES)), pooled[:1])
+
+    def test_closing_stops_every_worker(self, tmp_path):
+        paths = self.write(tmp_path, "word2vec_binary")
+        before = threading.active_count()
+        replicas = load_reduced(paths, "word2vec_binary", self.PROBES)
+        assert next(replicas).model_id == paths[0]
+        replicas.close()
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == before
+
+    def test_clean_under_dev_mode_and_warnings_as_errors(self, tmp_path):
+        paths = self.write(tmp_path, "word2vec_binary")
+        code = (
+            "import multiprocessing, sys, threading\n"
+            "from simthresh.embeddings import load_reduced\n"
+            "paths, probes = sys.argv[1:], ['t0001', 't0022', 't0030']\n"
+            "assert [r.model_id for r in load_reduced(paths, 'word2vec_binary', probes)] == paths\n"
+            "replicas = load_reduced(paths, 'word2vec_binary', probes)\n"
+            "next(replicas)\n"
+            "replicas.close()\n"
+            "assert multiprocessing.active_children() == [] and threading.active_count() == 1\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, *paths],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_ensemble_of_reduced_equals_ensemble_of_models(self, tmp_path):
         paths = self.write(tmp_path, "word2vec_binary")

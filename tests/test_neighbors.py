@@ -149,23 +149,18 @@ class TestExpectedNeighbors:
         np.testing.assert_allclose(direct, len(means) * (1.0 - mixture_cdf), atol=1e-9)
 
 
-def pool_workers(probes: int) -> int:
-    return min(probes, len(os.sched_getaffinity(0)))
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
 class TestProbeCurves:
-    """The per-probe curves on the thread pool against the sequential loop."""
+    """``probe_curves`` is the sequential loop over the probes."""
 
     def test_bitwise_equal_to_sequential_loop(self, rng):
         base = random_model(rng, 300, 16)
-        probes = [f"t{i:04d}" for i in range(len(os.sched_getaffinity(0)) + 3)]
+        probes = [f"t{i:04d}" for i in range(5)]
         ensemble = ModelEnsemble(perturbed_replicas(base, rng, 4, 0.02), probes)
         grid = default_grid(points=601)
-        pooled = probe_curves(ensemble, grid)
+        curves = probe_curves(ensemble, grid)
         sequential = [expected_neighbors(ensemble, t, grid) for t in probes]
-        assert [c.term for c in pooled] == probes
-        for a, b in zip(pooled, sequential):
+        assert [c.term for c in curves] == probes
+        for a, b in zip(curves, sequential):
             assert a.grid.tobytes() == b.grid.tobytes() and a.expected.tobytes() == b.expected.tobytes()
 
     def test_no_probes(self):
@@ -173,9 +168,9 @@ class TestProbeCurves:
 
     @staticmethod
     def fake_probes(monkeypatch, behaviour) -> tuple[SimpleNamespace, list[int]]:
-        """An ensemble stand-in with more probes than workers, each probe's
-        curve replaced by ``behaviour(index)``, and the list of probe indices
-        that start, filled as they do."""
+        """An ensemble stand-in with six probes, each probe's curve replaced
+        by ``behaviour(index)``, and the list of probe indices that start,
+        filled as they do."""
         started: list[int] = []
 
         def fake(ensemble, term, grid=None):
@@ -183,14 +178,11 @@ class TestProbeCurves:
             return behaviour(int(term[1:]))
 
         monkeypatch.setattr(neighbors, "expected_neighbors", fake)
-        return SimpleNamespace(probes=[f"p{i}" for i in range(len(os.sched_getaffinity(0)) + 4)]), started
+        return SimpleNamespace(probes=[f"p{i}" for i in range(6)]), started
 
     @pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
     def test_failure_raises_the_first_in_probe_order(self, monkeypatch, failing):
-        # Probe 0 ends after 0.2 s, a failing probe 1 at once, the others
-        # after 0.4 s, so every worker is busy when the first failure comes.
         def behaviour(i):
-            time.sleep(0.2 if i == 0 else 0.0 if i in failing else 0.4)
             if i in failing:
                 raise ValueError(f"probe {i}")
 
@@ -198,35 +190,23 @@ class TestProbeCurves:
         first = min(failing)
         with pytest.raises(ValueError, match=f"^probe {first}$"):
             probe_curves(ensemble)
-        # the first probes fill the workers; no later probe starts after a failure
-        assert first in started
-        assert max(started) <= max(first, pool_workers(len(ensemble.probes)) - 1)
+        assert started == list(range(first + 1))  # no later probe starts after a failure
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
     def test_interrupt_cancels_queued_probes(self, monkeypatch):
-        # Ctrl-C reaches the main thread while it waits for the first curve.
-        interrupted = threading.Event()
-
-        def on_sigint(signum, frame):
-            interrupted.set()
-            raise KeyboardInterrupt
-
+        # Ctrl-C reaches the main thread while it computes the first curve.
         def behaviour(i):
-            if i == 0:
-                time.sleep(0.1)  # lets the main thread queue every probe and wait
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-            assert interrupted.wait(10)
-            time.sleep(0.2)  # keeps every worker busy until the queued probes are cancelled
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(10)  # cut short by the interrupt
 
         ensemble, started = self.fake_probes(monkeypatch, behaviour)
-        previous = signal.signal(signal.SIGINT, on_sigint)
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             with pytest.raises(KeyboardInterrupt):
                 probe_curves(ensemble)
         finally:
             signal.signal(signal.SIGINT, previous)
-        assert 0 in started
-        assert max(started) < pool_workers(len(ensemble.probes))
+        assert started == [0]
 
 
 @st.composite
@@ -307,7 +287,38 @@ class TestKernelWorkers:
         monkeypatch.setattr(scipy.special, "ndtr", recorded)
         means, stds = rng.uniform(-1, 1, 1000), rng.uniform(0.01, 0.1, 1000)
         self.survival_with(3, default_grid(points=601), means, stds)
-        assert threads and threading.get_ident() not in threads  # a pool thread may take more than one run
+        assert threads and threading.get_ident() not in threads  # a pool thread may take more than one block
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_interrupt_cancels_queued_blocks(self, rng, monkeypatch):
+        import scipy.special  # the kernel imports ndtr from here on each call
+
+        workers, evaluated, ndtr_of = 3, [], scipy.special.ndtr
+        first, interrupted = threading.Lock(), threading.Event()
+
+        def on_sigint(signum, frame):
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        def slow(*args, **kwargs):
+            evaluated.append(threading.get_ident())
+            if first.acquire(blocking=False):
+                time.sleep(0.1)  # lets the main thread queue every block and wait for the first
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            assert interrupted.wait(10)
+            time.sleep(0.05)  # keeps every worker busy until the queued blocks are cancelled
+            return ndtr_of(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, "ndtr", slow)
+        means, stds = rng.uniform(-1, 1, 40 * 128), rng.uniform(0.01, 0.1, 40 * 128)  # 40 blocks
+        before, previous = threading.active_count(), signal.signal(signal.SIGINT, on_sigint)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                self.survival_with(workers, default_grid(points=301), means, stds)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert 1 <= len(evaluated) <= workers
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", WORKERS)
     def test_no_thread_outlives_a_call(self, rng, workers):
