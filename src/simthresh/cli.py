@@ -366,6 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(resolve(args))
     except BrokenPipeError:
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # the status a shell reports for a command stopped by SIGINT
     except KeyError as exc:
         # str() on KeyError wraps the message in quotes
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import signal
 import stat
 import struct
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -193,44 +193,57 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(tasks, len(cpus)))
 
 
-def _load_reduced(path: str, fmt: str, probes: tuple[str, ...]) -> ReducedReplica:
-    return reduce_replica(load_model(path, fmt), probes)
-
-
 def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Iterator[ReducedReplica]:
     """``reduce_replica(load_model(path, fmt), probes)`` for each path, in path order.
 
-    Two or more replicas are loaded and reduced in worker processes, one per
-    CPU in the process's affinity mask (``taskset`` limits them), at most one
-    per path, so their parses overlap and this process never holds a whole
-    replica. A single path, and any paths where ``fork`` is not available,
-    are loaded here, one at a time. The first error in path order is raised;
-    a worker that dies (killed for memory, say) raises ``ChildProcessError``.
-    The workers ignore SIGINT, and an interrupt of this process, an error or
-    closing the iterator terminates them, running loads included. They are
-    forked when the first replica is asked for: ask before starting threads."""
-    import multiprocessing  # imported here: commands that load no replica skip it and its pool
+    Two or more paths load in forked workers, one process and one pipe per replica, at most
+    one per CPU of the affinity mask alive at once; one path, or no ``fork``, loads here. The
+    first error in path order is raised, ``ChildProcessError`` for a dead worker. Workers ignore
+    SIGINT and are terminated on the way out. Start no thread while iterating: they fork then."""
+    import multiprocessing  # imported here: commands that load no replica skip it
 
-    probes = tuple(probes)
     if len(paths) == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        for path in paths:
-            yield _load_reduced(path, fmt, probes)
+        yield from (reduce_replica(load_model(path, fmt), probes) for path in paths)
         return
-    others = set(multiprocessing.active_children())
     # fork, not the default of later Pythons (forkserver), which imports numpy again in every worker
-    with multiprocessing.get_context("fork").Pool(
-        _worker_count(len(paths)), initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
-    ) as pool:
-        workers = set(multiprocessing.active_children()) - others
-        results = pool.imap(partial(_load_reduced, fmt=fmt, probes=probes), paths)
-        for _ in paths:
-            while True:
-                try:
-                    yield results.next(timeout=1.0)
-                    break
-                except multiprocessing.TimeoutError:  # the pool replaces a killed worker, but not its load
-                    if dead := [w.exitcode for w in workers if w.exitcode is not None]:
-                        raise ChildProcessError(f"a worker loading replicas died (exit code {dead[0]})") from None
+    context, pending, running = multiprocessing.get_context("fork"), iter(paths), []
+
+    def load(path: str, receive, send) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for reader in [receive, *(r for _, r in running)]:  # with no read end here, a dead command breaks the pipe
+            reader.close()
+        try:
+            send.send(reduce_replica(load_model(path, fmt), probes))
+        except Exception as exc:
+            send.send(exc)
+
+    def start(count: int) -> None:  # forks the next ``count`` paths' workers
+        for path in islice(pending, count):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=load, args=(path, receive, send), daemon=True)
+            worker.start()
+            running.append((worker, receive))
+            send.close()  # the worker holds the only send end, so its death reads as end of file
+
+    try:
+        start(_worker_count(len(paths)))
+        while running:
+            worker, receive = running[0]
+            try:
+                result = receive.recv()
+            except (EOFError, OSError):  # end of file before or in the result: the worker died
+                result = None
+            worker.join()  # it has died, or exits once its result is read; the next path takes its place
+            running.pop(0)[1].close()
+            if not isinstance(result, ReducedReplica):  # the worker's exception, or its death
+                raise result or ChildProcessError(f"a worker loading replicas died (exit code {worker.exitcode})")
+            start(1)
+            yield result
+    finally:
+        for worker, receive in running:
+            worker.terminate()
+            worker.join()
+            receive.close()
 
 
 @dataclass(eq=False)

@@ -1,7 +1,7 @@
 import json
 import multiprocessing
-import multiprocessing.pool
 import os
+import random
 import re
 import shlex
 import signal
@@ -668,7 +668,8 @@ class TestMoreEdges:
         # The replicas are named pipes nobody writes to, so each loading worker blocks opening one
         # until it is stopped. A SIGINT to the whole process group (Ctrl-C) or to the command's
         # process alone, or a worker killed (as for memory), must stop the command and every
-        # worker, running loads included. Pinned to one CPU, one worker loads the two replicas.
+        # worker, running loads included, with one line on stderr and no traceback. Pinned to one
+        # CPU, one worker loads the two replicas.
         replicas = [tmp_path / "r0.vec", tmp_path / "r1.vec"]
         for path in replicas:
             os.mkfifo(path)
@@ -677,7 +678,7 @@ class TestMoreEdges:
         proc = subprocess.Popen(
             [sys.executable, "-m", "simthresh.cli", "uncertainty", "--reference", str(replicas[0]),
              "--other", str(replicas[1]), "--probes", PROBES, "--curve-out", str(tmp_path / "c.csv")],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
             preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}),  # acts on the child only
         )
         try:
@@ -690,7 +691,7 @@ class TestMoreEdges:
                 os.kill(int(workers[0]), signal.SIGKILL)
             else:
                 (os.killpg if stop == "process-group" else os.kill)(proc.pid, signal.SIGINT)
-            assert proc.wait(timeout=10) != 0
+            _, err = proc.communicate(timeout=10)
             deadline = time.monotonic() + 5
             while alive := [pid for pid in workers if Path(f"/proc/{pid}").exists()]:
                 assert time.monotonic() < deadline, f"worker processes {alive} outlived the command"
@@ -699,6 +700,10 @@ class TestMoreEdges:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
+        if stop == "worker-killed":
+            assert (proc.returncode, err) == (1, "error: a worker loading replicas died (exit code -9)\n")
+        else:  # 130 is the status a shell reports for a command stopped by SIGINT
+            assert (proc.returncode, err) == (130, "error: interrupted\n")
         assert not (tmp_path / "c.csv").exists()
 
     def test_binary_format_plumbed_through(self, tmp_path):
@@ -885,7 +890,7 @@ class TestReplicasReadInWorkers:
     """The commands that name their terms before reading two or more models
     never build an ``EmbeddingModel`` in their own process: only the forked
     workers of ``load_reduced`` hold a whole replica. A command that reads one
-    model loads it in its own process, without a pool."""
+    model loads it in its own process, without a worker."""
 
     @staticmethod
     def argv(command, out):
@@ -931,13 +936,102 @@ class TestReplicasReadInWorkers:
             built.append(os.getpid())
             build(model)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started for one model")
+        def no_worker(process):
+            raise AssertionError("a worker process was started for one model")
 
         monkeypatch.setattr(EmbeddingModel, "__post_init__", in_this_process)
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_worker)  # every context's Process
         self.run_on(cpus, command, tmp_path)
         assert built == [pid]
+
+
+class CaseTimeout(BaseException):
+    """Raised by the alarm of a case that outlives its bound; no handler in ``main`` catches it."""
+
+
+class TestInputContract:
+    """Every input of every command, damaged in a seeded way, either runs
+    (exit 0) or fails with exactly one ``error:`` line (exit 1). No exception
+    leaves ``main``, and no case outlives its time bound."""
+
+    CASES = 30  # per command, so about 330 in all
+    BOUND_S = 20
+    INPUTS = {"reference", "other", "probes", "model", "models", "synsets", "corpus", "stopwords", "index",
+              "topics", "run", "run_a", "run_b", "qrels"}
+    KINDS = ["flip", "truncate", "insert", "field", "duplicate", "delete", "swap"]
+
+    @staticmethod
+    def mutate(data: bytes, kind: str, rng: random.Random) -> bytes:
+        at = rng.randrange(len(data) + 1)
+        lines = data.splitlines(keepends=True) or [b""]
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        if kind == "flip" and data:
+            at = min(at, len(data) - 1)
+            return data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+        if kind == "truncate":
+            return data[:at]
+        if kind == "insert":
+            return data[:at] + rng.choice([b"nan", b"1e999", b"\0", b"\r"]) + data[at:]
+        if kind == "field":  # one whitespace-separated field becomes a non-finite number
+            parts = re.split(rb"(\s+)", data)
+            k = rng.randrange(0, len(parts), 2)
+            return b"".join(parts[:k] + [rng.choice([b"nan", b"1e999", b"-inf"])] + parts[k + 1:])
+        if kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        return b"".join(lines)
+
+    @staticmethod
+    def settings(case, world, out):
+        command, _, variant = case.partition(":")
+        settings = command_settings(world, out)[command]
+        if variant == "trec":
+            settings.update(corpus=world["trec"], corpus_format="trec")
+        elif variant == "synsets":
+            del settings["target"]
+            settings["synsets"] = world["synsets"]
+        return command, settings
+
+    @pytest.mark.parametrize("case", [*COMMANDS, "index:trec", "threshold:synsets"])
+    def test_damaged_input_fails_in_one_line(self, tmp_path, capsys, case):
+        world, rng = pipeline_world(tmp_path), random.Random(case)
+
+        def alarm(signum, frame):
+            raise CaseTimeout
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        try:
+            for n in range(self.CASES):
+                out = tmp_path / f"case{n}"
+                out.mkdir()
+                command, settings = self.settings(case, world, out)
+                key = rng.choice(sorted(self.INPUTS & set(settings)))
+                paths = settings[key] if isinstance(settings[key], list) else [settings[key]]
+                which, kind = rng.randrange(len(paths)), rng.choice(self.KINDS)
+                damaged = out / Path(paths[which]).name
+                damaged.write_bytes(self.mutate(Path(paths[which]).read_bytes(), kind, rng))
+                paths = [*paths[:which], damaged, *paths[which + 1:]]
+                settings[key] = paths if isinstance(settings[key], list) else paths[0]
+                label = f"{case} case {n}: {kind} of --{key.replace('_', '-')} {damaged.name}"
+                capsys.readouterr()
+                try:
+                    signal.setitimer(signal.ITIMER_REAL, self.BOUND_S)
+                    rc = main(as_flags(command, settings))
+                except CaseTimeout:
+                    rc = f"still running after {self.BOUND_S} s"
+                except Exception as exc:
+                    rc = f"{exc!r} left main"
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                err = capsys.readouterr().err
+                assert rc in (0, 1), f"{label}: {rc}"
+                if rc == 1:
+                    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (label, err)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestLineEndings:

@@ -1,10 +1,11 @@
 import multiprocessing
-import multiprocessing.pool
 import os
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -638,23 +639,23 @@ class TestLoadReduced:
         paths = self.write(tmp_path, "word2vec_binary")
         want = list(load_reduced(paths, "word2vec_binary", self.PROBES))
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started where fork is not available")
+        def no_worker(process):
+            raise AssertionError("a worker process was started where fork is not available")
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_worker)  # every context's Process
         self.assert_identical(list(load_reduced(paths, "word2vec_binary", self.PROBES)), want)
 
     def test_one_path_in_process(self, tmp_path, monkeypatch):
         path = self.write(tmp_path, "word2vec_text", count=1)[0]
-        pooled = list(load_reduced([path, path], "word2vec_text", self.PROBES))  # two paths: the pool
-        assert len(pooled) == 2
+        forked = list(load_reduced([path, path], "word2vec_text", self.PROBES))  # two paths: workers
+        assert len(forked) == 2
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started for one path")
+        def no_worker(process):
+            raise AssertionError("a worker process was started for one path")
 
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
-        self.assert_identical(list(load_reduced([path], "word2vec_text", self.PROBES)), pooled[:1])
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_worker)  # every context's Process
+        self.assert_identical(list(load_reduced([path], "word2vec_text", self.PROBES)), forked[:1])
 
     def test_closing_stops_every_worker(self, tmp_path):
         paths = self.write(tmp_path, "word2vec_binary")
@@ -681,6 +682,125 @@ class TestLoadReduced:
         proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, *paths],
                               env=env, capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    def test_early_exit_while_a_worker_is_mid_send(self, tmp_path):
+        # Each replica's probe rows (2 x 12000 x 8 B) overflow a pipe's 64 KiB buffer, so once the
+        # worker for path 1 has written its first bytes it is blocked part-way through sending. The
+        # consumer then stops: an ensemble raises for a probe replica 0 lacks, the iterator is
+        # closed, or the blocked worker is killed. Every way must return at once and leave no child
+        # process and no thread behind.
+        rng = np.random.default_rng(7)
+        paths = []
+        for k in range(3):
+            model = random_model(rng, 12000, 2, model_id=f"r{k}")
+            paths.append(str(tmp_path / f"r{k}.bin"))
+            save_model(model, paths[-1], "word2vec_binary")
+        code = (
+            "import fcntl, multiprocessing, os, signal, struct, sys, termios, threading, time\n"
+            "import multiprocessing.connection as connection\n"
+            "from simthresh import embeddings\n"
+            "from simthresh.embeddings import ModelEnsemble, load_reduced\n"
+            "paths, probes = sys.argv[1:], ['t0001', 't0002']\n"
+            "embeddings._worker_count = lambda tasks: 2  # path 1 loads while path 0 is read, on any CPU count\n"
+            "pipes, workers, pipe, start = [], [], connection.Pipe, multiprocessing.process.BaseProcess.start\n"
+            "connection.Pipe = lambda duplex: pipes.append(pipe(duplex)) or pipes[-1]\n"
+            "multiprocessing.process.BaseProcess.start = lambda self: workers.append(self) or start(self)\n"
+            "def mid_send(replicas):\n"
+            "    first = next(replicas)\n"
+            "    unread = lambda: struct.unpack('i', fcntl.ioctl(pipes[1][0].fileno(), termios.FIONREAD, bytes(4)))[0]\n"
+            "    deadline = time.monotonic() + 10\n"
+            "    while not unread():\n"
+            "        assert time.monotonic() < deadline, 'the worker for path 1 sent nothing'\n"
+            "        time.sleep(0.001)\n"
+            "    yield first\n"
+            "    yield from replicas\n"
+            "for round in range(20):\n"
+            "    for stop in ('ensemble', 'close', 'kill'):\n"
+            "        began, pipes[:], workers[:] = time.monotonic(), [], []\n"
+            "        if stop == 'ensemble':\n"
+            "            try:\n"
+            "                ModelEnsemble(mid_send(load_reduced(paths, 'word2vec_binary', probes)), ['absent', *probes])\n"
+            "            except KeyError as exc:\n"
+            "                assert exc.args == (\"token 'absent' missing from replica %r\" % paths[0],)\n"
+            "            else:\n"
+            "                raise AssertionError('the ensemble took a probe no replica has')\n"
+            "        else:\n"
+            "            replicas = mid_send(load_reduced(paths, 'word2vec_binary', probes))\n"
+            "            assert next(replicas).model_id == paths[0]\n"
+            "            if stop == 'close':\n"
+            "                replicas.close()\n"
+            "            else:\n"
+            "                os.kill(workers[1].pid, signal.SIGKILL)\n"
+            "                try:\n"
+            "                    next(replicas)\n"
+            "                except ChildProcessError as exc:\n"
+            "                    assert str(exc) == 'a worker loading replicas died (exit code -9)', exc\n"
+            "                else:\n"
+            "                    raise AssertionError('a killed worker went unnoticed')\n"
+            "                del replicas\n"
+            "        assert time.monotonic() - began < 5, (round, stop, time.monotonic() - began)\n"
+            "        assert multiprocessing.active_children() == [] and threading.active_count() == 1, (round, stop)\n"
+            "        try:\n"
+            "            os.waitpid(-1, os.WNOHANG)\n"
+            "        except ChildProcessError:\n"
+            "            pass  # no child process at all, not even an unreaped one\n"
+            "        else:\n"
+            "            raise AssertionError(f'a child process is left after round {round} ({stop})')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-c", code, *paths], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:  # a stalled run's workers go with it
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, err) == (0, ""), err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo") or not Path(f"/proc/{os.getpid()}/task").exists(),
+                        reason="needs named pipes and /proc child lists")
+    def test_workers_exit_after_the_loading_process_is_killed(self, tmp_path):
+        # Path 0 is a named pipe nobody writes to, so the process waits on its worker while the worker
+        # for path 1 loads a replica whose rows overflow the pipe buffer. After a SIGKILL of the process
+        # no read end of either pipe is left, so each worker's send fails once its load ends.
+        fifo, path = tmp_path / "r0.bin", tmp_path / "r1.bin"
+        os.mkfifo(fifo)
+        save_model(random_model(np.random.default_rng(7), 12000, 2), str(path), "word2vec_binary")
+        code = (
+            "import sys\n"
+            "from simthresh import embeddings\n"
+            "embeddings._worker_count = lambda tasks: 2\n"
+            "list(embeddings.load_reduced(sys.argv[1:], 'word2vec_binary', ['t0001', 't0002']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", code, str(fifo), str(path)], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+        workers = []
+
+        def running(pid):
+            stat = Path(f"/proc/{pid}/stat")
+            return stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+
+        try:
+            deadline = time.monotonic() + 30
+            while len(workers := Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()) < 2:
+                assert time.monotonic() < deadline, "the worker processes did not start"
+                time.sleep(0.01)
+            proc.kill()
+            proc.wait()
+            for n in (1, 0):  # children are listed in the order they were forked
+                if n == 0:  # a writer that closes at once gives the worker for path 0 an empty file
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                deadline = time.monotonic() + 10
+                while running(workers[n]):
+                    assert time.monotonic() < deadline, f"the worker for path {n} outlived the process"
+                    time.sleep(0.05)
+        finally:
+            for pid in workers:
+                if running(pid):
+                    os.kill(int(pid), signal.SIGKILL)
 
     def test_ensemble_of_reduced_equals_ensemble_of_models(self, tmp_path):
         paths = self.write(tmp_path, "word2vec_binary")
