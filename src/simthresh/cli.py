@@ -65,8 +65,7 @@ OPTIONS: dict[str, Option] = {
     "grid_low": Option("lowest similarity of the curve grid", float, -0.2),
     "grid_high": Option("highest similarity of the curve grid", float, 1.0),
     "grid_points": Option("points of the curve grid", int, 2401),
-    "corpus": Option("corpus file"),
-    "corpus_format": Option("corpus file format", default="jsonl", choices=("jsonl", "trec")),
+    "corpus": Option("corpus file: JSON objects one per line, or TREC <DOC> blocks"),
     "stopwords": Option("stopword file, one per line (default: the bundled English list)"),
     "no_stem": Option("skip Porter stemming", boolean, False),
     "index": Option("index archive written by 'index'"),
@@ -261,12 +260,12 @@ def cmd_synonym_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-@command("index", "build an inverted index from a corpus", "corpus out", "corpus_format stopwords no_stem")
+@command("index", "build an inverted index from a corpus", "corpus out", "stopwords no_stem")
 def cmd_index(args: argparse.Namespace) -> int:
     from . import retrieval
     from .textproc import Pipeline
 
-    corpus = retrieval.read_corpus(args.corpus, args.corpus_format)
+    corpus = retrieval.read_corpus(args.corpus)
     pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
     index = retrieval.build_index(corpus, pipeline)
     retrieval.save_index(index, args.out)
@@ -377,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         name = f": {exc.filename}" if getattr(exc, "filename", None) else ""
         print(f"error: {exc.strerror or exc}{name}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -199,23 +199,29 @@ def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Itera
     Two or more paths load in forked workers, one process and one pipe per replica, at most
     one per CPU of the affinity mask alive at once; one path, or no ``fork``, loads here. The
     first error in path order is raised, ``ChildProcessError`` for a dead worker. Workers ignore
-    SIGINT and are terminated on the way out. Start no thread while iterating: they fork then."""
+    SIGINT, die with this process and are terminated on the way out. Start no thread while
+    iterating: they fork then."""
     import multiprocessing  # imported here: commands that load no replica skip it
+    import threading
 
     if len(paths) == 1 or "fork" not in multiprocessing.get_all_start_methods():
         yield from (reduce_replica(load_model(path, fmt), probes) for path in paths)
         return
     # fork, not the default of later Pythons (forkserver), which imports numpy again in every worker
     context, pending, running = multiprocessing.get_context("fork"), iter(paths), []
+    lifeline, alive = os.pipe()  # only this process keeps ``alive`` open, so its death ends ``lifeline``
 
     def load(path: str, receive, send) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(alive)  # os.read below returns only at end of file, once this process has died
+        threading.Thread(target=lambda: os.read(lifeline, 1) or os._exit(1), daemon=True).start()
         for reader in [receive, *(r for _, r in running)]:  # with no read end here, a dead command breaks the pipe
             reader.close()
         try:
-            send.send(reduce_replica(load_model(path, fmt), probes))
+            result = reduce_replica(load_model(path, fmt), probes)
         except Exception as exc:
-            send.send(exc)
+            result = exc
+        send.send(result)
 
     def start(count: int) -> None:  # forks the next ``count`` paths' workers
         for path in islice(pending, count):
@@ -244,6 +250,8 @@ def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Itera
             worker.terminate()
             worker.join()
             receive.close()
+        os.close(lifeline)
+        os.close(alive)
 
 
 @dataclass(eq=False)

@@ -17,6 +17,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,8 +38,7 @@ __all__ = [
     "lm_score",
     "tlm_score",
     "build_translation_table",
-    "read_jsonl_corpus",
-    "read_trec_corpus",
+    "read_corpus",
     "read_topics",
     "write_run",
 ]
@@ -303,75 +303,65 @@ def lm_score(index: Index, config: LmConfig, query_terms: list[str]) -> list[tup
     return tlm_score(index, config, TranslationTable.self_only(query_terms), query_terms)
 
 
-def read_jsonl_corpus(path: str) -> Iterator[tuple[str, str]]:
-    """Line-delimited JSON objects with "id" and "text" fields."""
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
+_DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
+_TEXT_RE = re.compile(r"<TEXT>(.*?)(?:</TEXT>|(?=<TEXT>)|\Z)", re.DOTALL)  # unclosed: to the next <TEXT> or </DOC>
+
+
+def read_corpus(path: str) -> Iterator[tuple[str, str]]:
+    r"""(doc_id, text) for each document of a UTF-8 corpus (``csvio.read_lines``), read once.
+    The first non-blank line picks the format: '{' starts JSON objects with "id" and "text"
+    fields, one per line; '<DOC>' starts TREC documents, each the lines from a <DOC> line to a
+    </DOC> line, with the first <DOCNO> outside its <TEXT> sections as id and those sections
+    as text. A document id may occur once."""
+    lines = read_lines(path)
+    for lineno, line in lines:
+        if line.strip():
+            break
+    else:
+        raise ValueError(f"{path}: no documents found")
+    if not line.lstrip().startswith(("{", "<DOC>")):
+        raise ValueError(f"{path}:{lineno}: expected a JSON object or <DOC>")
+    documents = _json_documents if line.lstrip().startswith("{") else _trec_documents
+    first: dict[str, int] = {}  # doc id -> line of its record or <DOC>
+    for start, doc_id, text in documents(path, chain([(lineno, line)], lines)):
+        if (seen := first.setdefault(doc_id, start)) != start:
+            raise ValueError(f"{path}:{start}: duplicate document {doc_id!r} (first on line {seen})")
+        yield doc_id, text
+
+
+def _json_documents(path: str, lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str, str]]:
+    for lineno, line in lines:
+        if not (line := line.strip()):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
             raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-        if "id" not in obj or "text" not in obj:
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-        yield str(obj["id"]), str(obj["text"])
+        yield lineno, str(obj["id"]), str(obj["text"])
 
 
-_DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
-
-
-def read_trec_corpus(path: str) -> Iterator[tuple[str, str]]:
-    r"""TREC-tagged documents: <DOC> blocks with <DOCNO> and <TEXT> sections,
-    in UTF-8 (``csvio.read_lines``); a '\r' before a line's '\n' is dropped."""
-    in_doc, start = False, 0  # start: line of the open <DOC>
-    in_text = False
-    doc_lines: list[str] = []
-    text_lines: list[str] = []
-    for lineno, line in read_lines(path):
-        line = line.rstrip("\r\n")
-        stripped = line.strip()
-        if stripped.startswith("<DOC>"):
-            in_doc, start, doc_lines, text_lines = True, lineno, [], []
-            continue
-        if stripped.startswith("</DOC>"):
-            if not in_doc:
+def _trec_documents(path: str, lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str, str]]:
+    start, block = 0, []  # start: line of the open <DOC>, 0 with none open
+    for lineno, line in lines:
+        if line.lstrip().startswith("<DOC>"):
+            if start:
+                raise ValueError(f"{path}:{start}: unterminated <DOC> block")
+            start, block = lineno, []
+        elif line.lstrip().startswith("</DOC>"):
+            if not start:
                 raise ValueError(f"{path}:{lineno}: </DOC> without <DOC>")
-            header = "\n".join(doc_lines)
-            match = _DOCNO_RE.search(header)
+            body = "\n".join(block)
+            match = _DOCNO_RE.search(_TEXT_RE.sub("", body))
             if match is None:
                 raise ValueError(f"{path}:{start}: document without <DOCNO>")
-            yield match.group(1).strip(), "\n".join(text_lines)
-            in_doc = in_text = False
-            continue
-        if not in_doc:
-            continue
-        if stripped.startswith("<TEXT>"):
-            in_text = True
-            remainder = stripped[len("<TEXT>") :]
-            if remainder.endswith("</TEXT>"):
-                text_lines.append(remainder[: -len("</TEXT>")])
-                in_text = False
-            elif remainder:
-                text_lines.append(remainder)
-            continue
-        if stripped.startswith("</TEXT>"):
-            in_text = False
-            continue
-        if in_text:
-            text_lines.append(line)
-        else:
-            doc_lines.append(line)
-    if in_doc:
+            yield start, match.group(1).strip(), "\n".join(_TEXT_RE.findall(body))
+            start = 0
+        elif start:
+            block.append(line.rstrip("\r\n"))
+    if start:
         raise ValueError(f"{path}:{start}: unterminated <DOC> block")
-
-
-def read_corpus(path: str, fmt: str) -> Iterator[tuple[str, str]]:
-    if fmt == "jsonl":
-        return read_jsonl_corpus(path)
-    if fmt == "trec":
-        return read_trec_corpus(path)
-    raise ValueError(f"unknown corpus format {fmt!r}")
 
 
 def read_topics(path: str) -> list[tuple[str, str]]:

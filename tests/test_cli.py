@@ -18,7 +18,7 @@ from simthresh.cli import COMMANDS, OPTIONS, build_parser, main, read_config, re
 from simthresh.embeddings import EmbeddingModel, load_model, save_model
 from simthresh.evaluation import read_metric_report
 from simthresh.neighbors import read_curve_csv
-from simthresh.retrieval import read_run
+from simthresh.retrieval import load_index, read_run
 from simthresh.threshold import read_threshold_csv, solve_threshold
 from simthresh.uncertainty import read_histogram_csv, read_uncertainty_csv
 
@@ -480,16 +480,25 @@ class TestSearchWorkflow:
             "<DOC>\n<DOCNO>t2</DOCNO>\n<TEXT>beta gamma</TEXT>\n</DOC>\n"
         )
         out = tmp_path / "idx.json"
-        rc = main(["index", "--corpus", str(trec), "--corpus-format", "trec",
-                   "--out", str(out)])
+        rc = main(["index", "--corpus", str(trec), "--out", str(out)])
         assert rc == 0
 
     def test_duplicate_doc_id_fails(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
-        corpus.write_text('{"id": "d1", "text": "x"}\n{"id": "d1", "text": "y"}\n')
+        corpus.write_text('{"id": "d1", "text": "x"}\n{"id": "d2", "text": "y"}\n{"id": "d1", "text": "z"}\n')
         rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.json")])
         assert rc == 1
-        assert "duplicate" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {corpus}:3: duplicate document 'd1' (first on line 1)\n"
+
+    @pytest.mark.parametrize("name, text", [
+        ("c.trec", '{"id": "t1", "text": "alpha"}\n\n{"id": "t2", "text": ""}\n'),
+        ("c.jsonl", "\n<DOC>\n<DOCNO>t1</DOCNO>\n<TEXT>alpha</TEXT>\n</DOC>\n<DOC>\n<DOCNO>t2</DOCNO>\n</DOC>\n"),
+    ], ids=["jsonl", "trec"])
+    def test_format_from_first_line(self, tmp_path, capsys, name, text):
+        corpus = tmp_path / name  # the suffix names the other format: only the first line counts
+        corpus.write_text(text)
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")]) == 0
+        assert capsys.readouterr().out == "indexed 2 documents, 1 tokens\n"
 
 
 def _json_file(path):
@@ -576,14 +585,52 @@ class TestBadInputs:
         ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n\n<DOC>\n<TEXT>x</TEXT>\n</DOC>\n", 5, "document without <DOCNO>"),
         ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n</DOC>\n", 4, "</DOC> without <DOC>"),
         ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n<DOC>\n<DOCNO>t2</DOCNO>\n", 4, "unterminated <DOC> block"),
-    ], ids=["trec-no-docno", "trec-close-without-open", "trec-unterminated"])
+        ("<DOC>\n<DOCNO>t1</DOCNO>\n<DOC>\n<DOCNO>t2</DOCNO>\n</DOC>\n", 1, "unterminated <DOC> block"),
+        ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n<DOC>\n<TEXT>x</TEXT><DOCNO>t1</DOCNO>\n</DOC>\n", 4,
+         "duplicate document 't1' (first on line 1)"),
+        ("\n<DOCNO>t1</DOCNO>\n<TEXT>alpha</TEXT>\n", 2, "expected a JSON object or <DOC>"),
+        ("<HEAD>alpha</HEAD>\n<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n", 1, "expected a JSON object or <DOC>"),
+        ("", None, "no documents found"),
+        (" \n\t\r\n\n", None, "no documents found"),
+    ], ids=["trec-no-docno", "trec-close-without-open", "trec-unterminated", "trec-reopened", "trec-duplicate",
+            "trec-no-doc-line", "trec-header-first", "empty", "blank"])
     def test_bad_trec_document_names_file_and_line(self, tmp_path, capsys, text, lineno, message):
         corpus = tmp_path / "c.trec"
         corpus.write_text(text)
-        rc = main(["index", "--corpus", str(corpus), "--corpus-format", "trec",
-                   "--out", str(tmp_path / "i.npz")])
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {corpus}:{lineno}: {message}\n"
+        where = f"{corpus}:{lineno}" if lineno else str(corpus)
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ('{"id": "d1", "text": "x"}\n5\n', 2, "record needs 'id' and 'text' fields"),
+        ('{"id": "d1", "text": "x"}\n["id", "text"]\n', 2, "record needs 'id' and 'text' fields"),
+        ('{"id": "d1", "text": "x"}\n\n"d2"\n', 3, "record needs 'id' and 'text' fields"),
+        ('{"id": "d1", "text": "x"}\n{"id": "d2",\n', 2,
+         "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 13 (char 12))"),
+        ('{"id": ' + "9" * 5000 + ', "text": "x"}\n', 1, "invalid JSON (Exceeds the limit (4300 digits)"),
+        ('{"id": "d1", "text": ' + "[" * 100000 + "]" * 100000 + "}\n", 1, "invalid JSON (maximum recursion depth"),
+    ], ids=["number", "list", "string", "invalid", "long-integer", "deep"])
+    def test_bad_jsonl_record_names_file_and_line(self, tmp_path, capsys, text, lineno, message):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(text)
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:{lineno}: {message}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["histogram", "threshold"])
+    def test_allocation_too_large_fails_in_one_line(self, tmp_path, capsys, command):
+        # 10**15 eight-byte values (7 PiB) exceed any address space, so nothing is allocated
+        out = tmp_path / "out.csv"
+        argv = {
+            "histogram": ["histogram", "--model", REPLICAS[0], "--bins", str(10**15)],
+            "threshold": ["threshold", "--models", *REPLICAS, "--grid-points", str(10**15)],
+        }[command]
+        assert main([*argv, "--probes", PROBES, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["threshold", "uncertainty", "histogram"])
     def test_duplicate_probe_names_file_and_line(self, tmp_path, capsys, command):
@@ -619,7 +666,7 @@ class TestBadInputs:
             "stopwords": ["index", "--corpus", w["corpus"], "--stopwords", bad, "--out", out],
             "synsets": ["synonym-stats", "--synsets", bad],
             "corpus": ["index", "--corpus", bad, "--out", out],
-            "trec": ["index", "--corpus", bad, "--corpus-format", "trec", "--out", out],
+            "trec": ["index", "--corpus", bad, "--out", out],
         }[which]
         capsys.readouterr()
         assert main([str(a) for a in argv]) == 1
@@ -809,8 +856,7 @@ def command_settings(w, out):
                           confidence="0.9", grid_low="-0.5", grid_high="1.0", grid_points="1201",
                           out=out / "t.csv", curve_out=out / "curve.csv"),
         "synonym-stats": dict(synsets=w["synsets"], out=out / "stats.csv"),
-        "index": dict(corpus=w["corpus"], corpus_format="jsonl", stopwords=w["stopwords"], no_stem=True,
-                      out=out / "index.npz"),
+        "index": dict(corpus=w["corpus"], stopwords=w["stopwords"], no_stem=True, out=out / "index.npz"),
         "search": dict(index=w["index"], topics=w["topics"], policy="knn", k="2", model=w["model"],
                        format="word2vec_text", mu="50", run_tag="cfg", max_docs="3",
                        stopwords=w["stopwords"], out=out / "run.txt"),
@@ -989,7 +1035,7 @@ class TestInputContract:
         command, _, variant = case.partition(":")
         settings = command_settings(world, out)[command]
         if variant == "trec":
-            settings.update(corpus=world["trec"], corpus_format="trec")
+            settings.update(corpus=world["trec"])
         elif variant == "synsets":
             del settings["target"]
             settings["synsets"] = world["synsets"]
@@ -1030,6 +1076,11 @@ class TestInputContract:
                 assert rc in (0, 1), f"{label}: {rc}"
                 if rc == 1:
                     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (label, err)
+                elif command == "index":  # no document dropped: one per <DOC> line, or per JSON line
+                    lines = Path(settings["corpus"]).read_bytes().decode().split("\n")
+                    trec = case.endswith(":trec")
+                    expected = sum(line.lstrip().startswith("<DOC>") if trec else bool(line.strip()) for line in lines)
+                    assert load_index(str(settings["out"])).doc_count == expected, label
         finally:
             signal.signal(signal.SIGALRM, previous)
 
@@ -1052,8 +1103,7 @@ class TestLineEndings:
                 run_and_collect(["evaluate", "--run", str(out / "run.txt"), "--qrels", str(f["qrels"])], out, capsys),
                 run_and_collect(["threshold", "--models", *REPLICAS, "--probes", str(f["probes"]),
                                  "--synsets", str(f["synsets"]), "--out", str(out / "t.csv")], out, capsys),
-                run_and_collect(["index", "--corpus", str(f["trec"]), "--corpus-format", "trec",
-                                 "--out", str(out / "trec.npz")], out, capsys),
+                run_and_collect(["index", "--corpus", str(f["trec"]), "--out", str(out / "trec.npz")], out, capsys),
             ]
         assert results[:4] == results[4:]
 
@@ -1106,9 +1156,11 @@ class TestConfigFile:
         ("metric = p10", "metric: invalid choice: 'p10' (choose from map, ndcg)"),
         ("no_stem = ture", "no_stem: invalid boolean value: 'ture'"),
         ("binz = 10", "binz: unknown setting"),
+        ("corpus_format = trec", "corpus_format: unknown setting"),
         ("bins 10", "expected 'key = value'"),
         ("probes = other.txt", "probes: set twice (first on line 2)"),
-    ], ids=["int", "float", "format", "policy", "metric", "bool", "unknown-key", "no-equals", "repeated-key"])
+    ], ids=["int", "float", "format", "policy", "metric", "bool", "unknown-key", "removed-key", "no-equals",
+          "repeated-key"])
     def test_bad_line_names_file_and_line(self, tmp_path, capsys, line, message):
         config = tmp_path / "run.cfg"
         config.write_text(f"# settings\nprobes = {PROBES}\n{line}\nbins = 10\n")

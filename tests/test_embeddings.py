@@ -762,10 +762,10 @@ class TestLoadReduced:
     @pytest.mark.skipif(not hasattr(os, "mkfifo") or not Path(f"/proc/{os.getpid()}/task").exists(),
                         reason="needs named pipes and /proc child lists")
     def test_workers_exit_after_the_loading_process_is_killed(self, tmp_path):
-        # Path 0 is a named pipe nobody writes to, so the process waits on its worker while the worker
-        # for path 1 loads a replica whose rows overflow the pipe buffer. After a SIGKILL of the process
-        # no read end of either pipe is left, so each worker's send fails once its load ends.
-        fifo, path = tmp_path / "r0.bin", tmp_path / "r1.bin"
+        # Path 0 is a named pipe nobody writes to, so its worker waits to open it, and the process waits
+        # on that worker while the worker for path 1 loads. After a SIGKILL of the process both workers
+        # exit at once, the blocked one too, and print nothing to the process's stderr.
+        fifo, path, stderr = tmp_path / "r0.bin", tmp_path / "r1.bin", tmp_path / "stderr.txt"
         os.mkfifo(fifo)
         save_model(random_model(np.random.default_rng(7), 12000, 2), str(path), "word2vec_binary")
         code = (
@@ -775,8 +775,9 @@ class TestLoadReduced:
             "list(embeddings.load_reduced(sys.argv[1:], 'word2vec_binary', ['t0001', 't0002']))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen([sys.executable, "-c", code, str(fifo), str(path)], env=env,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+        with open(stderr, "wb") as err:
+            proc = subprocess.Popen([sys.executable, "-c", code, str(fifo), str(path)], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=err, start_new_session=True)
         workers = []
 
         def running(pid):
@@ -790,17 +791,16 @@ class TestLoadReduced:
                 time.sleep(0.01)
             proc.kill()
             proc.wait()
-            for n in (1, 0):  # children are listed in the order they were forked
-                if n == 0:  # a writer that closes at once gives the worker for path 0 an empty file
-                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-                deadline = time.monotonic() + 10
+            deadline = time.monotonic() + 2
+            for n in (0, 1):
                 while running(workers[n]):
-                    assert time.monotonic() < deadline, f"the worker for path {n} outlived the process"
-                    time.sleep(0.05)
+                    assert time.monotonic() < deadline, f"the worker for path {n} outlived the process by 2 s"
+                    time.sleep(0.01)
         finally:
             for pid in workers:
                 if running(pid):
                     os.kill(int(pid), signal.SIGKILL)
+        assert "Traceback" not in stderr.read_text()
 
     def test_ensemble_of_reduced_equals_ensemble_of_models(self, tmp_path):
         paths = self.write(tmp_path, "word2vec_binary")

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simthresh.cli import main
 from simthresh.retrieval import (
     ExpansionPolicy,
     LmConfig,
@@ -16,9 +18,8 @@ from simthresh.retrieval import (
     build_translation_table,
     lm_score,
     load_index,
-    read_jsonl_corpus,
+    read_corpus,
     read_topics,
-    read_trec_corpus,
     read_run,
     save_index,
     tlm_score,
@@ -360,13 +361,13 @@ class TestReaders:
     def test_jsonl(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "d1", "text": "hello world"}\n{"id": "d2", "text": "bye"}\n')
-        assert list(read_jsonl_corpus(str(path))) == [("d1", "hello world"), ("d2", "bye")]
+        assert list(read_corpus(str(path))) == [("d1", "hello world"), ("d2", "bye")]
 
     def test_jsonl_missing_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "d1"}\n')
         with pytest.raises(ValueError, match="text"):
-            list(read_jsonl_corpus(str(path)))
+            list(read_corpus(str(path)))
 
     def test_trec(self, tmp_path):
         path = tmp_path / "c.trec"
@@ -375,7 +376,7 @@ class TestReaders:
             "<TEXT>\nFirst body\nsecond line\n</TEXT>\n</DOC>\n"
             "<DOC>\n<DOCNO>FT911-2</DOCNO>\n<TEXT>inline</TEXT>\n</DOC>\n"
         )
-        docs = list(read_trec_corpus(str(path)))
+        docs = list(read_corpus(str(path)))
         assert docs[0][0] == "FT911-1"
         assert "First body" in docs[0][1] and "second line" in docs[0][1]
         assert "ignored" not in docs[0][1]
@@ -385,7 +386,18 @@ class TestReaders:
         path = tmp_path / "c.trec"
         path.write_text("<DOC>\n<DOCNO>x</DOCNO>\n<TEXT>y</TEXT>\n")
         with pytest.raises(ValueError, match="unterminated"):
-            list(read_trec_corpus(str(path)))
+            list(read_corpus(str(path)))
+
+    def test_trec_text_closed_at_line_end(self, tmp_path):
+        path = tmp_path / "c.trec"
+        path.write_text("<DOC>\n<DOCNO>t1</DOCNO>\n<TEXT>alpha\nbeta</TEXT>\n<HEAD>zulu</HEAD>\n</DOC>\n")
+        assert list(read_corpus(str(path))) == [("t1", "alpha\nbeta")]
+
+    def test_trec_unclosed_text_runs_to_the_next_section_or_doc_end(self, tmp_path):
+        path = tmp_path / "c.trec"
+        path.write_text("<DOC>\n<DOCNO>t1</DOCNO>\n<TEXT>\nalpha\n<TEXT>beta\n</DOC>\n")
+        assert list(read_corpus(str(path))) == [("t1", "\nalpha\n\nbeta")]
+
 
     def test_topics(self, tmp_path):
         path = tmp_path / "topics.tsv"
@@ -400,6 +412,58 @@ class TestReaders:
         path.write_text("301 no tab here\n")
         with pytest.raises(ValueError, match="TAB"):
             read_topics(str(path))
+
+
+CORPUS_WORDS = st.sampled_from(["Cats", "running", "the", "dog's", "émigré", "文字", "x9", "of", "ran"])
+TEXT_LAYOUTS = [  # each holds one text section; zulu, yankee and 1991 are never text
+    "<TEXT>{}</TEXT>",
+    "<TEXT>\n{}\n</TEXT>",
+    "  <TEXT>\n\n{}\n\n  </TEXT>",
+    "<TEXT>\n{}</TEXT>",
+    "<TEXT>{}</TEXT><HEAD>zulu</HEAD>",
+    "<TEXT>{}\n</TEXT>\n<HEAD>yankee</HEAD>",
+]
+HEADERS = ["", "<HEAD>zulu yankee</HEAD>", "<DATE>\n1991\n</DATE>", "<HEAD>zulu</HEAD>\n\n<DATE>1991</DATE>"]
+
+
+def trec_document(doc_id: str, words: list[str], data) -> str:
+    """One TREC document holding ``words`` in text sections, in a layout drawn from ``data``."""
+    docno = data.draw(st.sampled_from([f"<DOCNO>{doc_id}</DOCNO>", f"<DOCNO> {doc_id} </DOCNO>",
+                                       f"<DOCNO>\n{doc_id}\n</DOCNO>"]))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(words)), max_size=2)))
+    sections = [words[a:b] for a, b in zip([0, *cuts], [*cuts, len(words)])]
+    join = data.draw(st.sampled_from([" ", "\n", " ,\n\n"]))
+    texts = [data.draw(st.sampled_from(TEXT_LAYOUTS)).format(join.join(s)) for s in sections]
+    header, trailer = data.draw(st.sampled_from(HEADERS)), data.draw(st.sampled_from(HEADERS))
+    parts = [header, docno, *texts, trailer] if data.draw(st.booleans()) else [header, *texts, docno, trailer]
+    return "\n".join(["<DOC>", *parts, "</DOC>"])
+
+
+class TestCorpusRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=st.dictionaries(st.text("abZ9-é文", min_size=1, max_size=4), st.lists(CORPUS_WORDS, max_size=8),
+                               min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_both_formats_read_and_index_alike(self, corpus, data):
+        pipeline = Pipeline()
+        want = [(d, pipeline.process(" ".join(words))) for d, words in corpus.items()]
+        gap = data.draw(st.sampled_from(["\n", "\n\n", "\n  \n"]))
+        trec = gap.join(trec_document(d, words, data) for d, words in corpus.items()) + "\n"
+        jsonl = gap.join(json.dumps({"id": d, "text": " ".join(words)}, ensure_ascii=data.draw(st.booleans()))
+                         for d, words in corpus.items()) + "\n"
+        ending, lead = data.draw(st.sampled_from(["\n", "\r\n"])), data.draw(st.sampled_from(["", "\n", " \n\n"]))
+        archives = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in [("c.jsonl", jsonl), ("c.trec", trec)]:
+                path, out = Path(tmp) / name, Path(tmp) / f"{name}.npz"
+                path.write_bytes((lead + text).replace("\n", ending).encode("utf-8"))
+                assert [(d, pipeline.process(t)) for d, t in read_corpus(str(path))] == want, name
+                assert main(["index", "--corpus", str(path), "--out", str(out)]) == 0
+                with np.load(out) as archive:
+                    archives.append({k: (v.dtype, v.tolist()) for k, v in archive.items()})
+        assert archives[0] == archives[1]
 
 
 class TestRunIo:
