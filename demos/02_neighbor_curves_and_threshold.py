@@ -65,7 +65,7 @@ lexicon = [
     ["small", "little"],
     ["street", "road"],
 ]
-target = synonym_statistics(lexicon, source_label="toy lexicon")
+target = synonym_statistics(lexicon)
 print(f"\nsynonym target: mean {target.mean_synonyms:.3f}, std {target.std_synonyms:.3f} "
       f"over {target.term_count} lemmas")
 

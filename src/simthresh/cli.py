@@ -236,7 +236,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     if args.synsets:
         target = threshold.synonym_statistics(args.synsets)
     else:
-        target = threshold.SynonymTarget(mean_synonyms=args.target, source_label="configured")
+        target = threshold.SynonymTarget(mean_synonyms=args.target)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
     result = threshold.solve_threshold(curve, target, dimensionality=ensemble.dimensionality)
@@ -292,8 +292,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     run: dict[str, list[tuple[str, float]]] = {}
     for topic_id, text in topics:
         terms = pipeline.process(text)
-        if not terms:
-            raise ValueError(f"{args.topics}: topic {topic_id}: query empty after preprocessing")
+        if not any(len(index.postings(t)[0]) for t in terms):
+            problem = "query has no terms with collection evidence" if terms else "query empty after preprocessing"
+            raise ValueError(f"{args.topics}: topic {topic_id}: {problem}")
         table = retrieval.build_translation_table(terms, policy, embedding)
         run[topic_id] = retrieval.tlm_score(index, config, table, terms)
     retrieval.write_run(run, args.out, run_tag=args.run_tag, max_docs=args.max_docs)

@@ -3,8 +3,11 @@
 Table-driven implementation of the five-step suffix-stripping algorithm as
 published (not the Porter2/Snowball revision and without the later reference-
 code departures: words of length 1-2 are stemmed too, step 2 maps ABLI -> ABLE,
-and there is no LOGI rule). Within a step the longest matching suffix wins; if
-its condition fails, the step does nothing.
+and there is no LOGI rule). Two primitives do the work. ``_form`` spells a
+word as its consonant/vowel pattern, from which the measure, "has a vowel",
+*o and *d are read. ``_replace_suffix`` applies one step's table: the longest
+matching suffix wins, and if its stem's measure is too small the step does
+nothing.
 """
 
 from __future__ import annotations
@@ -13,197 +16,131 @@ __all__ = ["stem"]
 
 _VOWELS = frozenset("aeiou")
 
+_STEP1A = {
+    "sses": "ss",
+    "ies": "i",
+    "ss": "ss",
+    "s": "",
+}
 
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        # y is a vowel exactly when preceded by a consonant
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+_STEP2 = {
+    "ational": "ate",
+    "tional": "tion",
+    "enci": "ence",
+    "anci": "ance",
+    "izer": "ize",
+    "abli": "able",
+    "alli": "al",
+    "entli": "ent",
+    "eli": "e",
+    "ousli": "ous",
+    "ization": "ize",
+    "ation": "ate",
+    "ator": "ate",
+    "alism": "al",
+    "iveness": "ive",
+    "fulness": "ful",
+    "ousness": "ous",
+    "aliti": "al",
+    "iviti": "ive",
+    "biliti": "ble",
+}
+
+_STEP3 = {
+    "icate": "ic",
+    "ative": "",
+    "alize": "al",
+    "iciti": "ic",
+    "ical": "ic",
+    "ful": "",
+    "ness": "",
+}
+
+_STEP4 = {
+    "al": "",
+    "ance": "",
+    "ence": "",
+    "er": "",
+    "ic": "",
+    "able": "",
+    "ible": "",
+    "ant": "",
+    "ement": "",
+    "ment": "",
+    "ent": "",
+    "ion": "",  # condition: stem ends s or t (checked in stem)
+    "ou": "",
+    "ism": "",
+    "ate": "",
+    "iti": "",
+    "ous": "",
+    "ive": "",
+    "ize": "",
+}
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel-to-consonant transitions: the m of [C](VC)^m[V]."""
-    m = 0
-    prev_cons = None
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if cons and prev_cons is False:
-            m += 1
-        prev_cons = cons
-    return m
-
-
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return len(word) >= 2 and word[-1] == word[-2] and _is_consonant(word, len(word) - 1)
+def _form(word: str) -> str:
+    """One 'c' or 'v' per character. A, e, i, o and u are vowels, y is a
+    vowel after a consonant, and anything else (digits too) is a consonant.
+    The measure m of [C](VC)^m[V] is ``_form(stem).count("vc")``."""
+    form, prev = [], "v"  # a leading y is a consonant
+    for ch in word:
+        prev = "v" if ch in _VOWELS or (ch == "y" and prev == "c") else "c"
+        form.append(prev)
+    return "".join(form)
 
 
 def _ends_cvc(word: str) -> bool:
-    """consonant-vowel-consonant ending where the final consonant is not w, x or y."""
-    if len(word) < 3:
-        return False
-    n = len(word)
-    return (
-        _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-        and word[-1] not in "wxy"
-    )
+    """*o: consonant-vowel-consonant ending where the last letter is not w, x or y."""
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
 
 
-def _longest_suffix_rule(word: str, rules: tuple[tuple[str, str], ...]) -> tuple[str, str] | None:
-    best = None
-    for suffix, repl in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, repl)
-    return best
-
-
-_STEP2 = (
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("izer", "ize"),
-    ("abli", "able"),
-    ("alli", "al"),
-    ("entli", "ent"),
-    ("eli", "e"),
-    ("ousli", "ous"),
-    ("ization", "ize"),
-    ("ation", "ate"),
-    ("ator", "ate"),
-    ("alism", "al"),
-    ("iveness", "ive"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("aliti", "al"),
-    ("iviti", "ive"),
-    ("biliti", "ble"),
-)
-
-_STEP3 = (
-    ("icate", "ic"),
-    ("ative", ""),
-    ("alize", "al"),
-    ("iciti", "ic"),
-    ("ical", "ic"),
-    ("ful", ""),
-    ("ness", ""),
-)
-
-_STEP4 = (
-    ("al", ""),
-    ("ance", ""),
-    ("ence", ""),
-    ("er", ""),
-    ("ic", ""),
-    ("able", ""),
-    ("ible", ""),
-    ("ant", ""),
-    ("ement", ""),
-    ("ment", ""),
-    ("ent", ""),
-    ("ion", ""),  # condition: stem ends s or t
-    ("ou", ""),
-    ("ism", ""),
-    ("ate", ""),
-    ("iti", ""),
-    ("ous", ""),
-    ("ive", ""),
-    ("ize", ""),
-)
-
-
-def _step1a(word: str) -> str:
-    rule = _longest_suffix_rule(word, (("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")))
-    if rule is None:
+def _replace_suffix(word: str, rules: dict[str, str], min_measure: int) -> str:
+    """Replace the longest suffix of ``word`` found in ``rules`` when the stem
+    before it has a measure above ``min_measure``; otherwise keep ``word``."""
+    if not word.endswith(tuple(rules)):
         return word
-    suffix, repl = rule
-    return word[: len(word) - len(suffix)] + repl
+    suffix = max((s for s in rules if word.endswith(s)), key=len)
+    stem = word[: len(word) - len(suffix)]
+    return stem + rules[suffix] if _form(stem).count("vc") > min_measure else word
 
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
-        stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    removed = False
-    if word.endswith("ed"):
-        stem = word[:-2]
-        if _has_vowel(stem):
-            word, removed = stem, True
-    elif word.endswith("ing"):
-        stem = word[:-3]
-        if _has_vowel(stem):
-            word, removed = stem, True
-    if not removed:
+        return _replace_suffix(word, {"eed": "ee"}, 0)
+    for suffix in ("ed", "ing"):
+        if word.endswith(suffix) and "v" in _form(word[: -len(suffix)]):
+            word = word[: -len(suffix)]
+            break
+    else:
         return word
     if word.endswith(("at", "bl", "iz")):
         return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
+    form = _form(word)
+    if word[-1] == word[-2:-1] and form[-1] == "c" and word[-1] not in "lsz":  # *d, but not L, S or Z
         return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
+    if form.count("vc") == 1 and _ends_cvc(word):
         return word + "e"
     return word
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
+    if word.endswith("y") and "v" in _form(word[:-1]):
         return word[:-1] + "i"
     return word
 
 
-def _step2(word: str) -> str:
-    rule = _longest_suffix_rule(word, _STEP2)
-    if rule is None:
-        return word
-    suffix, repl = rule
-    stem = word[: len(word) - len(suffix)]
-    return stem + repl if _measure(stem) > 0 else word
-
-
-def _step3(word: str) -> str:
-    rule = _longest_suffix_rule(word, _STEP3)
-    if rule is None:
-        return word
-    suffix, repl = rule
-    stem = word[: len(word) - len(suffix)]
-    return stem + repl if _measure(stem) > 0 else word
-
-
-def _step4(word: str) -> str:
-    rule = _longest_suffix_rule(word, _STEP4)
-    if rule is None:
-        return word
-    suffix, _ = rule
-    stem = word[: len(word) - len(suffix)]
-    if _measure(stem) <= 1:
-        return word
-    if suffix == "ion" and not stem.endswith(("s", "t")):
-        return word
-    return stem
-
-
 def _step5a(word: str) -> str:
-    if not word.endswith("e"):
-        return word
-    stem = word[:-1]
-    m = _measure(stem)
-    if m > 1:
-        return stem
-    if m == 1 and not _ends_cvc(stem):
-        return stem
+    if word.endswith("e"):
+        m = _form(word[:-1]).count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1])):
+            return word[:-1]
     return word
 
 
 def _step5b(word: str) -> str:
-    if word.endswith("l") and _ends_double_consonant(word) and _measure(word) > 1:
+    # an l doubled is always a consonant doubled, so *d holds
+    if word.endswith("ll") and _form(word).count("vc") > 1:
         return word[:-1]
     return word
 
@@ -214,14 +151,10 @@ def stem(word: str) -> str:
     Non-alphabetic characters are treated as consonants, so tokens with
     digits pass through essentially unchanged.
     """
-    if not word:
-        return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
-    return word
+    word = _replace_suffix(word, _STEP1A, -1)
+    word = _step1c(_step1b(word))
+    word = _replace_suffix(word, _STEP2, 0)
+    word = _replace_suffix(word, _STEP3, 0)
+    if not word.endswith("ion") or word.endswith(("sion", "tion")):  # step 4's ION rule needs S or T before it
+        word = _replace_suffix(word, _STEP4, 1)
+    return _step5b(_step5a(word))

@@ -339,7 +339,10 @@ def _json_documents(path: str, lines: Iterator[tuple[int, str]]) -> Iterator[tup
             raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-        yield lineno, str(obj["id"]), str(obj["text"])
+        doc_id, text = obj["id"], obj["text"]
+        if not isinstance(text, str) or isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise ValueError(f"{path}:{lineno}: record needs a string 'text' and a string or integer 'id'")
+        yield lineno, str(doc_id), text
 
 
 def _trec_documents(path: str, lines: Iterator[tuple[int, str]]) -> Iterator[tuple[int, str, str]]:

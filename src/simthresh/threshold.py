@@ -43,7 +43,6 @@ class SynonymTarget:
     mean_synonyms: float
     std_synonyms: float = 0.0
     term_count: int = 0
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         if self.mean_synonyms < 0:
@@ -101,7 +100,7 @@ def solve_threshold(
     bound. Curves without a band yield lower == main == upper.
     """
     if isinstance(target, (int, float)):
-        target = SynonymTarget(mean_synonyms=float(target), source_label="numeric")
+        target = SynonymTarget(mean_synonyms=float(target))
     if target.mean_synonyms <= 0:
         raise TargetUnreachableError("target must be positive to cross a survival curve")
     expected = np.asarray(curve.expected, dtype=np.float64)
@@ -131,8 +130,7 @@ def parse_synsets(path: str) -> list[list[str]]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        lemmas = [w.strip().lower() for w in line.split()]
-        synsets.append([w for w in lemmas if w])
+        synsets.append([w.lower() for w in line.split()])
     if not synsets:
         raise ValueError(f"{path}: no synsets found")
     return synsets
@@ -142,16 +140,16 @@ def _single_word(lemma: str) -> bool:
     return "_" not in lemma and " " not in lemma
 
 
-def synonym_statistics(synsets: list[list[str]] | str, source_label: str = "") -> SynonymTarget:
+def synonym_statistics(synsets: list[list[str]] | str) -> SynonymTarget:
     """Mean/population-std of per-lemma synonym counts over a synset list.
 
     A lemma's synonyms are the distinct single-word lemmas sharing at least
     one synset with it (itself excluded); multiword lemmas are dropped both
     as headwords and as synonyms. Lemma matching is case-insensitive.
     """
+    where = ""  # a synset file's errors name it
     if isinstance(synsets, str):
-        source_label = source_label or synsets
-        synsets = parse_synsets(synsets)
+        where, synsets = f"{synsets}: ", parse_synsets(synsets)
     co_members: dict[str, set[str]] = {}
     for synset in synsets:
         members = {w.strip().lower() for w in synset if _single_word(w.strip())}
@@ -159,14 +157,13 @@ def synonym_statistics(synsets: list[list[str]] | str, source_label: str = "") -
         for lemma in members:
             co_members.setdefault(lemma, set()).update(members)
     if not co_members:
-        raise ValueError("no single-word lemmas in synset input")
+        raise ValueError(f"{where}no single-word lemmas in synset input")
     # Sorted so the statistics are bitwise independent of input order.
     counts = np.sort(np.array([len(v) - 1 for v in co_members.values()], dtype=np.float64))
     return SynonymTarget(
         mean_synonyms=float(counts.mean()),
         std_synonyms=float(counts.std(ddof=0)),
         term_count=len(counts),
-        source_label=source_label,
     )
 
 

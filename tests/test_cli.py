@@ -501,6 +501,9 @@ class TestSearchWorkflow:
         assert capsys.readouterr().out == "indexed 2 documents, 1 tokens\n"
 
 
+_TYPED_FIELDS = "record needs a string 'text' and a string or integer 'id'\n"
+
+
 def _json_file(path):
     path.write_text('{"postings": {}}')
 
@@ -610,7 +613,12 @@ class TestBadInputs:
          "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 13 (char 12))"),
         ('{"id": ' + "9" * 5000 + ', "text": "x"}\n', 1, "invalid JSON (Exceeds the limit (4300 digits)"),
         ('{"id": "d1", "text": ' + "[" * 100000 + "]" * 100000 + "}\n", 1, "invalid JSON (maximum recursion depth"),
-    ], ids=["number", "list", "string", "invalid", "long-integer", "deep"])
+        ('{"id": "d1", "text": "x"}\n{"id": null, "text": null}\n', 2, _TYPED_FIELDS),
+        ('{"id": true, "text": "x"}\n', 1, _TYPED_FIELDS),
+        ('{"id": 1.0, "text": "x"}\n', 1, _TYPED_FIELDS),
+        ('{"id": 7, "text": ["alpha", {"beta": false}]}\n', 1, _TYPED_FIELDS),
+    ], ids=["number", "list", "string", "invalid", "long-integer", "deep", "null-fields", "bool-id", "float-id",
+            "list-text"])
     def test_bad_jsonl_record_names_file_and_line(self, tmp_path, capsys, text, lineno, message):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(text)
@@ -618,6 +626,29 @@ class TestBadInputs:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus}:{lineno}: {message}") and err.count("\n") == 1, err
+
+    def test_search_topic_without_collection_evidence_names_topic(self, tmp_path, capsys):
+        _, _, _, _, index_path = search_world(tmp_path)
+        capsys.readouterr()
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("1\tzebra quokka\n")  # no stem occurs in the corpus
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics), "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {topics}: topic 1: query has no terms with collection evidence\n"
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("command", ["synonym-stats", "threshold"])
+    def test_synsets_without_single_word_lemmas_names_file(self, tmp_path, capsys, command):
+        synsets = tmp_path / "synsets.txt"
+        synsets.write_text("big_cat large_feline\n")
+        out = tmp_path / "out.csv"
+        argv = {
+            "synonym-stats": ["synonym-stats", "--out", str(out)],
+            "threshold": ["threshold", "--models", *REPLICAS, "--probes", PROBES, "--out", str(out)],
+        }[command]
+        assert main([*argv, "--synsets", str(synsets)]) == 1
+        assert capsys.readouterr().err == f"error: {synsets}: no single-word lemmas in synset input\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["histogram", "threshold"])
     def test_allocation_too_large_fails_in_one_line(self, tmp_path, capsys, command):

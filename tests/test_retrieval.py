@@ -363,6 +363,11 @@ class TestReaders:
         path.write_text('{"id": "d1", "text": "hello world"}\n{"id": "d2", "text": "bye"}\n')
         assert list(read_corpus(str(path))) == [("d1", "hello world"), ("d2", "bye")]
 
+    def test_jsonl_integer_id(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": 7, "text": "alpha"}\n')
+        assert list(read_corpus(str(path))) == [("7", "alpha")]
+
     def test_jsonl_missing_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "d1"}\n')

@@ -155,13 +155,16 @@ class TestPorter:
         assert mismatches == []
 
     def test_matches_reference_on_random_strings(self, rng):
-        alphabet = "abcdefghijklmnopqrstuvwxyz"
-        suffixes = ["", "s", "ies", "ed", "ing", "ational", "ization", "fulness",
-                    "biliti", "alize", "icate", "ement", "ion", "ous", "e", "ll", "y"]
-        for _ in range(5000):
-            n = int(rng.integers(1, 9))
-            word = "".join(alphabet[i] for i in rng.integers(0, 26, size=n))
-            word += suffixes[int(rng.integers(0, len(suffixes)))]
+        # y-heavy stems with digits and a non-ASCII letter, then one or two suffixes
+        # that sit on a step's boundary or decide a step's condition
+        alphabet = "abcdefghijklmnopqrstuvwxyz" + "y" * 6 + "07é"
+        suffixes = ["", "s", "sses", "ies", "ss", "eed", "ed", "ing", "ated", "bled", "izing", "ational",
+                    "tional", "ization", "fulness", "biliti", "abli", "logi", "alize", "icate", "ement",
+                    "ment", "ion", "sion", "tion", "ous", "e", "ll", "we", "xe", "ye", "yy", "y"]
+        for _ in range(20000):
+            n = int(rng.integers(0, 9))
+            word = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=n))
+            word += "".join(suffixes[i] for i in rng.integers(0, len(suffixes), size=int(rng.integers(1, 3))))
             assert porter.stem(word) == reference_stem(word), word
 
     def test_empty_and_nonalpha(self):

@@ -211,7 +211,6 @@ class TestSynonymStatistics:
         target = synonym_statistics(str(path))
         assert target.term_count == 4
         assert target.mean_synonyms == pytest.approx(2.0)
-        assert target.source_label == str(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "synsets.txt"
