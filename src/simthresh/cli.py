@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Callable, NamedTuple
 
-from .csvio import format_csv, read_lines, write_csv
+from .csvio import format_csv, read_records, write_csv
 from .evaluation import MAX_RUN_DOCS
 
 __all__ = ["main"]
@@ -101,10 +101,7 @@ def read_config(path: str) -> dict[str, object]:
     set once; errors name the line."""
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_records(path):
         key, eq, raw = (part.strip() for part in line.partition("="))
         if not eq:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
@@ -149,12 +146,10 @@ def _read_terms(path: str) -> list[str]:
     """One term per line, '#' lines are comments; a repeated term is an error,
     since it would weigh twice in every average over the terms."""
     terms: dict[str, int] = {}
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            if line in terms:
-                raise ValueError(f"{path}:{lineno}: duplicate term {line!r} (first on line {terms[line]})")
-            terms[line] = lineno
+    for lineno, term in read_records(path):
+        if term in terms:
+            raise ValueError(f"{path}:{lineno}: duplicate term {term!r} (first on line {terms[term]})")
+        terms[term] = lineno
     if not terms:
         raise ValueError(f"{path}: no terms found")
     return list(terms)
@@ -273,11 +268,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-@command("search", "score topics against an index", "index topics out",
-         "policy threshold k model format mu run_tag max_docs stopwords no_stem")
+@command("search", "score topics against an index, each processed by the index's own text pipeline",
+         "index topics out", "policy threshold k model format mu run_tag max_docs")
 def cmd_search(args: argparse.Namespace) -> int:
     from . import retrieval
-    from .textproc import Pipeline
 
     if args.policy != "none":
         _require(args, "threshold" if args.policy == "threshold" else "k")
@@ -288,10 +282,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     index = retrieval.load_index(args.index)
     topics = retrieval.read_topics(args.topics)
     embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)
-    pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
     run: dict[str, list[tuple[str, float]]] = {}
     for topic_id, text in topics:
-        terms = pipeline.process(text)
+        terms = index.pipeline.process(text)
         if not any(len(index.postings(t)[0]) for t in terms):
             problem = "query has no terms with collection evidence" if terms else "query empty after preprocessing"
             raise ValueError(f"{args.topics}: topic {topic_id}: {problem}")

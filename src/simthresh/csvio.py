@@ -1,5 +1,5 @@
 """The one CSV layout every report in the package is written and read in,
-and the one reader of the lines of a text input file.
+and the one reader of the lines, and of the records, of a text input file.
 
 A file is an optional preamble of ``# key=value`` comment lines, a header row,
 and one comma-separated row per record. Floats are written as
@@ -13,7 +13,7 @@ from __future__ import annotations
 from numbers import Integral, Real
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["format_csv", "write_csv", "read_csv", "read_lines"]
+__all__ = ["format_csv", "write_csv", "read_csv", "read_lines", "read_records"]
 
 
 def _cell(x) -> str:
@@ -77,3 +77,11 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
                 except UnicodeDecodeError:
                     raise ValueError(f"{path}:{lineno}: not valid UTF-8") from None
         raise
+
+
+def read_records(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of ``read_lines(path)`` that
+    is neither blank nor a '#' comment."""
+    for lineno, line in read_lines(path):
+        if (line := line.strip()) and not line.startswith("#"):
+            yield lineno, line

@@ -51,7 +51,11 @@ def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: st
     finite = np.concatenate([np.isfinite(b).all(axis=1) for b in blocks])
     if not finite.all():
         raise ModelFormatError(f"{model_id}: record {int(np.argmin(finite))}: non-finite vector component")
-    norms = np.concatenate([np.linalg.norm(b, axis=1) for b in blocks])
+    with np.errstate(over="ignore"):
+        norms = np.concatenate([np.linalg.norm(b, axis=1) for b in blocks])
+    for i in np.flatnonzero(np.isinf(norms)):  # its squares overflow: measure it scaled by its largest magnitude
+        vectors[i] /= np.abs(vectors[i]).max()
+        norms[i] = np.linalg.norm(vectors[i])
     if np.any(norms < _ZERO_NORM_TOL):
         bad = int(np.argmin(norms))
         raise ModelFormatError(f"{model_id}: record {bad}: zero-norm vector for token {vocabulary[bad]!r}")
@@ -273,11 +277,11 @@ class ModelEnsemble:
     shared_vocabulary: list[str] = field(init=False, repr=False)
     dimensionality: int = field(init=False)
     replica_count: int = field(init=False, default=0)
-    _rows: dict[str, list[np.ndarray]] = field(init=False, repr=False)  # probe -> per-replica shared cosines
+    _rows: dict[str, np.ndarray] = field(init=False, repr=False)  # probe -> similarities(probe)
 
     def __post_init__(self, replicas: Iterable[EmbeddingModel | ReducedReplica]) -> None:
         self.probes = tuple(self.probes)
-        self._rows = {t: [] for t in self.probes}
+        rows: dict[str, list[np.ndarray]] = {t: [] for t in self.probes}  # probe -> per-replica shared cosines
         for replica in replicas:
             if self.replica_count == 0:
                 self.dimensionality, shared = replica.dimensionality, np.asarray(replica.vocabulary, dtype=object)
@@ -285,15 +289,15 @@ class ModelEnsemble:
                 dims = sorted({self.dimensionality, replica.dimensionality})
                 raise ValueError(f"replicas disagree on dimensionality: {dims}")
             record = replica._row
-            keep = np.array([t in record for t in shared], dtype=bool)
-            if not keep.all():
-                shared = shared[keep]
-                self._rows = {t: [r[keep] for r in rows] for t, rows in self._rows.items()}
-            cols = np.array([record[t] for t in shared], dtype=np.int64)
-            for t, rows in self._rows.items():
+            cols = np.array([record.get(t, -1) for t in shared], dtype=np.int64)  # -1: not in this replica
+            if not (keep := cols >= 0).all():
+                shared, cols = shared[keep], cols[keep]
+                rows = {t: [r[keep] for r in probe_rows] for t, probe_rows in rows.items()}
+            for t, probe_rows in rows.items():
                 if t not in replica:
                     raise KeyError(f"token {t!r} missing from replica {replica.model_id!r}")
-                rows.append(replica.similarities_to(t)[cols])
+                probe_rows.append(replica.similarities_to(t)[cols])
+            own = {t: record[t] for t in rows}  # each probe's record in this replica, found in ``cols`` below
             self.replica_count += 1
             del replica, record  # lets a generator free this replica before producing the next
         if self.replica_count < 2:
@@ -301,13 +305,19 @@ class ModelEnsemble:
         if not len(shared):
             raise ValueError("replica vocabularies have an empty intersection")
         self.shared_vocabulary = list(shared)
+        self._rows = {}
+        for t, probe_rows in rows.items():  # one read-only (R, S-1) array per probe, without its own column
+            self._rows[t] = sims = np.delete(np.stack(probe_rows), np.flatnonzero(cols == own[t]), axis=1)
+            sims.flags.writeable = False
+            probe_rows.clear()  # the per-replica rows go as each probe's array is built
 
     def similarities(self, token: str) -> np.ndarray:
         """(R, S-1) cosines of probe ``token`` against every other shared term,
-        one row per replica, columns in ``shared_vocabulary`` order without it."""
+        one row per replica, columns in ``shared_vocabulary`` order without it.
+        The array is read-only and shared by every call."""
         if token not in self._rows:
             raise KeyError(f"token {token!r} is not a probe of this ensemble")
-        return np.delete(np.stack(self._rows[token]), self.shared_vocabulary.index(token), axis=1)
+        return self._rows[token]
 
 
 def _parse_header(line: bytes, path: str) -> tuple[int, int]:

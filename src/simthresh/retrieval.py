@@ -62,13 +62,15 @@ class Index:
     """Inverted index as compressed sparse rows: ``terms[i]`` occurs in the
     documents ``docs[offsets[i]:offsets[i + 1]]`` (ascending) with frequencies
     ``tfs``. ``terms`` and ``doc_ids`` are sorted, so document index order is
-    doc_id order. Lengths and collection statistics derive from the postings."""
+    doc_id order. Lengths and collection statistics derive from the postings.
+    ``pipeline`` made the terms, so it is the one that may process a query."""
 
     terms: list[str]
     offsets: np.ndarray  # int64, len(terms) + 1
     docs: np.ndarray  # int64
     tfs: np.ndarray  # int64
     doc_ids: list[str]
+    pipeline: Pipeline
     doc_lengths: np.ndarray = field(init=False, repr=False)  # int64, one per document
     _slot: dict[str, int] = field(init=False, repr=False)
 
@@ -113,7 +115,7 @@ def build_index(corpus: Iterable[tuple[str, str]], pipeline: Pipeline) -> Index:
     docs = np.argsort([seen[d] for d in doc_ids])[docs]
     order = np.lexsort((docs, term_of))
     offsets = np.searchsorted(term_of[order], np.arange(len(terms) + 1))
-    return Index(terms, offsets, docs[order], tfs[order], doc_ids)
+    return Index(terms, offsets, docs[order], tfs[order], doc_ids, pipeline)
 
 
 def _pack(name: str, strings: list[str]) -> dict[str, np.ndarray]:
@@ -135,13 +137,15 @@ def _unpack(archive: dict[str, np.ndarray], name: str) -> list[str]:
 
 
 _MEMBERS = {"terms": np.uint8, "terms_offsets": np.int64, "doc_ids": np.uint8, "doc_ids_offsets": np.int64,
-            "offsets": np.int64, "docs": np.int64, "tfs": np.int64}  # every member is one-dimensional
+            "offsets": np.int64, "docs": np.int64, "tfs": np.int64, "stopwords": np.uint8,
+            "stopwords_offsets": np.int64, "stem": np.bool_}  # every member is one-dimensional; stem has one value
 
 
 def save_index(index: Index, path: str) -> None:
-    """One compressed numpy archive, written at exactly ``path``."""
+    """One compressed numpy archive, written at exactly ``path``, with the index's text pipeline."""
     with open(path, "wb") as fh:  # given a path string, numpy would append ".npz"
         np.savez_compressed(fh, **_pack("terms", index.terms), **_pack("doc_ids", index.doc_ids),
+                            **_pack("stopwords", sorted(index.pipeline.stopwords)), stem=[index.pipeline.stem_enabled],
                             offsets=index.offsets, docs=index.docs, tfs=index.tfs)
 
 
@@ -154,9 +158,10 @@ def load_index(path: str) -> Index:
             fh.seek(0)
             archive = np.load(fh, allow_pickle=False)
             a = {name: archive[name] for name in _MEMBERS}
-        if any(a[name].dtype != dtype or a[name].ndim != 1 for name, dtype in _MEMBERS.items()):
+        if any(a[n].dtype != dtype or a[n].ndim != 1 for n, dtype in _MEMBERS.items()) or len(a["stem"]) != 1:
             raise ValueError("a member has the wrong dtype or shape")
         terms, doc_ids = _unpack(a, "terms"), _unpack(a, "doc_ids")
+        pipeline = Pipeline(frozenset(_unpack(a, "stopwords")), bool(a["stem"][0]))
         offsets, docs, tfs = a["offsets"], a["docs"], a["tfs"]
         if (len(offsets), offsets[0], offsets[-1], len(tfs)) != (len(terms) + 1, 0, len(docs), len(docs)):
             raise ValueError("postings offsets disagree with the postings")
@@ -164,7 +169,7 @@ def load_index(path: str) -> Index:
         keys = np.repeat(np.arange(len(terms)), np.diff(offsets)) * len(doc_ids) + docs
         if np.any(np.diff(keys) <= 0) or np.any(docs >= len(doc_ids)) or np.any(tfs < 1):
             raise ValueError("postings are not unique (term, document) pairs with positive counts")
-        return Index(terms, offsets, docs, tfs, doc_ids)  # np.bincount rejects a negative document
+        return Index(terms, offsets, docs, tfs, doc_ids, pipeline)  # np.bincount rejects a negative document
     except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise ValueError(f"{path}: not a readable index archive ({exc})") from None
 

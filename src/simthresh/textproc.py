@@ -13,7 +13,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import porter
-from .csvio import read_lines
+from .csvio import read_records
 
 __all__ = ["Pipeline", "tokenize", "load_stopwords", "default_stopwords"]
 
@@ -33,12 +33,7 @@ def tokenize(text: str) -> list[str]:
 
 def load_stopwords(path: str) -> frozenset[str]:
     """Stopword file: UTF-8, one token per line, '#' lines ignored."""
-    words = set()
-    for _, line in read_lines(path):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+    return frozenset(line.lower() for _, line in read_records(path))
 
 
 def default_stopwords() -> frozenset[str]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_csv, read_lines, write_csv
+from .csvio import read_csv, read_records, write_csv
 from .neighbors import NeighborCurve
 
 __all__ = [
@@ -125,12 +125,7 @@ def solve_threshold(
 def parse_synsets(path: str) -> list[list[str]]:
     """Synset file: one synset per line, lemmas space-separated, multiword
     lemmas joined with underscores; '#' lines are comments."""
-    synsets: list[list[str]] = []
-    for _, line in read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        synsets.append([w.lower() for w in line.split()])
+    synsets = [[w.lower() for w in line.split()] for _, line in read_records(path)]
     if not synsets:
         raise ValueError(f"{path}: no synsets found")
     return synsets

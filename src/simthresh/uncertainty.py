@@ -55,7 +55,7 @@ class HistogramConfig:
 
     @property
     def edges(self) -> np.ndarray:
-        return self.domain_low + self.bin_width * np.arange(self.bin_count + 1)
+        return np.linspace(self.domain_low, self.domain_high, self.bin_count + 1)  # the last edge is domain_high
 
     def bin_indices(self, values: np.ndarray) -> np.ndarray:
         """Bin index per value; -1 marks out-of-domain values."""

@@ -18,7 +18,8 @@ from simthresh.cli import COMMANDS, OPTIONS, build_parser, main, read_config, re
 from simthresh.embeddings import EmbeddingModel, load_model, save_model
 from simthresh.evaluation import read_metric_report
 from simthresh.neighbors import read_curve_csv
-from simthresh.retrieval import load_index, read_run
+from simthresh.retrieval import LmConfig, build_index, lm_score, load_index, read_corpus, read_run, write_run
+from simthresh.textproc import Pipeline
 from simthresh.threshold import read_threshold_csv, solve_threshold
 from simthresh.uncertainty import read_histogram_csv, read_uncertainty_csv
 
@@ -501,6 +502,66 @@ class TestSearchWorkflow:
         assert capsys.readouterr().out == "indexed 2 documents, 1 tokens\n"
 
 
+class TestSearchUsesTheIndexPipeline:
+    """``index`` records its stopwords and stemming switch in the archive, and
+    ``search`` processes every topic with them: it has no pipeline flags."""
+
+    DOCS = [("d1", "the running cats"), ("d2", "running dogs"), ("d3", "the dog and the cat")]
+    TOPICS = "1\tthe cats\n2\trunning dogs\n"
+
+    def expected_run(self, path, corpus, topics, pipeline):
+        index = build_index(read_corpus(str(corpus)), pipeline)
+        run = {tid: lm_score(index, LmConfig(), pipeline.process(text))
+               for tid, text in (line.split("\t") for line in topics.read_text().splitlines())}
+        write_run(run, str(path))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("no_stem, stopwords", [(True, None), (False, "running\n")], ids=["no-stem", "stopwords"])
+    def test_search_scores_with_the_index_pipeline(self, tmp_path, no_stem, stopwords):
+        corpus, topics, stop = tmp_path / "corpus.jsonl", tmp_path / "topics.tsv", tmp_path / "stop.txt"
+        corpus.write_text("".join(json.dumps({"id": d, "text": t}) + "\n" for d, t in self.DOCS))
+        topics.write_text(self.TOPICS)
+        flags = ["--no-stem"] if no_stem else []
+        if stopwords is not None:
+            stop.write_text(stopwords)
+            flags += ["--stopwords", str(stop)]
+        index, run = tmp_path / "index.npz", tmp_path / "run.txt"
+        assert main(["index", "--corpus", str(corpus), *flags, "--out", str(index)]) == 0
+        assert main(["search", "--index", str(index), "--topics", str(topics), "--out", str(run)]) == 0
+        pipeline = Pipeline.from_stopword_file(None if stopwords is None else str(stop), stem_enabled=not no_stem)
+        assert load_index(str(index)).pipeline == pipeline
+        assert run.read_bytes() == self.expected_run(tmp_path / "want.txt", corpus, topics, pipeline)
+        assert run.read_bytes() != self.expected_run(tmp_path / "default.txt", corpus, topics, Pipeline())
+
+    @pytest.mark.parametrize("flag", [["--no-stem"], ["--stopwords", "stop.txt"]], ids=["no-stem", "stopwords"])
+    def test_search_has_no_pipeline_flags(self, tmp_path, capsys, flag):
+        _, topics, _, _, index_path = search_world(tmp_path)
+        with pytest.raises(SystemExit):
+            main(["search", "--index", str(index_path), "--topics", str(topics), *flag,
+                  "--out", str(tmp_path / "r.txt")])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: [m.pop(name) for name in ("stopwords", "stopwords_offsets", "stem")], "stopwords"),
+        (lambda m: m.pop("stem"), "stem"),
+        (lambda m: m.update(stem=np.array([True, False])), "a member has the wrong dtype or shape"),
+        (lambda m: m.update(stem=np.array([1])), "a member has the wrong dtype or shape"),
+        (lambda m: m.update(stopwords_offsets=m["stopwords_offsets"] + 1),
+         "stopwords offsets do not partition their blob"),
+        (lambda m: m.update(stopwords=m["stopwords"][::-1].copy()), "stopwords are not sorted and unique"),
+    ], ids=["no-pipeline", "no-stem-switch", "two-switches", "int-switch", "offsets-shifted", "unsorted"])
+    def test_bad_pipeline_member_names_file(self, tmp_path, capsys, change, message):
+        _, topics, _, _, index_path = search_world(tmp_path)
+        _rewrite_archive(index_path, change)
+        capsys.readouterr()
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics), "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {index_path}: not a readable index archive (") and message in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.txt").exists()
+
+
 _TYPED_FIELDS = "record needs a string 'text' and a string or integer 'id'\n"
 
 
@@ -889,8 +950,7 @@ def command_settings(w, out):
         "synonym-stats": dict(synsets=w["synsets"], out=out / "stats.csv"),
         "index": dict(corpus=w["corpus"], stopwords=w["stopwords"], no_stem=True, out=out / "index.npz"),
         "search": dict(index=w["index"], topics=w["topics"], policy="knn", k="2", model=w["model"],
-                       format="word2vec_text", mu="50", run_tag="cfg", max_docs="3",
-                       stopwords=w["stopwords"], out=out / "run.txt"),
+                       format="word2vec_text", mu="50", run_tag="cfg", max_docs="3", out=out / "run.txt"),
         "evaluate": dict(run=w["runs"][1], qrels=w["qrels"], cutoff="3", no_condense=True,
                          out=out / "report.csv"),
         "compare": dict(run_a=w["runs"][1], run_b=w["runs"][0], qrels=w["qrels"], metric="ndcg", cutoff="3",
@@ -1049,10 +1109,10 @@ class TestInputContract:
             return data[:at]
         if kind == "insert":
             return data[:at] + rng.choice([b"nan", b"1e999", b"\0", b"\r"]) + data[at:]
-        if kind == "field":  # one whitespace-separated field becomes a non-finite number
+        if kind == "field":  # one whitespace-separated field becomes a non-finite number, or a huge one
             parts = re.split(rb"(\s+)", data)
             k = rng.randrange(0, len(parts), 2)
-            return b"".join(parts[:k] + [rng.choice([b"nan", b"1e999", b"-inf"])] + parts[k + 1:])
+            return b"".join(parts[:k] + [rng.choice([b"nan", b"1e999", b"-inf", b"1e200"])] + parts[k + 1:])
         if kind == "duplicate":
             lines.insert(i, lines[i])
         elif kind == "delete":
@@ -1129,14 +1189,16 @@ class TestLineEndings:
             for name, path in f.items():
                 path.write_bytes(w[name].read_bytes().replace(b"\n", ending))
             results += [
-                run_and_collect(["search", "--index", str(w["index"]), "--topics", str(f["topics"]),
-                                 "--stopwords", str(f["stopwords"]), "--out", str(out / "run.txt")], out, capsys),
+                run_and_collect(["index", "--corpus", str(w["corpus"]), "--stopwords", str(f["stopwords"]),
+                                 "--out", str(out / "index.npz")], out, capsys),
+                run_and_collect(["search", "--index", str(out / "index.npz"), "--topics", str(f["topics"]),
+                                 "--out", str(out / "run.txt")], out, capsys),
                 run_and_collect(["evaluate", "--run", str(out / "run.txt"), "--qrels", str(f["qrels"])], out, capsys),
                 run_and_collect(["threshold", "--models", *REPLICAS, "--probes", str(f["probes"]),
                                  "--synsets", str(f["synsets"]), "--out", str(out / "t.csv")], out, capsys),
                 run_and_collect(["index", "--corpus", str(f["trec"]), "--out", str(out / "trec.npz")], out, capsys),
             ]
-        assert results[:4] == results[4:]
+        assert results[:5] == results[5:]
 
 
 class TestConfigFile:

@@ -87,6 +87,15 @@ class TestLoading:
         np.testing.assert_array_equal(model.vector("a"), [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(model.vector("b"), [0.0, 1.0, 0.0])
 
+    def test_huge_components_keep_their_direction(self, tmp_path):
+        # the squares of 1e200 overflow, so the row's norm is measured scaled by its largest magnitude
+        path = tmp_path / "m.vec"
+        path.write_text("2 3\na 1e200 1e200 0\nb 0 1 0\n")
+        model = load_model(str(path))
+        np.testing.assert_array_equal(model.vector("a"), np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+        np.testing.assert_array_equal(model.vector("b"), [0.0, 1.0, 0.0])
+        assert model.cosine("a", "b") == 0.7071067811865475
+
     def test_record_count_mismatch(self, tmp_path):
         path = tmp_path / "m.vec"
         path.write_text("3 3\na 1 0 0\nb 0 2 0\n")
@@ -530,6 +539,13 @@ class TestEnsembleSimilarities:
             for r, model in enumerate(replicas):
                 for j, u in enumerate(others):
                     assert abs(sims[r, j] - model.cosine(t, u)) <= 1e-12
+
+    def test_rows_built_once_and_read_only(self, rng):
+        ensemble = ModelEnsemble(self.replicas(rng), ["t0013"])
+        sims = ensemble.similarities("t0013")
+        assert ensemble.similarities("t0013") is sims
+        with pytest.raises(ValueError, match="read-only"):
+            sims[0, 0] = 0.0
 
     def test_missing_term(self, rng):
         with pytest.raises(KeyError, match="t0007.*r2"):

@@ -189,3 +189,13 @@ class TestCsvRoundTrip:
         loaded = read_histogram_csv(str(path))
         np.testing.assert_array_equal(loaded.counts, hist.counts)
         assert loaded.out_of_domain_count == hist.out_of_domain_count
+
+    @pytest.mark.parametrize("low, high, bins", [(-0.3, 0.9, 7), (-1.0, 0.9, 40)])
+    def test_last_edge_is_domain_high(self, tmp_path, rng, low, high, bins):
+        config = HistogramConfig(low, high, bins)
+        assert config.edges[-1] == high
+        hist = similarity_histogram(random_model(rng, 20, 4), ["t0003"], config)
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(hist, str(path))
+        assert path.read_text().splitlines()[-1].split(",")[1] == repr(high)
+        assert read_histogram_csv(str(path)).config == config
