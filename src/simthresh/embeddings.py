@@ -277,11 +277,11 @@ class ModelEnsemble:
     shared_vocabulary: list[str] = field(init=False, repr=False)
     dimensionality: int = field(init=False)
     replica_count: int = field(init=False, default=0)
-    _rows: dict[str, np.ndarray] = field(init=False, repr=False)  # probe -> similarities(probe)
+    _rows: dict[str, list[np.ndarray]] = field(init=False, repr=False)  # probe -> per-replica shared cosines
 
     def __post_init__(self, replicas: Iterable[EmbeddingModel | ReducedReplica]) -> None:
         self.probes = tuple(self.probes)
-        rows: dict[str, list[np.ndarray]] = {t: [] for t in self.probes}  # probe -> per-replica shared cosines
+        self._rows = {t: [] for t in self.probes}
         for replica in replicas:
             if self.replica_count == 0:
                 self.dimensionality, shared = replica.dimensionality, np.asarray(replica.vocabulary, dtype=object)
@@ -292,12 +292,11 @@ class ModelEnsemble:
             cols = np.array([record.get(t, -1) for t in shared], dtype=np.int64)  # -1: not in this replica
             if not (keep := cols >= 0).all():
                 shared, cols = shared[keep], cols[keep]
-                rows = {t: [r[keep] for r in probe_rows] for t, probe_rows in rows.items()}
-            for t, probe_rows in rows.items():
+                self._rows = {t: [r[keep] for r in rows] for t, rows in self._rows.items()}
+            for t, rows in self._rows.items():
                 if t not in replica:
                     raise KeyError(f"token {t!r} missing from replica {replica.model_id!r}")
-                probe_rows.append(replica.similarities_to(t)[cols])
-            own = {t: record[t] for t in rows}  # each probe's record in this replica, found in ``cols`` below
+                rows.append(replica.similarities_to(t)[cols])
             self.replica_count += 1
             del replica, record  # lets a generator free this replica before producing the next
         if self.replica_count < 2:
@@ -305,19 +304,13 @@ class ModelEnsemble:
         if not len(shared):
             raise ValueError("replica vocabularies have an empty intersection")
         self.shared_vocabulary = list(shared)
-        self._rows = {}
-        for t, probe_rows in rows.items():  # one read-only (R, S-1) array per probe, without its own column
-            self._rows[t] = sims = np.delete(np.stack(probe_rows), np.flatnonzero(cols == own[t]), axis=1)
-            sims.flags.writeable = False
-            probe_rows.clear()  # the per-replica rows go as each probe's array is built
 
     def similarities(self, token: str) -> np.ndarray:
         """(R, S-1) cosines of probe ``token`` against every other shared term,
-        one row per replica, columns in ``shared_vocabulary`` order without it.
-        The array is read-only and shared by every call."""
+        one row per replica, columns in ``shared_vocabulary`` order without it."""
         if token not in self._rows:
             raise KeyError(f"token {token!r} is not a probe of this ensemble")
-        return self._rows[token]
+        return np.delete(np.stack(self._rows[token]), self.shared_vocabulary.index(token), axis=1)
 
 
 def _parse_header(line: bytes, path: str) -> tuple[int, int]:

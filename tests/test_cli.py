@@ -1091,7 +1091,7 @@ class TestInputContract:
     (exit 0) or fails with exactly one ``error:`` line (exit 1). No exception
     leaves ``main``, and no case outlives its time bound."""
 
-    CASES = 30  # per command, so about 330 in all
+    CASES = 30  # seeded cases per command, plus one huge-field case, so about 340 in all
     BOUND_S = 20
     INPUTS = {"reference", "other", "probes", "model", "models", "synsets", "corpus", "stopwords", "index",
               "topics", "run", "run_a", "run_b", "qrels"}
@@ -1109,10 +1109,11 @@ class TestInputContract:
             return data[:at]
         if kind == "insert":
             return data[:at] + rng.choice([b"nan", b"1e999", b"\0", b"\r"]) + data[at:]
-        if kind == "field":  # one whitespace-separated field becomes a non-finite number, or a huge one
+        if kind in ("field", "huge"):  # one whitespace-separated field becomes a non-finite number, or 1e200
             parts = re.split(rb"(\s+)", data)
             k = rng.randrange(0, len(parts), 2)
-            return b"".join(parts[:k] + [rng.choice([b"nan", b"1e999", b"-inf", b"1e200"])] + parts[k + 1:])
+            value = b"1e200" if kind == "huge" else rng.choice([b"nan", b"1e999", b"-inf"])
+            return b"".join(parts[:k] + [value] + parts[k + 1:])
         if kind == "duplicate":
             lines.insert(i, lines[i])
         elif kind == "delete":
@@ -1141,15 +1142,16 @@ class TestInputContract:
 
         previous = signal.signal(signal.SIGALRM, alarm)
         try:
-            for n in range(self.CASES):
+            for n in range(self.CASES + 1):  # the last case makes one field huge, drawn from a stream of its own
+                draw = rng if n < self.CASES else random.Random(f"{case}:huge")
                 out = tmp_path / f"case{n}"
                 out.mkdir()
                 command, settings = self.settings(case, world, out)
-                key = rng.choice(sorted(self.INPUTS & set(settings)))
+                key = draw.choice(sorted(self.INPUTS & set(settings)))
                 paths = settings[key] if isinstance(settings[key], list) else [settings[key]]
-                which, kind = rng.randrange(len(paths)), rng.choice(self.KINDS)
+                which, kind = draw.randrange(len(paths)), draw.choice(self.KINDS) if n < self.CASES else "huge"
                 damaged = out / Path(paths[which]).name
-                damaged.write_bytes(self.mutate(Path(paths[which]).read_bytes(), kind, rng))
+                damaged.write_bytes(self.mutate(Path(paths[which]).read_bytes(), kind, draw))
                 paths = [*paths[:which], damaged, *paths[which + 1:]]
                 settings[key] = paths if isinstance(settings[key], list) else paths[0]
                 label = f"{case} case {n}: {kind} of --{key.replace('_', '-')} {damaged.name}"

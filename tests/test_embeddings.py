@@ -540,13 +540,6 @@ class TestEnsembleSimilarities:
                 for j, u in enumerate(others):
                     assert abs(sims[r, j] - model.cosine(t, u)) <= 1e-12
 
-    def test_rows_built_once_and_read_only(self, rng):
-        ensemble = ModelEnsemble(self.replicas(rng), ["t0013"])
-        sims = ensemble.similarities("t0013")
-        assert ensemble.similarities("t0013") is sims
-        with pytest.raises(ValueError, match="read-only"):
-            sims[0, 0] = 0.0
-
     def test_missing_term(self, rng):
         with pytest.raises(KeyError, match="t0007.*r2"):
             ModelEnsemble(self.replicas(rng), ["t0007"])
