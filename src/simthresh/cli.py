@@ -283,15 +283,20 @@ def cmd_search(args: argparse.Namespace) -> int:
     topics = retrieval.read_topics(args.topics)
     embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)
     run: dict[str, list[tuple[str, float]]] = {}
+    queried: set[str] = set()  # every distinct query term
     for topic_id, text in topics:
         terms = index.pipeline.process(text)
+        queried.update(terms)
         if not any(len(index.postings(t)[0]) for t in terms):
             problem = "query has no terms with collection evidence" if terms else "query empty after preprocessing"
             raise ValueError(f"{args.topics}: topic {topic_id}: {problem}")
         table = retrieval.build_translation_table(terms, policy, embedding)
         run[topic_id] = retrieval.tlm_score(index, config, table, terms)
     retrieval.write_run(run, args.out, run_tag=args.run_tag, max_docs=args.max_docs)
-    print(f"scored {len(run)} topics under policy {policy.mode}")
+    summary = f"scored {len(run)} topics under policy {policy.mode}"
+    if embedding is not None:  # a model in another term space (say, stemmed against an unstemmed index) shows here
+        summary += f"; {sum(t not in embedding for t in queried)} of {len(queried)} query terms not in the model"
+    print(summary)
     return 0
 
 

@@ -43,22 +43,21 @@ class ModelFormatError(ValueError):
     """Raised when an embedding file violates the declared format."""
 
 
-def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: str) -> None:
+def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: str, first: int = 0) -> None:
     """Reject non-finite and zero rows, then scale each row to unit length in
     place; rows already within ``_NORM_SKIP_TOL`` of it are divided by 1.0,
-    which leaves them bit-identical."""
-    blocks = np.array_split(vectors, 1 + len(vectors) // 8192)  # bounds the temporaries of isfinite and norm
-    finite = np.concatenate([np.isfinite(b).all(axis=1) for b in blocks])
+    which leaves them bit-identical. Messages number the rows from ``first``."""
+    finite = np.isfinite(vectors).all(axis=1)
     if not finite.all():
-        raise ModelFormatError(f"{model_id}: record {int(np.argmin(finite))}: non-finite vector component")
+        raise ModelFormatError(f"{model_id}: record {first + int(np.argmin(finite))}: non-finite vector component")
     with np.errstate(over="ignore"):
-        norms = np.concatenate([np.linalg.norm(b, axis=1) for b in blocks])
+        norms = np.linalg.norm(vectors, axis=1)
     for i in np.flatnonzero(np.isinf(norms)):  # its squares overflow: measure it scaled by its largest magnitude
         vectors[i] /= np.abs(vectors[i]).max()
         norms[i] = np.linalg.norm(vectors[i])
     if np.any(norms < _ZERO_NORM_TOL):
         bad = int(np.argmin(norms))
-        raise ModelFormatError(f"{model_id}: record {bad}: zero-norm vector for token {vocabulary[bad]!r}")
+        raise ModelFormatError(f"{model_id}: record {first + bad}: zero-norm vector for token {vocabulary[bad]!r}")
     needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
     if np.any(needs):
         vectors /= np.where(needs, norms, 1.0)[:, None]
@@ -326,7 +325,7 @@ def _parse_header(line: bytes, path: str) -> tuple[int, int]:
     return count, dim
 
 
-def _allocate_rows(path: str, fh: BinaryIO, count: int, dim: int, record_bytes: int) -> np.ndarray:
+def _allocate_rows(fh: BinaryIO, count: int, dim: int, record_bytes: int) -> np.ndarray:
     """The matrix for the records after the header, with no more rows than the
     rest of the file can hold: each record takes at least ``record_bytes``, the
     last one's newline optional. An overstated header count then fails as a
@@ -337,28 +336,23 @@ def _allocate_rows(path: str, fh: BinaryIO, count: int, dim: int, record_bytes: 
     return np.empty((count, dim), dtype=np.float64)
 
 
-def _load_text(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
-        count, dim = _parse_header(fh.readline(), path)
-        rows = _allocate_rows(path, fh, count, dim, 2 * (dim + 1))  # token, dim spaced digits, newline
-        tokens: list[str] = []
-        while block := list(islice(fh, _TEXT_BLOCK_LINES)):
-            n = len(tokens)
-            try:
-                heads = [line.split(None, 1) for raw in block if (line := raw.decode("utf-8").strip())]
-                if not heads:
-                    continue
-                values = np.loadtxt([body for _, body in heads], dtype=np.float64, ndmin=2, comments=None)
-                if values.shape != (len(heads), dim) or n + len(heads) > count:
-                    raise ValueError("block does not parse")
-            except ValueError:  # UnicodeDecodeError included
-                _raise_for_text_record(path, block, n, count, dim)
-                raise
-            tokens.extend(token for token, _ in heads)
-            rows[n : len(tokens)] = values
-        if len(tokens) != count:
-            raise ModelFormatError(f"{path}: header promises {count} records, found {len(tokens)}")
-    return tokens, rows
+def _text_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The text records after the header, as (tokens, float64 rows) per block
+    of ``_TEXT_BLOCK_LINES`` lines that holds any."""
+    n = 0
+    while block := list(islice(fh, _TEXT_BLOCK_LINES)):
+        try:
+            heads = [line.split(None, 1) for raw in block if (line := raw.decode("utf-8").strip())]
+            if not heads:
+                continue
+            values = np.loadtxt([body for _, body in heads], dtype=np.float64, ndmin=2, comments=None)
+            if values.shape != (len(heads), dim) or n + len(heads) > count:
+                raise ValueError("block does not parse")
+        except ValueError:  # UnicodeDecodeError included
+            _raise_for_text_record(path, block, n, count, dim)
+            raise
+        yield [token for token, _ in heads], values
+        n += len(heads)
 
 
 def _raise_for_text_record(path: str, block: list[bytes], n: int, count: int, dim: int) -> None:
@@ -385,74 +379,74 @@ def _raise_for_text_record(path: str, block: list[bytes], n: int, count: int, di
         n += 1
 
 
-def _load_binary(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
-        count, dim = _parse_header(fh.readline(), path)
-        vec_bytes = 4 * dim
-        rows = _allocate_rows(path, fh, count, dim, vec_bytes + 3)  # token, space, vector, newline
-        tokens: list[str] = []
-        buf, pos = bytearray(), 0
-        starts: list[int] = []  # offsets in buf of the last len(starts) tokens' vectors, not yet cast
-
-        def cast() -> None:
-            """Cast the pending vectors into their rows at once (float32 -> float64 is exact)."""
-            if starts:
-                joined = b"".join(buf[s : s + vec_bytes] for s in starts)
-                rows[len(tokens) - len(starts) : len(tokens)] = np.frombuffer(joined, "<f4").reshape(-1, dim)
-                starts.clear()
-
-        for n in range(count):
-            # Read on until the buffer holds this record's token, vector and separator, or the file ends.
-            while (space := buf.find(b" ", pos)) < 0 or len(buf) < space + vec_bytes + 2:
-                chunk = fh.read(_BINARY_CHUNK_BYTES)
-                if not chunk:
-                    break
-                cast()
-                del buf[:pos]
-                buf += chunk
-                pos = 0
-            if space < 0:
-                raise ModelFormatError(f"{path}: truncated at record {n}")
-            try:
-                token = buf[pos:space].decode("utf-8")
-            except UnicodeDecodeError:
-                raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
-            if not token:
-                raise ModelFormatError(f"{path}: empty token in record {n}")
-            pos = space + 1 + vec_bytes
-            if len(buf) < pos:
-                raise ModelFormatError(f"{path}: truncated vector in record {n}")
-            tokens.append(token)
-            starts.append(space + 1)
-            sep = buf[pos : pos + 1]
-            if sep not in (b"\n", b""):
-                raise ModelFormatError(f"{path}: expected newline after record {n}")
-            if sep == b"" and n != count - 1:
-                raise ModelFormatError(f"{path}: header promises {count} records, found {n + 1}")
-            pos += 1
-        cast()
-        if pos < len(buf) or fh.read(1):
-            raise ModelFormatError(f"{path}: trailing bytes after {count} records")
-    return tokens, rows
+def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The ``count`` binary records after the header, as (tokens, float32 rows)
+    per block: the records completed by one ``_BINARY_CHUNK_BYTES`` read."""
+    vec_bytes = 4 * dim
+    buf, pos = bytearray(), 0
+    tokens: list[str] = []
+    vectors: list[bytes] = []
+    for n in range(count):
+        # Read on until the buffer holds this record's token, vector and separator, or the file ends.
+        while (space := buf.find(b" ", pos)) < 0 or len(buf) < space + vec_bytes + 2:
+            chunk = fh.read(_BINARY_CHUNK_BYTES)
+            if not chunk:
+                break
+            if tokens:  # the records this buffer completed, before the read moves it on
+                yield tokens, np.frombuffer(b"".join(vectors), "<f4").reshape(-1, dim)
+                tokens, vectors = [], []
+            del buf[:pos]
+            buf += chunk
+            pos = 0
+        if space < 0:
+            raise ModelFormatError(f"{path}: truncated at record {n}")
+        try:
+            token = buf[pos:space].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: record {n}: token is not valid UTF-8") from None
+        if not token:
+            raise ModelFormatError(f"{path}: empty token in record {n}")
+        pos = space + 1 + vec_bytes
+        if len(buf) < pos:
+            raise ModelFormatError(f"{path}: truncated vector in record {n}")
+        tokens.append(token)
+        vectors.append(buf[space + 1 : pos])
+        sep = buf[pos : pos + 1]
+        if sep not in (b"\n", b""):
+            raise ModelFormatError(f"{path}: expected newline after record {n}")
+        if sep == b"" and n != count - 1:
+            raise ModelFormatError(f"{path}: header promises {count} records, found {n + 1}")
+        pos += 1
+    if pos < len(buf) or fh.read(1):
+        raise ModelFormatError(f"{path}: trailing bytes after {count} records")
+    yield tokens, np.frombuffer(b"".join(vectors), "<f4").reshape(-1, dim)
 
 
-def load_model(path: str, fmt: str = "word2vec_text", model_id: str | None = None) -> EmbeddingModel:
+def load_model(path: str, fmt: str = "word2vec_text") -> EmbeddingModel:
     """Load a word2vec-format model and unit-normalize its vectors.
 
     ``fmt`` is ``word2vec_text`` (header line then one ``token f1 .. fdim``
     line per record) or ``word2vec_binary`` (same header; records are the
-    token, a space, dim little-endian float32 values, and a newline).
+    token, a space, dim little-endian float32 values, and a newline). Each
+    block of records is checked and normalized as it is read, so a file with
+    faults in several blocks fails at its first faulty block.
     """
-    if fmt == "word2vec_text":
-        tokens, rows = _load_text(path)
-    elif fmt == "word2vec_binary":
-        tokens, rows = _load_binary(path)
-    else:
+    blocks = {"word2vec_text": _text_blocks, "word2vec_binary": _binary_blocks}.get(fmt)
+    if blocks is None:
         raise ValueError(f"unknown format {fmt!r}")
-    if model_id is None:
-        model_id = str(path)
-    _normalize_rows(tokens, rows, model_id)  # the reader's own matrix: no copy
-    return EmbeddingModel(model_id=model_id, vocabulary=tokens, vectors=rows)
+    tokens: list[str] = []
+    with open(path, "rb") as fh:
+        count, dim = _parse_header(fh.readline(), path)
+        # the fewest bytes a record takes: token, dim spaced digits, newline; or token, space, vector, newline
+        rows = _allocate_rows(fh, count, dim, 2 * (dim + 1) if blocks is _text_blocks else 4 * dim + 3)
+        for block_tokens, values in blocks(path, fh, count, dim):
+            n = len(tokens)
+            tokens.extend(block_tokens)
+            rows[n : len(tokens)] = values  # float32 -> float64 is exact
+            _normalize_rows(block_tokens, rows[n : len(tokens)], str(path), n)
+    if len(tokens) != count:
+        raise ModelFormatError(f"{path}: header promises {count} records, found {len(tokens)}")
+    return EmbeddingModel(model_id=str(path), vocabulary=tokens, vectors=rows)
 
 
 def save_model(model: EmbeddingModel, path: str, fmt: str = "word2vec_text") -> None:

@@ -378,7 +378,7 @@ def read_topics(path: str) -> list[tuple[str, str]]:
     first: dict[str, int] = {}  # topic id -> line
     for lineno, line in read_lines(path):
         line = line.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "\t" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'topic_id<TAB>query text'")

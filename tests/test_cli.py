@@ -897,6 +897,19 @@ class TestMoreEdges:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy", [["--policy", "none"], ["--policy", "threshold", "--threshold", "0.5"],
+                                        ["--policy", "knn", "--k", "2"]], ids=["none", "threshold", "knn"])
+    def test_search_summary_counts_query_terms_missing_from_the_model(self, tmp_path, capsys, policy):
+        # The topics' distinct stems are similar, threshold, retriev and evalu; the model lacks evalu.
+        _, topics, _, model_path, index_path = search_world(tmp_path)
+        capsys.readouterr()
+        assert main(["search", "--index", str(index_path), "--topics", str(topics), *policy,
+                     "--model", str(model_path), "--out", str(tmp_path / "r.txt")]) == 0
+        summary = f"scored 2 topics under policy {policy[1]}"
+        if policy[1] != "none":
+            summary += "; 1 of 4 query terms not in the model"
+        assert capsys.readouterr().out == summary + "\n"
+
     def test_search_duplicate_topic_fails(self, tmp_path, capsys):
         _, _, _, _, index_path = search_world(tmp_path)
         topics = tmp_path / "topics.tsv"

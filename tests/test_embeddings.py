@@ -45,6 +45,15 @@ def binary_records(count: int, records: list[tuple[bytes, list[float]]], sep: by
     return f"{count} {dim}\n".encode() + b"".join(t + b" " + struct.pack(f"<{dim}f", *v) + sep for t, v in records)
 
 
+def read_blocks(blocks, path: str) -> tuple[list[str], np.ndarray]:
+    """Every token and float64 row a block reader (``embeddings._text_blocks`` or
+    ``_binary_blocks``) reads from ``path``, before normalization."""
+    with open(path, "rb") as fh:
+        count, dim = embeddings._parse_header(fh.readline(), path)
+        read = list(blocks(path, fh, count, dim))
+    return [t for tokens, _ in read for t in tokens], np.concatenate([rows for _, rows in read]).astype(np.float64)
+
+
 def text_rows(lines: list[str]) -> np.ndarray:
     """The components of text records as ``float`` parses them."""
     return np.array([[float(x) for x in line.split()[1:]] for line in lines], dtype=np.float64)
@@ -229,7 +238,7 @@ class TestLoading:
     def test_block_boundary_counts(self, tmp_path, rng, count):
         lines = self.block_lines(count, rng)
         path = self.write(tmp_path, "m.vec", f"{count} 2\n" + "\n".join(lines) + "\n")
-        tokens, rows = embeddings._load_text(str(path))
+        tokens, rows = read_blocks(embeddings._text_blocks, str(path))
         assert tokens == [line.split()[0] for line in lines]
         assert rows.tobytes() == text_rows(lines).tobytes()
         short = self.write(tmp_path, "short.vec", f"{count + 1} 2\n" + "\n".join(lines) + "\n")
@@ -254,6 +263,53 @@ class TestLoading:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(ModelFormatError, match=rf"^{path}: {message.format(n=n)}$"):
             load_model(str(path))
+
+    def test_first_faulty_text_block_is_named(self, tmp_path, rng):
+        # Each block is normalized before the next is parsed, so a zero vector in the first block is
+        # named although the second holds a float that does not parse.
+        lines = self.block_lines(BLOCK + 20, rng)
+        lines[5] = "t5 0 0"
+        lines[BLOCK + 7] = lines[BLOCK + 7].replace(" ", " x", 1)
+        path = self.write(tmp_path, "m.vec", f"{BLOCK + 20} 2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"^{path}: record 5: zero-norm vector for token 't5'$"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("chunk, message", [
+        (embeddings._BINARY_CHUNK_BYTES, "truncated at record 2"),  # one read holds the file: one block
+        (3, "record 0: zero-norm vector for token 'a'"),  # record 0 is a block of its own
+    ], ids=["default-chunk", "3-byte-chunks"])
+    def test_first_faulty_binary_block_is_named(self, tmp_path, monkeypatch, chunk, message):
+        monkeypatch.setattr(embeddings, "_BINARY_CHUNK_BYTES", chunk)
+        path = tmp_path / "m.bin"
+        path.write_bytes(binary_records(3, [(b"a", [0.0, 0.0, 0.0]), (b"b", UNIT)]) + b"c")
+        with pytest.raises(ModelFormatError, match=rf"^{path}: {message}$"):
+            load_model(str(path), fmt="word2vec_binary")
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3), min_size=1, max_size=30),
+           blanks=st.lists(st.integers(0, 30), max_size=10))
+    def test_text_block_size_does_not_change_the_load(self, tmp_path_factory, rows, blanks):
+        # The same vocabulary and vector bytes, or the same error (zero, infinite and overflowing
+        # rows included), whatever the number of lines per block.
+        lines = [f"t{i} " + " ".join(repr(x) for x in row) for i, row in enumerate(rows)]
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), "")
+        path = tmp_path_factory.mktemp("blocks") / "m.vec"
+        path.write_text(f"{len(rows)} 3\n" + "\n".join(lines) + "\n")
+        default = embeddings._TEXT_BLOCK_LINES
+
+        def load(block: int):
+            embeddings._TEXT_BLOCK_LINES = block
+            try:
+                model = load_model(str(path))
+            except ModelFormatError as exc:
+                return str(exc)
+            finally:
+                embeddings._TEXT_BLOCK_LINES = default
+            return model.vocabulary, model.vectors.tobytes()
+
+        want = load(default)
+        assert [load(block) for block in (1, 2, 7)] == [want] * 3
 
     def test_load_normalizes_like_the_copying_path(self, tmp_path, rng):
         raw = rng.standard_normal((50, 4))
@@ -320,7 +376,7 @@ class TestRoundTrip:
                  for i, row in enumerate(rows)]
         path = tmp_path_factory.mktemp("text") / "m.vec"
         path.write_text(f"{len(rows)} 3\n" + "\n".join(lines) + "\n")
-        tokens, parsed = embeddings._load_text(str(path))
+        tokens, parsed = read_blocks(embeddings._text_blocks, str(path))
         assert tokens == [f"t{i}" for i in range(len(rows))]
         assert parsed.tobytes() == text_rows(lines).tobytes()
 
@@ -334,7 +390,7 @@ class TestRoundTrip:
         default = embeddings._BINARY_CHUNK_BYTES
         embeddings._BINARY_CHUNK_BYTES = chunk
         try:
-            tokens, parsed = embeddings._load_binary(str(path))
+            tokens, parsed = read_blocks(embeddings._binary_blocks, str(path))
         finally:
             embeddings._BINARY_CHUNK_BYTES = default
         assert tokens == [f"t{i}" for i in range(len(rows))]

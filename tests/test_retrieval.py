@@ -412,6 +412,12 @@ class TestReaders:
             ("302", "poliosis"),
         ]
 
+    def test_topics_comment_may_be_indented(self, tmp_path):
+        # An indented '#' line is a comment too: read as a topic, its id held a space and broke the run file.
+        path = tmp_path / "topics.tsv"
+        path.write_text("  # comment\tthreshold\n\t# tab-indented\n301\tcrime\n1\t\n")
+        assert read_topics(str(path)) == [("301", "crime"), ("1", "")]
+
     def test_topics_malformed(self, tmp_path):
         path = tmp_path / "topics.tsv"
         path.write_text("301 no tab here\n")
