@@ -8,7 +8,7 @@ numpy nor scipy until a name that needs them is used.
 __version__ = "0.1.0"
 
 _MODULES = {name: module for module, names in {  # public name -> the module that defines it
-    "embeddings": "EmbeddingModel ModelEnsemble load_model save_model",
+    "embeddings": "EmbeddingModel ModelEnsemble load_model",
     "uncertainty": "HistogramConfig UncertaintyCurve SimilarityHistogram uncertainty_curve similarity_histogram",
     "neighbors": "NeighborCurve default_grid expected_neighbors probe_curves aggregate_curves",
     "threshold": "SynonymTarget ThresholdResult solve_threshold synonym_statistics",

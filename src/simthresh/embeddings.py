@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import signal
 import stat
-import struct
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -26,11 +25,10 @@ __all__ = [
     "reduce_replica",
     "load_reduced",
     "load_model",
-    "save_model",
 ]
 
-# Vectors whose norm is already this close to 1 are not rescaled, which makes
-# a load -> save -> load round trip bitwise stable.
+# Vectors whose norm is already this close to 1 are not rescaled, so a file
+# written from a loaded model's vectors loads back bitwise equal.
 _NORM_SKIP_TOL = 1e-6
 _ZERO_NORM_TOL = 1e-12
 # Text replicas are parsed this many lines at a time, one np.loadtxt call per
@@ -55,8 +53,9 @@ def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: st
     for i in np.flatnonzero(np.isinf(norms)):  # its squares overflow: measure it scaled by its largest magnitude
         vectors[i] /= np.abs(vectors[i]).max()
         norms[i] = np.linalg.norm(vectors[i])
-    if np.any(norms < _ZERO_NORM_TOL):
-        bad = int(np.argmin(norms))
+    zero = norms < _ZERO_NORM_TOL
+    if zero.any():
+        bad = int(np.argmax(zero))  # the first such row, whatever the block size
         raise ModelFormatError(f"{model_id}: record {first + bad}: zero-norm vector for token {vocabulary[bad]!r}")
     needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
     if np.any(needs):
@@ -447,24 +446,3 @@ def load_model(path: str, fmt: str = "word2vec_text") -> EmbeddingModel:
     if len(tokens) != count:
         raise ModelFormatError(f"{path}: header promises {count} records, found {len(tokens)}")
     return EmbeddingModel(model_id=str(path), vocabulary=tokens, vectors=rows)
-
-
-def save_model(model: EmbeddingModel, path: str, fmt: str = "word2vec_text") -> None:
-    """Write a model back out in word2vec text or binary format."""
-    for t in model.vocabulary:
-        if " " in t or "\n" in t or not t:
-            raise ValueError(f"token {t!r} cannot be serialized in word2vec formats")
-    if fmt == "word2vec_text":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(model)} {model.dimensionality}\n")
-            for t, vec in zip(model.vocabulary, model.vectors):
-                fh.write(t + " " + " ".join(repr(float(x)) for x in vec) + "\n")
-    elif fmt == "word2vec_binary":
-        with open(path, "wb") as fh:
-            fh.write(f"{len(model)} {model.dimensionality}\n".encode("utf-8"))
-            for t, vec in zip(model.vocabulary, model.vectors):
-                fh.write(t.encode("utf-8") + b" ")
-                fh.write(struct.pack(f"<{model.dimensionality}f", *vec.astype(np.float32)))
-                fh.write(b"\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

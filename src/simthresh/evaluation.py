@@ -13,7 +13,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
-from .csvio import read_csv, read_lines, write_csv
+from .csvio import read_lines, write_csv
 
 __all__ = [
     "Qrels",
@@ -256,14 +256,6 @@ def write_metric_report(path: str, scores: list[RunScores]) -> None:
         ["topic"] + [s.metric for s in scores],
         [[t] + [s.per_topic[t] for s in scores] for t in topics] + [["all"] + [s.mean for s in scores]],
     )
-
-
-def read_metric_report(path: str) -> dict[str, dict[str, float]]:
-    """topic -> metric -> value (the 'all' row included)."""
-    _, rows = read_csv(path)
-    if not rows or "topic" not in rows[0]:
-        raise ValueError(f"{path}: not a metric report")
-    return {r["topic"]: {m: float(v) for m, v in r.items() if m != "topic"} for r in rows}
 
 
 def write_comparison_report(

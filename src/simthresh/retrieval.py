@@ -409,4 +409,4 @@ def write_run(
 
 def _topic_sort_key(topic_id: str) -> tuple[int, str]:
     # Numeric topic ids sort numerically, everything else lexicographically.
-    return (0, f"{int(topic_id):020d}") if topic_id.isdigit() else (1, topic_id)
+    return (0, f"{int(topic_id):020d}") if topic_id.isdecimal() else (1, topic_id)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_csv, read_records, write_csv
+from .csvio import read_records, write_csv
 from .neighbors import NeighborCurve
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "synonym_statistics",
     "parse_synsets",
     "write_threshold_csv",
-    "read_threshold_csv",
 ]
 
 # Tolerated upward float wiggle when validating that a curve is non-increasing.
@@ -168,11 +167,3 @@ def write_threshold_csv(results: list[ThresholdResult], path: str) -> None:
         ["dimensionality", "lower", "main", "upper"],
         [(r.dimensionality, r.lower, r.main, r.upper) for r in results],
     )
-
-
-def read_threshold_csv(path: str) -> list[tuple[int, float, float, float]]:
-    _, rows = read_csv(path)
-    return [
-        (int(r["dimensionality"]), float(r["lower"]), float(r["main"]), float(r["upper"]))
-        for r in rows
-    ]

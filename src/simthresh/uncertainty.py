@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import read_csv, write_csv
+from .csvio import write_csv
 from .embeddings import EmbeddingModel, ModelEnsemble, ReducedReplica
 
 __all__ = [
@@ -22,9 +22,7 @@ __all__ = [
     "uncertainty_curve",
     "similarity_histogram",
     "write_uncertainty_csv",
-    "read_uncertainty_csv",
     "write_histogram_csv",
-    "read_histogram_csv",
 ]
 
 
@@ -153,18 +151,6 @@ def similarity_histogram(
     return SimilarityHistogram(config=config, counts=counts, out_of_domain_count=out_of_domain)
 
 
-def _config_from_rows(path: str, rows: list[dict[str, str]]) -> HistogramConfig:
-    if not rows:
-        raise ValueError(f"{path}: no bins found")
-    return HistogramConfig(
-        domain_low=float(rows[0]["bin_low"]), domain_high=float(rows[-1]["bin_high"]), bin_count=len(rows)
-    )
-
-
-def _comment_count(comments: list[str], key: str) -> int:
-    return int(dict(c.split("=", 1) for c in comments if "=" in c).get(key, 0))
-
-
 def write_uncertainty_csv(curve: UncertaintyCurve, path: str) -> None:
     """One row per bin: bin_low, bin_high, pair_count, mean_abs_diff.
 
@@ -179,17 +165,6 @@ def write_uncertainty_csv(curve: UncertaintyCurve, path: str) -> None:
     )
 
 
-def read_uncertainty_csv(path: str) -> UncertaintyCurve:
-    comments, rows = read_csv(path)
-    config = _config_from_rows(path, rows)
-    return UncertaintyCurve(
-        config=config,
-        pair_counts=np.array([int(r["pair_count"]) for r in rows], dtype=np.int64),
-        mean_abs_diff=np.array([float(r["mean_abs_diff"] or "nan") for r in rows]),
-        out_of_domain_count=_comment_count(comments, "out_of_domain_pairs"),
-    )
-
-
 def write_histogram_csv(hist: SimilarityHistogram, path: str) -> None:
     edges = hist.config.edges
     write_csv(
@@ -197,13 +172,4 @@ def write_histogram_csv(hist: SimilarityHistogram, path: str) -> None:
         ["bin_low", "bin_high", "count"],
         [(edges[i], edges[i + 1], int(hist.counts[i])) for i in range(hist.config.bin_count)],
         [f"out_of_domain_count={hist.out_of_domain_count}"],
-    )
-
-
-def read_histogram_csv(path: str) -> SimilarityHistogram:
-    comments, rows = read_csv(path)
-    return SimilarityHistogram(
-        config=_config_from_rows(path, rows),
-        counts=np.array([int(r["count"]) for r in rows], dtype=np.int64),
-        out_of_domain_count=_comment_count(comments, "out_of_domain_count"),
     )

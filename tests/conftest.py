@@ -39,6 +39,22 @@ def perturbed_replicas(
     return out
 
 
+def word2vec_bytes(records, fmt: str = "word2vec_text", count: int | None = None, sep: bytes = b"\n") -> bytes:
+    """A word2vec file of ``records``, a model or (token, vector) pairs with str or raw bytes
+    tokens: the header ``count dim`` (``count`` defaults to the number of records), then per
+    record the token, a space, the vector and ``sep``. Vectors are written as little-endian
+    float32s in ``word2vec_binary`` and as space-separated ``repr`` floats in ``word2vec_text``."""
+    if isinstance(records, EmbeddingModel):
+        records = zip(records.vocabulary, records.vectors)
+    records = [(t.encode() if isinstance(t, str) else t, np.asarray(v, dtype=np.float64)) for t, v in records]
+    if fmt == "word2vec_binary":
+        body = [t + b" " + v.astype("<f4").tobytes() + sep for t, v in records]
+    else:
+        body = [t + b" " + " ".join(map(repr, v.tolist())).encode() + sep for t, v in records]
+    header = f"{len(records) if count is None else count} {len(records[0][1])}\n"
+    return header.encode() + b"".join(body)
+
+
 def pair_replicas(sim_values: list[float]) -> list[EmbeddingModel]:
     """Two-token replicas whose pair similarity takes the given value in each."""
     replicas = []

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from simthresh.cli import COMMANDS, OPTIONS, build_parser, main, read_config, resolve
-from simthresh.embeddings import EmbeddingModel, load_model, save_model
-from simthresh.evaluation import read_metric_report
+from simthresh.csvio import read_csv
+from simthresh.embeddings import EmbeddingModel, load_model
 from simthresh.neighbors import read_curve_csv
 from simthresh.retrieval import LmConfig, build_index, lm_score, load_index, read_corpus, read_run, write_run
 from simthresh.textproc import Pipeline
-from simthresh.threshold import read_threshold_csv, solve_threshold
-from simthresh.uncertainty import read_histogram_csv, read_uncertainty_csv
+from simthresh.threshold import solve_threshold
+
+from conftest import word2vec_bytes
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -36,7 +37,7 @@ def write_pair_replicas(tmp_path, sims):
         vectors = np.array([[1.0, 0.0], [s, np.sqrt(1 - s * s)]])
         model = EmbeddingModel.from_arrays(["a", "b"], vectors, model_id=f"r{r}")
         path = tmp_path / f"pair_{r}.vec"
-        save_model(model, str(path))
+        path.write_bytes(word2vec_bytes(model))
         paths.append(str(path))
     return paths
 
@@ -61,10 +62,10 @@ class TestUncertaintyCommand:
             "--probes", PROBES, "--curve-out", str(out),
         ])
         assert rc == 0
-        curve = read_uncertainty_csv(str(out))
-        populated = curve.pair_counts > 0
-        assert populated.any()
-        assert np.all(curve.mean_abs_diff[populated] == 0.0)
+        _, rows = read_csv(str(out))
+        populated = [r for r in rows if int(r["pair_count"]) > 0]
+        assert populated
+        assert all(float(r["mean_abs_diff"]) == 0.0 for r in populated)
 
     def test_missing_probe_file(self, tmp_path, capsys):
         rc = main([
@@ -90,20 +91,20 @@ class TestUncertaintyCommand:
         )
         out_cfg = tmp_path / "c10.csv"
         assert main(["uncertainty", "--config", str(config), "--curve-out", str(out_cfg)]) == 0
-        assert read_uncertainty_csv(str(out_cfg)).config.bin_count == 10
+        assert len(read_csv(str(out_cfg))[1]) == 10
         out_flag = tmp_path / "c20.csv"
         rc = main([
             "uncertainty", "--config", str(config), "--bins", "20",
             "--curve-out", str(out_flag),
         ])
         assert rc == 0
-        assert read_uncertainty_csv(str(out_flag)).config.bin_count == 20
+        assert len(read_csv(str(out_flag))[1]) == 20
 
     def test_golden_readable_by_repo_readers(self):
-        curve = read_uncertainty_csv(str(DATA / "golden_uncertainty.csv"))
-        assert curve.config.bin_count == 500
-        hist = read_histogram_csv(str(DATA / "golden_histogram.csv"))
-        assert hist.total == 2 * 5
+        assert len(read_csv(str(DATA / "golden_uncertainty.csv"))[1]) == 500
+        comments, rows = read_csv(str(DATA / "golden_histogram.csv"))
+        assert comments == ["out_of_domain_count=1"]
+        assert sum(int(r["count"]) for r in rows) + 1 == 2 * 5
 
 
 class TestHistogramAndNeighbors:
@@ -111,7 +112,9 @@ class TestHistogramAndNeighbors:
         out = tmp_path / "hist.csv"
         rc = main(["histogram", "--model", REPLICAS[0], "--probes", PROBES, "--out", str(out)])
         assert rc == 0
-        assert read_histogram_csv(str(out)).total == 10
+        comments, rows = read_csv(str(out))
+        assert comments == ["out_of_domain_count=1"]
+        assert sum(int(r["count"]) for r in rows) + 1 == 10
 
     def test_neighbors_threshold_listing(self, capsys):
         rc = main(["neighbors", "--model", REPLICAS[0], "--term", "alpha", "--threshold", "-1.0"])
@@ -183,11 +186,10 @@ class TestThresholdCommand:
             "--target", "2.5", "--out", str(out), "--curve-out", str(curve_out),
         ])
         assert rc == 0
-        rows = read_threshold_csv(str(out))
+        _, rows = read_csv(str(out))
         assert len(rows) == 1
-        dim, lower, mainv, upper = rows[0]
-        assert dim == 4
-        assert lower <= mainv <= upper
+        assert rows[0]["dimensionality"] == "4"
+        assert float(rows[0]["lower"]) <= float(rows[0]["main"]) <= float(rows[0]["upper"])
         assert curve_out.exists()
 
     @pytest.mark.parametrize("probes", [["alpha", "gamma"], ["alpha"]], ids=["banded", "one-probe"])
@@ -200,7 +202,8 @@ class TestThresholdCommand:
         curve = read_curve_csv(str(curve_out))
         assert (curve.band_low is None) == (len(probes) == 1)
         result = solve_threshold(curve, 2.5, dimensionality=4)
-        assert read_threshold_csv(str(out)) == [(4, result.lower, result.main, result.upper)]
+        assert read_csv(str(out))[1] == [{"dimensionality": "4", "lower": repr(result.lower),
+                                          "main": repr(result.main), "upper": repr(result.upper)}]
 
     def test_degenerate_pair_closed_form(self, tmp_path):
         paths = write_pair_replicas(tmp_path, [0.68, 0.69, 0.70, 0.71, 0.72])
@@ -212,7 +215,8 @@ class TestThresholdCommand:
             "--target", "0.5", "--out", str(out),
         ])
         assert rc == 0
-        _, lower, mainv, upper = read_threshold_csv(str(out))[0]
+        (row,) = read_csv(str(out))[1]
+        lower, mainv, upper = (float(row[k]) for k in ("lower", "main", "upper"))
         # both per-term curves are the same survival; target 0.5 crosses at the mean
         assert mainv == pytest.approx(0.70, abs=1e-3)
         assert lower == pytest.approx(mainv, abs=1e-9)
@@ -242,7 +246,7 @@ class TestThresholdCommand:
             model = load_model(REPLICAS[k])
             if k == 2:
                 model = EmbeddingModel(path, [t if t != "alpha" else "other" for t in model.vocabulary], model.vectors)
-            save_model(model, path)
+            Path(path).write_bytes(word2vec_bytes(model))
         Path(paths[3]).write_bytes(Path(paths[3]).read_bytes()[:-20])
         rc = main(["threshold", "--models", *paths, "--probes", PROBES, "--out", str(tmp_path / "t.csv")])
         assert rc == 1
@@ -367,7 +371,8 @@ class TestThresholdDeterminism:
     def test_reversed_probes_agree_to_rounding(self, tmp_path):
         report, curve = self.run_threshold(tmp_path, self.PROBES, 1)
         report_r, curve_r = self.run_threshold(tmp_path, self.PROBES[::-1], 1)
-        np.testing.assert_allclose(read_threshold_csv(str(report_r)), read_threshold_csv(str(report)), rtol=1e-15)
+        rows_r, rows = ([[float(v) for v in r.values()] for r in read_csv(str(p))[1]] for p in (report_r, report))
+        np.testing.assert_allclose(rows_r, rows, rtol=1e-15)
         a, b = read_curve_csv(str(curve)), read_curve_csv(str(curve_r))
         assert np.array_equal(a.grid, b.grid) and a.n_terms == b.n_terms == 3
         # the band edges are mean -/+ a half-width, so their rounding scales with the mean
@@ -413,7 +418,7 @@ def search_world(tmp_path):
     ])
     model = EmbeddingModel.from_arrays(["similar", "threshold", "retriev"], vectors, "emb")
     model_path = tmp_path / "emb.vec"
-    save_model(model, str(model_path))
+    model_path.write_bytes(word2vec_bytes(model))
     index_path = tmp_path / "index.json.gz"
     assert main(["index", "--corpus", str(corpus), "--out", str(index_path)]) == 0
     return corpus, topics, qrels, model_path, index_path
@@ -453,6 +458,15 @@ class TestSearchWorkflow:
         assert rc == 0
         assert read_run(str(out))
 
+    def test_superscript_topic_id_sorts_after_numeric_ids(self, tmp_path):
+        # '²'.isdigit() holds but int('²') fails: the id is not a number, and sorts after the numbers
+        _, topics, _, _, index_path = search_world(tmp_path)
+        topics.write_text("²\tsimilarity threshold\n10\tretrieval evaluation\n2\tthreshold\n")
+        run = tmp_path / "run.txt"
+        assert main(["search", "--index", str(index_path), "--topics", str(topics),
+                     "--policy", "none", "--out", str(run)]) == 0
+        assert list(dict.fromkeys(line.split()[0] for line in run.read_text().splitlines())) == ["2", "10", "²"]
+
     def test_evaluate_and_compare(self, tmp_path, capsys):
         _, topics, qrels, model_path, index_path = search_world(tmp_path)
         run = tmp_path / "run.txt"
@@ -462,9 +476,9 @@ class TestSearchWorkflow:
         rc = main(["evaluate", "--run", str(run), "--qrels", str(qrels),
                    "--out", str(report)])
         assert rc == 0
-        loaded = read_metric_report(str(report))
-        assert set(loaded) == {"1", "2", "all"}
-        assert all(0.0 <= v <= 1.0 for row in loaded.values() for v in row.values())
+        _, rows = read_csv(str(report))
+        assert {r.pop("topic") for r in rows} == {"1", "2", "all"}
+        assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r.values())
 
         cmp_csv = tmp_path / "cmp.csv"
         rc = main(["compare", "--run-a", str(run), "--run-b", str(run),
@@ -768,7 +782,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
     def test_non_utf8_token_names_file_and_record(self, tmp_path, capsys, fmt):
         path = tmp_path / "bad.vec"
-        save_model(load_model(REPLICAS[0]), str(path), fmt=fmt)
+        path.write_bytes(word2vec_bytes(load_model(REPLICAS[0]), fmt))
         data = path.read_bytes()
         assert data.count(b"\nbeta ") == 1  # record 1
         path.write_bytes(data.replace(b"\nbeta ", b"\n\xff\xfebeta "))
@@ -784,7 +798,7 @@ class TestBadInputs:
     ], ids=["duplicate", "non-finite", "zero-norm"])
     def test_bad_model_record_names_file_and_record(self, tmp_path, capsys, fmt, damage, message):
         path = tmp_path / "bad.vec"
-        save_model(load_model(REPLICAS[0]), str(path), fmt=fmt)
+        path.write_bytes(word2vec_bytes(load_model(REPLICAS[0]), fmt))
         head, tail = path.read_bytes().split(b"\nbeta ")  # record 1 of 4 components
         values = [float("nan"), 1.0, 0.0, 0.0] if damage == "non-finite" else [0.0] * 4
         if damage == "duplicate":
@@ -812,7 +826,9 @@ class TestMoreEdges:
         replicas = [tmp_path / "r0.vec", tmp_path / "r1.vec"]
         for path in replicas:
             os.mkfifo(path)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        # with faulthandler on, a SIGABRT makes each process print every thread's stack before it dies
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+                   PYTHONFAULTHANDLER="1")
         cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
         proc = subprocess.Popen(
             [sys.executable, "-m", "simthresh.cli", "uncertainty", "--reference", str(replicas[0]),
@@ -830,7 +846,16 @@ class TestMoreEdges:
                 os.kill(int(workers[0]), signal.SIGKILL)
             else:
                 (os.killpg if stop == "process-group" else os.kill)(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=10)
+            try:
+                _, err = proc.communicate(timeout=10)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGABRT)
+                try:
+                    _, err = proc.communicate(timeout=10)
+                except subprocess.TimeoutExpired:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    _, err = proc.communicate()
+                pytest.fail(f"the command outlived the {stop} stop by 10 s; its stderr after a SIGABRT:\n{err}")
             deadline = time.monotonic() + 5
             while alive := [pid for pid in workers if Path(f"/proc/{pid}").exists()]:
                 assert time.monotonic() < deadline, f"worker processes {alive} outlived the command"
@@ -850,7 +875,7 @@ class TestMoreEdges:
             ["a", "b", "c"], np.array([[1.0, 0, 0], [0.9, np.sqrt(1 - 0.81), 0], [0, 0, 1.0]]), "bin"
         )
         path = tmp_path / "m.bin"
-        save_model(model, str(path), fmt="word2vec_binary")
+        path.write_bytes(word2vec_bytes(model, "word2vec_binary"))
         out = tmp_path / "nn.csv"
         rc = main(["neighbors", "--model", str(path), "--format", "word2vec_binary",
                    "--term", "a", "--k", "1", "--out", str(out)])
@@ -884,7 +909,8 @@ class TestMoreEdges:
         # the model holds no query stem, so no neighbor query ever sees the threshold
         _, topics, _, _, index_path = search_world(tmp_path)
         model_path, out = tmp_path / "stemless.vec", tmp_path / "run.txt"
-        save_model(EmbeddingModel.from_arrays(["unrelat", "other"], np.eye(2), "stemless"), str(model_path))
+        stemless = EmbeddingModel.from_arrays(["unrelat", "other"], np.eye(2), "stemless")
+        model_path.write_bytes(word2vec_bytes(stemless))
         settings = dict(index=index_path, topics=topics, policy="threshold", threshold="0.5", model=model_path)
         settings[setting] = value
         if how == "flag":

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from simthresh.csvio import _cell, format_csv, read_csv, read_lines, write_csv
-from simthresh.evaluation import RunScores, read_metric_report, write_metric_report
+from simthresh.evaluation import RunScores, write_metric_report
 from simthresh.neighbors import NeighborCurve, read_curve_csv, write_curve_csv
-from simthresh.threshold import SynonymTarget, ThresholdResult, read_threshold_csv, write_threshold_csv
+from simthresh.threshold import SynonymTarget, ThresholdResult, write_threshold_csv
 from simthresh.uncertainty import (
     HistogramConfig,
     SimilarityHistogram,
     UncertaintyCurve,
-    read_histogram_csv,
-    read_uncertainty_csv,
     write_histogram_csv,
     write_uncertainty_csv,
 )
@@ -76,11 +74,11 @@ def _metric_report(path):
 
 
 READERS = {
-    "uncertainty": (_uncertainty, read_uncertainty_csv, 4),
-    "histogram": (_histogram, read_histogram_csv, 3),
+    "uncertainty": (_uncertainty, read_csv, 4),
+    "histogram": (_histogram, read_csv, 3),
     "curve": (_curve, read_curve_csv, 4),
-    "threshold": (_threshold, read_threshold_csv, 4),
-    "metric_report": (_metric_report, read_metric_report, 2),
+    "threshold": (_threshold, read_csv, 4),
+    "metric_report": (_metric_report, read_csv, 2),
 }
 
 

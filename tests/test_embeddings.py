@@ -1,7 +1,6 @@
 import multiprocessing
 import os
 import signal
-import struct
 import subprocess
 import sys
 import threading
@@ -23,10 +22,9 @@ from simthresh.embeddings import (
     load_model,
     load_reduced,
     reduce_replica,
-    save_model,
 )
 
-from conftest import hub_model, random_model
+from conftest import hub_model, random_model, word2vec_bytes
 
 SRC = Path(__file__).parent.parent / "src"
 BLOCK = embeddings._TEXT_BLOCK_LINES
@@ -37,12 +35,6 @@ def cli_error(capsys, path, fmt: str) -> tuple[int, str]:
     capsys.readouterr()
     rc = main(["neighbors", "--model", str(path), "--format", fmt, "--term", "a", "--k", "1"])
     return rc, capsys.readouterr().err
-
-
-def binary_records(count: int, records: list[tuple[bytes, list[float]]], sep: bytes = b"\n") -> bytes:
-    """A word2vec binary file: header, then token, space, float32s and ``sep`` per record."""
-    dim = len(records[0][1])
-    return f"{count} {dim}\n".encode() + b"".join(t + b" " + struct.pack(f"<{dim}f", *v) + sep for t, v in records)
 
 
 def read_blocks(blocks, path: str) -> tuple[list[str], np.ndarray]:
@@ -71,20 +63,22 @@ TEXT_HOSTILE = {
     "bare-carriage-return": (b"2 3\na 1 0 0\nb 0\r1 0\n", "unparseable float in record 1"),
     "bad-utf8-token": (b"2 3\na 1 0 0\n\xffb 0 1 0\n", "record 1: token is not valid UTF-8"),
     "utf8-bom": (b"\xef\xbb\xbf2 3\na 1 0 0\nb 0 1 0\n", "malformed header " + repr(b"\xef\xbb\xbf2 3\n")),
+    "tiny-then-zero-norm": (b"2 3\na 0 0 2e-16\nb 0 0 0\n", "record 0: zero-norm vector for token 'a'"),
 }
 
 UNIT = [1.0, 0.0, 0.0]
+AB = [(b"a", UNIT), (b"b", UNIT)]
+BINARY = "word2vec_binary"
 # Damaged binary files (dimension 3) and the line each must fail with.
 BINARY_HOSTILE = {
-    "truncated-vector": (binary_records(2, [(b"a", UNIT), (b"b", UNIT)])[:-6], "truncated vector in record 1"),
-    "truncated-token": (binary_records(3, [(b"a", UNIT), (b"b", UNIT)]) + b"c", "truncated at record 2"),
-    "count-below-data": (binary_records(1, [(b"a", UNIT), (b"b", UNIT)]), "trailing bytes after 1 records"),
-    "count-above-data": (binary_records(3, [(b"a", UNIT), (b"b", UNIT)]), "truncated at record 2"),
-    "count-above-data-no-final-newline": (binary_records(3, [(b"a", UNIT), (b"b", UNIT)])[:-1],
-                                          "header promises 3 records, found 2"),
-    "wrong-separator": (binary_records(2, [(b"a", UNIT), (b"b", UNIT)], sep=b"x"), "expected newline after record 0"),
-    "empty-token": (binary_records(2, [(b"a", UNIT), (b"", UNIT)]), "empty token in record 1"),
-    "bad-utf8-token": (binary_records(2, [(b"a", UNIT), (b"\xffb", UNIT)]), "record 1: token is not valid UTF-8"),
+    "truncated-vector": (word2vec_bytes(AB, BINARY)[:-6], "truncated vector in record 1"),
+    "truncated-token": (word2vec_bytes(AB, BINARY, 3) + b"c", "truncated at record 2"),
+    "count-below-data": (word2vec_bytes(AB, BINARY, 1), "trailing bytes after 1 records"),
+    "count-above-data": (word2vec_bytes(AB, BINARY, 3), "truncated at record 2"),
+    "count-above-data-no-final-newline": (word2vec_bytes(AB, BINARY, 3)[:-1], "header promises 3 records, found 2"),
+    "wrong-separator": (word2vec_bytes(AB, BINARY, sep=b"x"), "expected newline after record 0"),
+    "empty-token": (word2vec_bytes([(b"a", UNIT), (b"", UNIT)], BINARY), "empty token in record 1"),
+    "bad-utf8-token": (word2vec_bytes([(b"a", UNIT), (b"\xffb", UNIT)], BINARY), "record 1: token is not valid UTF-8"),
 }
 
 
@@ -172,7 +166,7 @@ class TestLoading:
         # Allocating for the header's count used to die with a MemoryError traceback.
         model = EmbeddingModel.from_arrays(["a", "b"], np.eye(3)[:2])
         path, probes = tmp_path / "m.vec", tmp_path / "probes.txt"
-        save_model(model, str(path), fmt=fmt)
+        path.write_bytes(word2vec_bytes(model, fmt))
         data = path.read_bytes()
         path.write_bytes(b"1000000000000 3" + data[data.index(b"\n"):])
         probes.write_text("a\n")
@@ -197,7 +191,7 @@ class TestLoading:
         # A pipe has no size to bound the header count by; it loads as a file does.
         model = random_model(rng, 5, 3)
         path, fifo = tmp_path / "m", tmp_path / "m.fifo"
-        save_model(model, str(path), fmt=fmt)
+        path.write_bytes(word2vec_bytes(model, fmt))
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
         writer.start()
@@ -281,7 +275,7 @@ class TestLoading:
     def test_first_faulty_binary_block_is_named(self, tmp_path, monkeypatch, chunk, message):
         monkeypatch.setattr(embeddings, "_BINARY_CHUNK_BYTES", chunk)
         path = tmp_path / "m.bin"
-        path.write_bytes(binary_records(3, [(b"a", [0.0, 0.0, 0.0]), (b"b", UNIT)]) + b"c")
+        path.write_bytes(word2vec_bytes([(b"a", [0.0, 0.0, 0.0]), (b"b", UNIT)], "word2vec_binary", 3) + b"c")
         with pytest.raises(ModelFormatError, match=rf"^{path}: {message}$"):
             load_model(str(path), fmt="word2vec_binary")
 
@@ -340,9 +334,9 @@ class TestRoundTrip:
     def test_text_round_trip_bitwise(self, tmp_path, rng):
         model = random_model(rng, 20, 7)
         p1, p2 = tmp_path / "a.vec", tmp_path / "b.vec"
-        save_model(model, str(p1))
+        p1.write_bytes(word2vec_bytes(model))
         loaded = load_model(str(p1))
-        save_model(loaded, str(p2))
+        p2.write_bytes(word2vec_bytes(loaded))
         reloaded = load_model(str(p2))
         assert loaded.vocabulary == model.vocabulary
         np.testing.assert_array_equal(loaded.vectors, reloaded.vectors)
@@ -351,9 +345,9 @@ class TestRoundTrip:
     def test_binary_round_trip_bitwise(self, tmp_path, rng):
         model = random_model(rng, 20, 7)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_model(model, str(p1), fmt="word2vec_binary")
+        p1.write_bytes(word2vec_bytes(model, "word2vec_binary"))
         loaded = load_model(str(p1), fmt="word2vec_binary")
-        save_model(loaded, str(p2), fmt="word2vec_binary")
+        p2.write_bytes(word2vec_bytes(loaded, "word2vec_binary"))
         reloaded = load_model(str(p2), fmt="word2vec_binary")
         assert loaded.vocabulary == model.vocabulary
         np.testing.assert_array_equal(loaded.vectors, reloaded.vectors)
@@ -362,7 +356,7 @@ class TestRoundTrip:
     def test_binary_truncation_detected(self, tmp_path, rng):
         model = random_model(rng, 5, 4)
         path = tmp_path / "m.bin"
-        save_model(model, str(path), fmt="word2vec_binary")
+        path.write_bytes(word2vec_bytes(model, "word2vec_binary"))
         blob = path.read_bytes()
         path.write_bytes(blob[:-6])
         with pytest.raises(ModelFormatError):
@@ -386,7 +380,7 @@ class TestRoundTrip:
            chunk=st.sampled_from([1, 2, 7, 16, 64, embeddings._BINARY_CHUNK_BYTES]))
     def test_binary_components_read_exactly_across_chunks(self, tmp_path_factory, rows, chunk):
         path = tmp_path_factory.mktemp("binary") / "m.bin"
-        path.write_bytes(binary_records(len(rows), [(f"t{i}".encode(), row) for i, row in enumerate(rows)]))
+        path.write_bytes(word2vec_bytes([(f"t{i}", row) for i, row in enumerate(rows)], "word2vec_binary"))
         default = embeddings._BINARY_CHUNK_BYTES
         embeddings._BINARY_CHUNK_BYTES = chunk
         try:
@@ -399,16 +393,11 @@ class TestRoundTrip:
     def test_binary_without_final_newline(self, tmp_path, rng):
         model = random_model(rng, 4, 3)
         path = tmp_path / "m.bin"
-        save_model(model, str(path), fmt="word2vec_binary")
+        path.write_bytes(word2vec_bytes(model, "word2vec_binary"))
         path.write_bytes(path.read_bytes()[:-1])
         loaded = load_model(str(path), fmt="word2vec_binary")
         assert loaded.vocabulary == model.vocabulary
         np.testing.assert_allclose(loaded.vectors, model.vectors, atol=1e-6)
-
-    def test_unserializable_token(self, tmp_path):
-        model = EmbeddingModel.from_arrays(["a b"], np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="serialized"):
-            save_model(model, str(tmp_path / "m.vec"))
 
 
 class TestCosine:
@@ -679,7 +668,7 @@ class TestLoadReduced:
         for k in range(count):
             model = TestStreamedReplicas.make(k)
             path = tmp_path / f"r{k}.{fmt}"
-            save_model(model, str(path), fmt)
+            path.write_bytes(word2vec_bytes(model, fmt))
             paths.append(str(path))
         return paths
 
@@ -760,7 +749,7 @@ class TestLoadReduced:
         for k in range(3):
             model = random_model(rng, 12000, 2, model_id=f"r{k}")
             paths.append(str(tmp_path / f"r{k}.bin"))
-            save_model(model, paths[-1], "word2vec_binary")
+            Path(paths[-1]).write_bytes(word2vec_bytes(model, "word2vec_binary"))
         code = (
             "import fcntl, multiprocessing, os, signal, struct, sys, termios, threading, time\n"
             "import multiprocessing.connection as connection\n"
@@ -832,7 +821,7 @@ class TestLoadReduced:
         # exit at once, the blocked one too, and print nothing to the process's stderr.
         fifo, path, stderr = tmp_path / "r0.bin", tmp_path / "r1.bin", tmp_path / "stderr.txt"
         os.mkfifo(fifo)
-        save_model(random_model(np.random.default_rng(7), 12000, 2), str(path), "word2vec_binary")
+        path.write_bytes(word2vec_bytes(random_model(np.random.default_rng(7), 12000, 2), "word2vec_binary"))
         code = (
             "import sys\n"
             "from simthresh import embeddings\n"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, betaincc
 
+from simthresh.csvio import read_csv
 from simthresh.evaluation import (
     _t_sf_two_sided,
     Qrels,
@@ -17,7 +18,6 @@ from simthresh.evaluation import (
     evaluate_run,
     ndcg_at,
     paired_ttest,
-    read_metric_report,
     read_qrels,
     write_comparison_report,
     write_metric_report,
@@ -260,10 +260,11 @@ class TestReports:
         ndcg = RunScores(metric="ndcg", per_topic={"1": 0.5, "2": 1.0})
         path = tmp_path / "report.csv"
         write_metric_report(str(path), [ap, ndcg])
-        loaded = read_metric_report(str(path))
-        assert loaded["1"] == {"map": 0.25, "ndcg": 0.5}
-        assert loaded["all"]["map"] == pytest.approx(0.5)
-        assert loaded["all"]["ndcg"] == pytest.approx(0.75)
+        _, rows = read_csv(str(path))
+        assert rows[0] == {"topic": "1", "map": "0.25", "ndcg": "0.5"}
+        assert rows[2]["topic"] == "all"
+        assert float(rows[2]["map"]) == pytest.approx(0.5)
+        assert float(rows[2]["ndcg"]) == pytest.approx(0.75)
 
     def test_comparison_report(self, tmp_path):
         a = RunScores(metric="map", per_topic={"1": 0.6, "2": 0.7, "3": 0.9})

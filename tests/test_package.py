@@ -1,10 +1,14 @@
 """The package resolves its public names on first access."""
 
 import importlib
+import pkgutil
 
 import pytest
 
 import simthresh
+
+SUBMODULE_NAMES = [(f"simthresh.{info.name}", name) for info in pkgutil.iter_modules(simthresh.__path__)
+                   for name in importlib.import_module(f"simthresh.{info.name}").__all__]
 
 
 @pytest.mark.parametrize("name", simthresh.__all__)
@@ -13,6 +17,11 @@ def test_public_name_resolves(name):
     if name != "__version__":
         assert value is getattr(importlib.import_module(f"simthresh.{simthresh._MODULES[name]}"), name)
     assert name in dir(simthresh)
+
+
+@pytest.mark.parametrize("module, name", SUBMODULE_NAMES, ids=[f"{m}.{n}" for m, n in SUBMODULE_NAMES])
+def test_submodule_public_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
 
 
 def test_star_import():

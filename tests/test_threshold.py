@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from simthresh.csvio import read_csv
 from simthresh.embeddings import ModelEnsemble
 from simthresh.neighbors import NeighborCurve, aggregate_curves, default_grid, expected_neighbors
 from simthresh.threshold import (
@@ -11,7 +12,6 @@ from simthresh.threshold import (
     TargetUnreachableError,
     ThresholdResult,
     parse_synsets,
-    read_threshold_csv,
     solve_threshold,
     synonym_statistics,
     write_threshold_csv,
@@ -236,11 +236,11 @@ class TestThresholdCsv:
         ]
         path = tmp_path / "thresholds.csv"
         write_threshold_csv(rows, str(path))
-        loaded = read_threshold_csv(str(path))
-        assert loaded == [
-            (100, 0.802, 0.818, 0.829),
-            (200, 0.737, 0.756, 0.767),
-            (300, 0.692, 0.708, 0.726),
-            (400, 0.655, 0.675, 0.693),
+        _, loaded = read_csv(str(path))
+        assert [tuple(r.values()) for r in loaded] == [
+            ("100", "0.802", "0.818", "0.829"),
+            ("200", "0.737", "0.756", "0.767"),
+            ("300", "0.692", "0.708", "0.726"),
+            ("400", "0.655", "0.675", "0.693"),
         ]
         assert path.read_text().splitlines()[0] == "dimensionality,lower,main,upper"
