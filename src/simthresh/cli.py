@@ -16,7 +16,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .csvio import format_csv, read_records, write_csv
-from .evaluation import MAX_RUN_DOCS
+from .evaluation import MAX_RUN_DOCS, check_run_fields
 
 __all__ = ["main"]
 
@@ -205,9 +205,9 @@ def cmd_neighbors(args: argparse.Namespace) -> int:
     thr, k = args.threshold, args.k
     if (thr is None) == (k is None):
         raise ValueError("pass exactly one of --threshold or --k")
-    ExpansionPolicy(mode="threshold" if k is None else "knn", threshold=thr, k=k)  # rejects k < 1, NaN
+    policy = ExpansionPolicy(mode="threshold" if k is None else "knn", threshold=thr, k=k)  # rejects k < 1, NaN
     (replica,) = load_reduced([args.model], args.format, [args.term])
-    found = replica.neighbors_above(args.term, thr) if k is None else replica.knn(args.term, k)
+    found = policy.neighbors(replica, args.term)
     if args.out:
         write_csv(args.out, ["token", "similarity"], found)
     else:
@@ -277,25 +277,23 @@ def cmd_search(args: argparse.Namespace) -> int:
         _require(args, "threshold" if args.policy == "threshold" else "k")
     policy = retrieval.ExpansionPolicy(mode=args.policy, threshold=args.threshold, k=args.k)
     config = retrieval.LmConfig(mu=args.mu)
-    if args.max_docs < 1:  # write_run checks it too, but only after every topic is scored
+    if args.max_docs < 1:  # write_run checks it and the run tag too, but only after every topic is scored
         raise ValueError("max_docs must be >= 1")
+    check_run_fields("run tag", args.run_tag)
     index = retrieval.load_index(args.index)
-    topics = retrieval.read_topics(args.topics)
-    embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)
-    run: dict[str, list[tuple[str, float]]] = {}
-    queried: set[str] = set()  # every distinct query term
-    for topic_id, text in topics:
-        terms = index.pipeline.process(text)
-        queried.update(terms)
+    queries = {topic_id: index.pipeline.process(text) for topic_id, text in retrieval.read_topics(args.topics)}
+    for topic_id, terms in queries.items():
         if not any(len(index.postings(t)[0]) for t in terms):
             problem = "query has no terms with collection evidence" if terms else "query empty after preprocessing"
             raise ValueError(f"{args.topics}: topic {topic_id}: {problem}")
-        table = retrieval.build_translation_table(terms, policy, embedding)
-        run[topic_id] = retrieval.tlm_score(index, config, table, terms)
+    embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)
+    table = retrieval.build_translation_table([t for terms in queries.values() for t in terms], policy, embedding)
+    run = {topic_id: retrieval.tlm_score(index, config, table, terms) for topic_id, terms in queries.items()}
     retrieval.write_run(run, args.out, run_tag=args.run_tag, max_docs=args.max_docs)
     summary = f"scored {len(run)} topics under policy {policy.mode}"
     if embedding is not None:  # a model in another term space (say, stemmed against an unstemmed index) shows here
-        summary += f"; {sum(t not in embedding for t in queried)} of {len(queried)} query terms not in the model"
+        missing = sum(t not in embedding for t in table.entries)
+        summary += f"; {missing} of {len(table.entries)} query terms not in the model"
     print(summary)
     return 0
 

@@ -2,14 +2,16 @@
 and the one reader of the lines, and of the records, of a text input file.
 
 A file is an optional preamble of ``# key=value`` comment lines, a header row,
-and one comma-separated row per record. Floats are written as
-``repr(float(x))`` so they read back bit for bit; ``None`` is written as an
-empty field (a missing value). There is no quoting: fields never contain
-commas.
+and one comma-separated row per record, read by the ``csv`` module; ``_row``
+quotes only the fields that would not read back whole bare. Floats are written
+as ``repr(float(x))`` so they read back bit for bit; ``None`` is written as an
+empty field (a missing value).
 """
 
 from __future__ import annotations
 
+import csv
+from itertools import chain
 from numbers import Integral, Real
 from typing import Iterable, Iterator, Sequence
 
@@ -24,11 +26,19 @@ def _cell(x) -> str:
     return str(x)
 
 
+def _row(cells: Iterable[str]) -> str:
+    """One line that ``read_csv`` reads back as ``cells``; a field is quoted only where bare it would not be."""
+    fields = [c if {",", '"', "\r", "\n"}.isdisjoint(c) else '"' + c.replace('"', '""') + '"' for c in cells]
+    if fields[0][:1].strip() in ("", "#"):  # bare, the line would read as blank, trimmed or a comment
+        fields[0] = f'"{fields[0]}"'  # it holds no double quote, or it would be quoted already
+    return ",".join(fields)
+
+
 def format_csv(header: Sequence[str], rows: Iterable[Sequence], comments: Iterable[str] = ()) -> str:
     """The file text: ``# comment`` lines, the header, then the rows."""
     lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(_cell, row)) for row in rows)
+    lines.append(_row(header))
+    lines.extend(_row(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -38,26 +48,28 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence], commen
 
 
 def read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
-    """(comments, rows): comment texts without their ``#``, and one
-    header-keyed dict of raw fields per row. Blank lines are skipped; a row
-    whose field count differs from the header's raises ``ValueError`` naming
-    the file and line."""
+    """(comments, rows): comment texts without their ``#``, and one header-keyed
+    dict of unquoted fields per row. Blank lines are skipped; malformed quoting,
+    or a row whose field count differs from the header's, raises ``ValueError``
+    naming the file and the row's first line."""
     comments: list[str] = []
     header: list[str] | None = None
     rows: list[dict[str, str]] = []
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif not line:
-            continue
-        elif header is None:
-            header = line.split(",")
-        else:
-            fields = line.split(",")
-            if len(fields) != len(header):
+    lines = read_lines(path)
+    for lineno, line in lines:
+        if (text := line.strip()).startswith("#"):
+            comments.append(text[1:].strip())
+        elif text:
+            try:  # a quoted line break continues the record on the lines after this one
+                fields = next(csv.reader(chain([line.lstrip()], (more for _, more in lines)), strict=True))
+            except csv.Error as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if header is None:
+                header = fields
+            elif len(fields) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-            rows.append(dict(zip(header, fields)))
+            else:
+                rows.append(dict(zip(header, fields)))
     return comments, rows
 
 

@@ -46,17 +46,17 @@ def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: st
     place; rows already within ``_NORM_SKIP_TOL`` of it are divided by 1.0,
     which leaves them bit-identical. Messages number the rows from ``first``."""
     finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise ModelFormatError(f"{model_id}: record {first + int(np.argmin(finite))}: non-finite vector component")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(vectors, axis=1)
+    faults = ~finite | (norms < _ZERO_NORM_TOL)
+    if faults.any():
+        bad = int(np.argmax(faults))  # the first faulty row, whatever the block size
+        if not finite[bad]:
+            raise ModelFormatError(f"{model_id}: record {first + bad}: non-finite vector component")
+        raise ModelFormatError(f"{model_id}: record {first + bad}: zero-norm vector for token {vocabulary[bad]!r}")
     for i in np.flatnonzero(np.isinf(norms)):  # its squares overflow: measure it scaled by its largest magnitude
         vectors[i] /= np.abs(vectors[i]).max()
         norms[i] = np.linalg.norm(vectors[i])
-    zero = norms < _ZERO_NORM_TOL
-    if zero.any():
-        bad = int(np.argmax(zero))  # the first such row, whatever the block size
-        raise ModelFormatError(f"{model_id}: record {first + bad}: zero-norm vector for token {vocabulary[bad]!r}")
     needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
     if np.any(needs):
         vectors /= np.where(needs, norms, 1.0)[:, None]
@@ -215,6 +215,7 @@ def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Itera
 
     def load(path: str, receive, send) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # blocked by start() until it was ignored
         os.close(alive)  # os.read below returns only at end of file, once this process has died
         threading.Thread(target=lambda: os.read(lifeline, 1) or os._exit(1), daemon=True).start()
         for reader in [receive, *(r for _, r in running)]:  # with no read end here, a dead command breaks the pipe
@@ -229,8 +230,12 @@ def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Itera
         for path in islice(pending, count):
             receive, send = context.Pipe(duplex=False)
             worker = context.Process(target=load, args=(path, receive, send), daemon=True)
-            worker.start()
-            running.append((worker, receive))
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # a Ctrl-C waits for ``running``
+            try:
+                worker.start()
+                running.append((worker, receive))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             send.close()  # the worker holds the only send end, so its death reads as end of file
 
     try:

@@ -26,6 +26,8 @@ __all__ = [
     "paired_ttest",
     "read_qrels",
     "read_run",
+    "write_run",
+    "check_run_fields",
     "write_metric_report",
     "write_comparison_report",
 ]
@@ -100,6 +102,28 @@ def read_run(path: str) -> Run:
             )
         run.setdefault(topic_id, []).append((doc_id, value))
     return run
+
+
+def check_run_fields(what: str, *fields: str) -> None:
+    """Raise unless ``read_run`` reads each field back whole: non-empty, and left whole by ``str.split``."""
+    if " ".join(fields).split() != list(fields):
+        raise ValueError(f"{what} {next(f for f in fields if f.split() != [f])!r} is empty or holds whitespace")
+
+
+def write_run(run: Run, path: str, run_tag: str = "simthresh", max_docs: int = MAX_RUN_DOCS) -> None:
+    """TREC run format: topic_id Q0 doc_id rank score run_tag, at most ``max_docs`` lines per topic."""
+    if max_docs < 1:
+        raise ValueError("max_docs must be >= 1")
+    check_run_fields("run field", run_tag, *run, *(d for ranked in run.values() for d, _ in ranked[:max_docs]))
+    with open(path, "w", encoding="utf-8") as fh:
+        for topic_id in sorted(run, key=_topic_sort_key):
+            for rank, (doc_id, score) in enumerate(run[topic_id][:max_docs], start=1):
+                fh.write(f"{topic_id} Q0 {doc_id} {rank} {score!r} {run_tag}\n")
+
+
+def _topic_sort_key(topic_id: str) -> tuple[int, str]:
+    # Numeric topic ids sort numerically, everything else lexicographically.
+    return (0, f"{int(topic_id):020d}") if topic_id.isdecimal() else (1, topic_id)
 
 
 def condense(run: Run, qrels: Qrels) -> Run:

@@ -23,8 +23,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .csvio import read_lines
-from .embeddings import EmbeddingModel
-from .evaluation import MAX_RUN_DOCS, read_run  # noqa: F401  (read_run stays importable from here)
+from .embeddings import EmbeddingModel, ReducedReplica
+from .evaluation import check_run_fields, read_run, write_run  # noqa: F401  (the run format lives in evaluation)
 from .textproc import Pipeline
 
 __all__ = [
@@ -225,6 +225,14 @@ class ExpansionPolicy:
         if self.mode == "knn" and (self.k is None or self.k < 1):
             raise ValueError("knn mode needs k >= 1")
 
+    def neighbors(self, replica: EmbeddingModel | ReducedReplica | None, term: str) -> list[tuple[str, float]]:
+        """The ranked neighbors of ``term`` in ``replica`` that this policy keeps; none under "none"."""
+        if self.mode == "none":
+            return []
+        if replica is None:
+            raise ValueError(f"expansion mode {self.mode!r} needs an embedding model")
+        return replica.neighbors_above(term, self.threshold) if self.mode == "threshold" else replica.knn(term, self.k)
+
 
 def build_translation_table(
     query_terms: list[str],
@@ -239,20 +247,11 @@ def build_translation_table(
     non-positive similarity are discarded: they would break the probability
     simplex.
     """
-    if policy.mode != "none" and embedding is None:
-        raise ValueError(f"expansion mode {policy.mode!r} needs an embedding model")
     table = TranslationTable()
     for term in query_terms:
-        if term in table.entries:
-            continue
-        pairs: list[tuple[str, float]] = [(term, 1.0)]
-        if policy.mode != "none" and embedding is not None and term in embedding:
-            if policy.mode == "threshold":
-                neighbors = embedding.neighbors_above(term, float(policy.threshold))
-            else:
-                neighbors = embedding.knn(term, int(policy.k))
-            pairs.extend((t, s) for t, s in neighbors if s > 0.0 and t != term)
-        table.add(term, pairs)
+        if term not in table.entries:
+            found = policy.neighbors(embedding, term) if embedding is None or term in embedding else []
+            table.add(term, [(term, 1.0), *((t, s) for t, s in found if s > 0.0)])
     return table
 
 
@@ -329,6 +328,7 @@ def read_corpus(path: str) -> Iterator[tuple[str, str]]:
     documents = _json_documents if line.lstrip().startswith("{") else _trec_documents
     first: dict[str, int] = {}  # doc id -> line of its record or <DOC>
     for start, doc_id, text in documents(path, chain([(lineno, line)], lines)):
+        check_run_fields(f"{path}:{start}: document id", doc_id)
         if (seen := first.setdefault(doc_id, start)) != start:
             raise ValueError(f"{path}:{start}: duplicate document {doc_id!r} (first on line {seen})")
         yield doc_id, text
@@ -384,29 +384,10 @@ def read_topics(path: str) -> list[tuple[str, str]]:
             raise ValueError(f"{path}:{lineno}: expected 'topic_id<TAB>query text'")
         topic_id, text = line.split("\t", 1)
         topic_id = topic_id.strip()
+        check_run_fields(f"{path}:{lineno}: topic id", topic_id)
         if (seen := first.setdefault(topic_id, lineno)) != lineno:
             raise ValueError(f"{path}:{lineno}: duplicate topic {topic_id!r} (first on line {seen})")
         topics.append((topic_id, text))
     if not topics:
         raise ValueError(f"{path}: no topics found")
     return topics
-
-
-def write_run(
-    run: dict[str, list[tuple[str, float]]],
-    path: str,
-    run_tag: str = "simthresh",
-    max_docs: int = MAX_RUN_DOCS,
-) -> None:
-    """TREC run format: topic_id Q0 doc_id rank score run_tag."""
-    if max_docs < 1:
-        raise ValueError("max_docs must be >= 1")
-    with open(path, "w", encoding="utf-8") as fh:
-        for topic_id in sorted(run, key=_topic_sort_key):
-            for rank, (doc_id, score) in enumerate(run[topic_id][:max_docs], start=1):
-                fh.write(f"{topic_id} Q0 {doc_id} {rank} {score!r} {run_tag}\n")
-
-
-def _topic_sort_key(topic_id: str) -> tuple[int, str]:
-    # Numeric topic ids sort numerically, everything else lexicographically.
-    return (0, f"{int(topic_id):020d}") if topic_id.isdecimal() else (1, topic_id)

@@ -30,6 +30,7 @@ CORPUS_SIZE = 500
 @dataclass(eq=False)
 class PlantedWorld:
     base: EmbeddingModel
+    replicas: list[EmbeddingModel]
     ensemble: ModelEnsemble
     probe_terms: list[str]
     index: Index
@@ -38,12 +39,10 @@ class PlantedWorld:
     pipeline: Pipeline
 
     def run_policy(self, policy: ExpansionPolicy, mu: float = 1000.0):
-        run = {}
-        for topic_id, text in self.topics:
-            terms = self.pipeline.process(text)
-            table = build_translation_table(terms, policy, self.base)
-            run[topic_id] = tlm_score(self.index, LmConfig(mu=mu), table, terms)
-        return run
+        """The run ``search`` writes: one translation table over every topic's terms, in first-use order."""
+        queries = {topic_id: self.pipeline.process(text) for topic_id, text in self.topics}
+        table = build_translation_table([t for terms in queries.values() for t in terms], policy, self.base)
+        return {topic_id: tlm_score(self.index, LmConfig(mu=mu), table, terms) for topic_id, terms in queries.items()}
 
 
 def build_world(seed: int = 777) -> PlantedWorld:
@@ -147,6 +146,7 @@ def build_world(seed: int = 777) -> PlantedWorld:
     index = build_index(docs, pipeline)
     return PlantedWorld(
         base=base,
+        replicas=replicas,
         ensemble=ensemble,
         probe_terms=a_terms,
         index=index,

@@ -15,6 +15,8 @@ import pytest
 import scipy.stats
 from scipy.special import ndtr, ndtri
 
+from simthresh.cli import main
+from simthresh.csvio import read_csv
 from simthresh.embeddings import ModelEnsemble
 from simthresh.evaluation import (
     RunScores,
@@ -38,6 +40,7 @@ from simthresh.retrieval import (
     build_index,
     lm_score,
     read_run,
+    save_index,
     tlm_score,
 )
 from simthresh.textproc import Pipeline
@@ -45,7 +48,7 @@ from simthresh.threshold import solve_threshold, synonym_statistics
 from simthresh.uncertainty import HistogramConfig, uncertainty_curve
 from simthresh import porter
 
-from conftest import perturbed_replicas, random_model
+from conftest import perturbed_replicas, random_model, word2vec_bytes
 from metrics_oracle import oracle_average_precision, oracle_condense, oracle_ndcg
 from planted_world import build_world
 from retrieval_oracle import dense_rank
@@ -411,6 +414,61 @@ def test_c12_end_to_end_planted_synonyms():
         f"knn10 {map_knn10:.3f}, sweep edges {map_low:.3f}/{map_high:.3f})",
         elapsed,
     )
+
+
+def test_c12_claim_through_the_cli(tmp_path, capsys):
+    """AC-12 run as a user runs it: ``threshold`` on replica files, ``search`` under each policy, ``evaluate``
+    and ``compare``. Each number must be the one AC-12 computes in the library."""
+    start = time.perf_counter()
+    world = build_world()
+    replicas = [tmp_path / f"replica{r}.vec" for r in range(len(world.replicas))]
+    for path, replica in zip(replicas, world.replicas):
+        path.write_bytes(word2vec_bytes(replica))
+    (tmp_path / "base.vec").write_bytes(word2vec_bytes(world.base))
+    (tmp_path / "probes.txt").write_text("".join(f"{t}\n" for t in world.probe_terms))
+    (tmp_path / "topics.tsv").write_text("".join(f"{t}\t{text}\n" for t, text in world.topics))
+    (tmp_path / "qrels.txt").write_text("".join(f"{t} 0 {d} {g}\n" for t in world.qrels.topics()
+                                                for d, g in world.qrels.judged(t).items()))
+    save_index(world.index, str(tmp_path / "index.npz"))
+
+    assert main(["threshold", "--models", *map(str, replicas), "--probes", str(tmp_path / "probes.txt"),
+                 "--out", str(tmp_path / "threshold.csv")]) == 0
+    derived = float(read_csv(str(tmp_path / "threshold.csv"))[1][0]["main"])
+    curves = [expected_neighbors(world.ensemble, t, default_grid()) for t in world.probe_terms]
+    assert derived == solve_threshold(aggregate_curves(curves), 1.6, dimensionality=world.base.dimensionality).main
+
+    policies = {  # name -> (search flags, the same policy in the library)
+        "none": ([], ExpansionPolicy(mode="none")),
+        "derived": (["--policy", "threshold", "--threshold", repr(derived)],
+                    ExpansionPolicy(mode="threshold", threshold=derived)),
+        "knn10": (["--policy", "knn", "--k", "10"], ExpansionPolicy(mode="knn", k=10)),
+        "low": (["--policy", "threshold", "--threshold", "0.3"], ExpansionPolicy(mode="threshold", threshold=0.3)),
+        "high": (["--policy", "threshold", "--threshold", "0.95"], ExpansionPolicy(mode="threshold", threshold=0.95)),
+    }
+    maps = {}
+    for name, (flags, policy) in policies.items():
+        run, report_csv = tmp_path / f"{name}.run", tmp_path / f"{name}.csv"
+        model = ["--model", str(tmp_path / "base.vec")] if flags else []
+        assert main(["search", "--index", str(tmp_path / "index.npz"), "--topics", str(tmp_path / "topics.tsv"),
+                     *flags, *model, "--out", str(run)]) == 0
+        assert main(["evaluate", "--run", str(run), "--qrels", str(tmp_path / "qrels.txt"),
+                     "--out", str(report_csv)]) == 0
+        maps[name] = float(read_csv(str(report_csv))[1][-1]["map"])
+        assert maps[name] == evaluate_run(world.run_policy(policy), world.qrels, "map").mean, name
+
+    assert main(["compare", "--run-a", str(tmp_path / "derived.run"), "--run-b", str(tmp_path / "none.run"),
+                 "--qrels", str(tmp_path / "qrels.txt"), "--out", str(tmp_path / "compare.csv")]) == 0
+    (comparison,) = read_csv(str(tmp_path / "compare.csv"))[1]
+    assert (float(comparison["mean_a"]), float(comparison["mean_b"])) == (maps["derived"], maps["none"])
+    assert comparison["significant"] == "true"  # the paper's claim: significantly better than no expansion
+    assert maps["derived"] > maps["none"]
+    assert maps["derived"] > maps["knn10"]
+    assert maps["derived"] >= maps["low"]
+    assert maps["derived"] >= maps["high"]
+    capsys.readouterr()
+    report(12, f"the planted-synonym trend through the CLI (threshold {derived:.4f}; MAP "
+               + ", ".join(f"{name} {value:.4f}" for name, value in maps.items())
+               + f"; derived vs none p={float(comparison['p_value']):.2g})", time.perf_counter() - start)
 
 
 def test_c13_porter_reference_fixture():

@@ -13,12 +13,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from simthresh import retrieval
 from simthresh.cli import COMMANDS, OPTIONS, build_parser, main, read_config, resolve
 from simthresh.csvio import read_csv
 from simthresh.embeddings import EmbeddingModel, load_model
 from simthresh.neighbors import read_curve_csv
-from simthresh.retrieval import LmConfig, build_index, lm_score, load_index, read_corpus, read_run, write_run
+from simthresh.retrieval import (ExpansionPolicy, LmConfig, build_index, lm_score, load_index, read_corpus, read_run,
+                                 read_topics, tlm_score, write_run)
 from simthresh.textproc import Pipeline
 from simthresh.threshold import solve_threshold
 
@@ -129,6 +133,21 @@ class TestHistogramAndNeighbors:
                    "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_neighbors_tokens_that_need_quoting_read_back(self, tmp_path, capsys):
+        # bare, 'a,b' read as three fields, and '#tag' as a comment whose row was lost
+        tokens = ["probe", "a,b", 'say"hi', "#tag"]
+        vectors = np.array([[1.0, 0, 0, 0], [0.9, np.sqrt(1 - 0.81), 0, 0], [0.8, 0, 0.6, 0], [0.6, 0, 0, 0.8]])
+        model = tmp_path / "m.vec"
+        model.write_bytes(word2vec_bytes(EmbeddingModel.from_arrays(tokens, vectors, "m")))
+        out = tmp_path / "n.csv"
+        capsys.readouterr()
+        assert main(["neighbors", "--model", str(model), "--term", "probe", "--k", "3", "--out", str(out)]) == 0
+        assert main(["neighbors", "--model", str(model), "--term", "probe", "--threshold", "-1"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        expected = load_model(str(model)).knn("probe", 3)
+        assert [t for t, _ in expected] == ["a,b", 'say"hi', "#tag"]
+        assert [(r["token"], float(r["similarity"])) for r in read_csv(str(out))[1]] == expected
 
     def test_neighbors_flag_exclusivity(self, capsys):
         rc = main(["neighbors", "--model", REPLICAS[0], "--term", "beta",
@@ -458,6 +477,31 @@ class TestSearchWorkflow:
         assert rc == 0
         assert read_run(str(out))
 
+    def test_one_translation_table_per_search(self, tmp_path, monkeypatch):
+        # 'threshold' is in two of the three topics: one table over the run's terms expands it once
+        _, topics, _, model_path, index_path = search_world(tmp_path)
+        topics.write_text("1\tsimilarity threshold\n2\tretrieval evaluation\n3\tthreshold\n")
+        tables, scans = [], []
+        build, above = retrieval.build_translation_table, EmbeddingModel.neighbors_above
+        monkeypatch.setattr(retrieval, "build_translation_table",
+                            lambda terms, *rest: tables.append(terms) or build(terms, *rest))
+        monkeypatch.setattr(EmbeddingModel, "neighbors_above",
+                            lambda model, term, value: scans.append(term) or above(model, term, value))
+        run = tmp_path / "run.txt"
+        assert main(["search", "--index", str(index_path), "--topics", str(topics), "--policy", "threshold",
+                     "--threshold", "0.5", "--model", str(model_path), "--out", str(run)]) == 0
+        assert tables == [["similar", "threshold", "retriev", "evalu", "threshold"]]
+        assert scans == ["similar", "threshold", "retriev"]  # the model lacks 'evalu'
+        # the run is the one a table per topic gives
+        index, model = load_index(str(index_path)), load_model(str(model_path))
+        policy = ExpansionPolicy(mode="threshold", threshold=0.5)
+        per_topic = {}
+        for topic_id, text in read_topics(str(topics)):
+            terms = index.pipeline.process(text)
+            per_topic[topic_id] = tlm_score(index, LmConfig(), build(terms, policy, model), terms)
+        write_run(per_topic, str(tmp_path / "per_topic.txt"))
+        assert run.read_bytes() == (tmp_path / "per_topic.txt").read_bytes()
+
     def test_superscript_topic_id_sorts_after_numeric_ids(self, tmp_path):
         # '²'.isdigit() holds but int('²') fails: the id is not a number, and sorts after the numbers
         _, topics, _, _, index_path = search_world(tmp_path)
@@ -670,8 +714,10 @@ class TestBadInputs:
         ("<HEAD>alpha</HEAD>\n<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n", 1, "expected a JSON object or <DOC>"),
         ("", None, "no documents found"),
         (" \n\t\r\n\n", None, "no documents found"),
+        ("<DOC>\n<DOCNO>t1</DOCNO>\n</DOC>\n<DOC>\n<DOCNO> t 2 </DOCNO>\n</DOC>\n", 4,
+         "document id 't 2' is empty or holds whitespace"),
     ], ids=["trec-no-docno", "trec-close-without-open", "trec-unterminated", "trec-reopened", "trec-duplicate",
-            "trec-no-doc-line", "trec-header-first", "empty", "blank"])
+            "trec-no-doc-line", "trec-header-first", "empty", "blank", "trec-space-in-id"])
     def test_bad_trec_document_names_file_and_line(self, tmp_path, capsys, text, lineno, message):
         corpus = tmp_path / "c.trec"
         corpus.write_text(text)
@@ -692,8 +738,11 @@ class TestBadInputs:
         ('{"id": true, "text": "x"}\n', 1, _TYPED_FIELDS),
         ('{"id": 1.0, "text": "x"}\n', 1, _TYPED_FIELDS),
         ('{"id": 7, "text": ["alpha", {"beta": false}]}\n', 1, _TYPED_FIELDS),
+        ('{"id": "d1", "text": "x"}\n{"id": "d 1", "text": "y"}\n', 2,
+         "document id 'd 1' is empty or holds whitespace"),
+        ('{"id": "", "text": "x"}\n', 1, "document id '' is empty or holds whitespace"),
     ], ids=["number", "list", "string", "invalid", "long-integer", "deep", "null-fields", "bool-id", "float-id",
-            "list-text"])
+            "list-text", "space-in-id", "empty-id"])
     def test_bad_jsonl_record_names_file_and_line(self, tmp_path, capsys, text, lineno, message):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(text)
@@ -711,6 +760,43 @@ class TestBadInputs:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {topics}: topic 1: query has no terms with collection evidence\n"
         assert not (tmp_path / "r.txt").exists()
+
+    def test_topic_without_evidence_fails_before_the_model_is_read(self, tmp_path, capsys):
+        _, _, _, _, index_path = search_world(tmp_path)
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("1\tsimilarity\n2\tzebra quokka\n")
+        capsys.readouterr()
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics), "--policy", "knn", "--k", "2",
+                   "--model", str(tmp_path / "missing.vec"), "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {topics}: topic 2: query has no terms with collection evidence\n"
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("tag", ["my tag", ""])
+    def test_run_tag_that_a_run_cannot_hold_rejected_before_the_index(self, tmp_path, capsys, how, tag):
+        out = tmp_path / "r.txt"  # the index and the topics are missing
+        values = dict(index=tmp_path / "missing.npz", topics=tmp_path / "missing.txt", out=out)
+        if how == "flag":
+            argv = [*as_flags("search", values), f"--run-tag={tag}"]
+        else:
+            as_config(tmp_path / "search.cfg", {**values, "run_tag": tag})
+            argv = ["search", "--config", str(tmp_path / "search.cfg")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: run tag {tag!r} is empty or holds whitespace\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, lineno, what", [
+        ("1\tdog\n1 2\tcat\n", 2, "topic id '1 2'"),
+        ("\tdog\n", 1, "topic id ''"),
+    ], ids=["space", "empty"])
+    def test_topic_id_that_a_run_cannot_hold_names_file_and_line(self, tmp_path, capsys, text, lineno, what):
+        _, _, _, _, index_path = search_world(tmp_path)
+        topics = tmp_path / "topics.tsv"
+        topics.write_text(text)
+        capsys.readouterr()
+        rc = main(["search", "--index", str(index_path), "--topics", str(topics), "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {topics}:{lineno}: {what} is empty or holds whitespace\n"
 
     @pytest.mark.parametrize("command", ["synonym-stats", "threshold"])
     def test_synsets_without_single_word_lemmas_names_file(self, tmp_path, capsys, command):
@@ -841,7 +927,13 @@ class TestMoreEdges:
             while not (workers := Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text().split()):
                 assert time.monotonic() < deadline, "no worker process started"
                 time.sleep(0.05)
-            time.sleep(0.5)  # lets the workers reach the blocking open
+            wchan = Path(f"/proc/{workers[0]}/wchan")  # the one worker's kernel wait, where the kernel shows it
+            if wchan.exists():  # stop the command once that worker is blocked opening its replica, mid-load
+                while wchan.read_text() != "wait_for_partner":
+                    assert time.monotonic() < deadline, f"worker {workers[0]} never blocked opening its replica"
+                    time.sleep(0.01)
+            else:
+                time.sleep(0.5)  # lets the workers reach the blocking open
             if stop == "worker-killed":
                 os.kill(int(workers[0]), signal.SIGKILL)
             else:
@@ -1215,6 +1307,37 @@ class TestInputContract:
                     assert load_index(str(settings["out"])).doc_count == expected, label
         finally:
             signal.signal(signal.SIGALRM, previous)
+
+
+class TestRunFields:
+    """A run field is non-empty and left whole by ``str.split``. ``index`` rejects a document id, ``search`` a
+    topic id or run tag, that breaks the rule, so every run ``search`` writes is one ``evaluate`` reads."""
+
+    FIELD = st.text(st.sampled_from("a1# \t\u00a0\u2028\r\n,"), max_size=4) | st.text(max_size=4)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc_ids=st.lists(FIELD, min_size=2, max_size=2), topic_ids=st.lists(FIELD, min_size=2, max_size=2),
+           tag=FIELD)
+    def test_search_writes_only_runs_evaluate_reads(self, tmp_path, capsys, doc_ids, topic_ids, tag):
+        corpus, topics, qrels, index, run = (tmp_path / name for name in ("c.jsonl", "t.tsv", "q.txt", "i.npz", "r"))
+        for path in (index, run):
+            path.unlink(missing_ok=True)
+        corpus.write_text("".join(json.dumps({"id": d, "text": text}) + "\n"
+                                  for d, text in zip(doc_ids, ["alpha beta", "beta gamma"])), encoding="utf-8")
+        topics.write_text("".join(f"{t}\t{text}\n" for t, text in zip(topic_ids, ["alpha", "gamma"])),
+                          encoding="utf-8")
+        qrels.write_text("1 0 d 1\n")
+        capsys.readouterr()
+        for argv in (["index", "--corpus", corpus, "--out", index],
+                     ["search", "--index", index, "--topics", topics, f"--run-tag={tag}", "--out", run],
+                     ["evaluate", "--run", run, "--qrels", qrels]):
+            rc = main([str(arg) for arg in argv])
+            err = capsys.readouterr().err
+            if rc != 0:
+                assert (rc, argv[0], err[:7], err.count("\n")) == (1, argv[0], "error: ", 1), err
+                assert argv[0] != "evaluate" and not run.exists(), err
+                return
+        assert set(read_run(str(run))) == {topic_id for topic_id, _ in read_topics(str(topics))}
 
 
 class TestLineEndings:

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simthresh.csvio import _cell, format_csv, read_csv, read_lines, write_csv
 from simthresh.evaluation import RunScores, write_metric_report
@@ -50,6 +54,42 @@ class TestCodec:
         comments, rows = read_csv(str(path))
         assert comments == ["a=1", "late"]
         assert rows == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
+
+
+# Python 3.10's csv module fails on NUL ("line contains NUL"), which read_csv reports with the file and line
+TEXT = st.text(st.characters(blacklist_categories=("Cs",),  # surrogates have no UTF-8 form
+                             blacklist_characters="\x00" if sys.version_info < (3, 11) else ""), max_size=6)
+
+
+@st.composite
+def tables(draw):
+    """Comments, a header of distinct names and rows of its width, over any text (comments: one trimmed line)."""
+    header = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.lists(TEXT, min_size=len(header), max_size=len(header)), max_size=4))
+    comments = draw(st.lists(TEXT.map(str.strip).filter(lambda c: "\n" not in c), max_size=2))
+    return comments, header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_any_table_reads_back(tmp_path_factory, table):
+    # a comma, a double quote, a line break, a leading '#' or whitespace, or a lone empty field once read back wrong
+    comments, header, rows = table
+    path = tmp_path_factory.getbasetemp() / "any_table.csv"
+    path.write_text(format_csv(header, rows, comments), encoding="utf-8", newline="")
+    assert read_csv(str(path)) == (comments, [dict(zip(header, row)) for row in rows])
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ('a,b\n"x"y,1\n', 2, "',' expected after '\"'"),
+    ('a,b\n1,2\n"x,1\n', 3, "unexpected end of data"),
+], ids=["text-after-quote", "unclosed-quote"])
+def test_malformed_quoting_names_file_and_line(tmp_path, text, lineno, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(str(path))
+    assert str(excinfo.value) == f"{path}:{lineno}: {message}"
 
 
 def _uncertainty(path):

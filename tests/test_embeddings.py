@@ -64,6 +64,7 @@ TEXT_HOSTILE = {
     "bad-utf8-token": (b"2 3\na 1 0 0\n\xffb 0 1 0\n", "record 1: token is not valid UTF-8"),
     "utf8-bom": (b"\xef\xbb\xbf2 3\na 1 0 0\nb 0 1 0\n", "malformed header " + repr(b"\xef\xbb\xbf2 3\n")),
     "tiny-then-zero-norm": (b"2 3\na 0 0 2e-16\nb 0 0 0\n", "record 0: zero-norm vector for token 'a'"),
+    "zero-norm-then-non-finite": (b"2 3\na 0 0 0\nb 0 0 inf\n", "record 0: zero-norm vector for token 'a'"),
 }
 
 UNIT = [1.0, 0.0, 0.0]

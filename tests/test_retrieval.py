@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from simthresh import evaluation, retrieval
 from simthresh.cli import main
+from simthresh.embeddings import reduce_replica
 from simthresh.retrieval import (
     ExpansionPolicy,
     LmConfig,
@@ -256,6 +258,20 @@ class TestTranslationTable:
         assert all(0 < p <= 1 for p in probs)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("policy", [ExpansionPolicy(mode="none"), ExpansionPolicy(mode="threshold", threshold=0.5),
+                                        ExpansionPolicy(mode="knn", k=2)], ids=["none", "threshold", "knn"])
+    def test_one_expansion_rule_for_whole_and_reduced_replicas(self, policy):
+        # neighbors and search both ask the policy; it ranks alike on either form of a replica
+        emb = hub_model({"b": 0.9, "c": 0.7, "d": 0.2})
+        expected = {"none": [], "threshold": [("b", 0.9), ("c", 0.7)], "knn": [("b", 0.9), ("c", 0.7)]}[policy.mode]
+        assert policy.neighbors(emb, "a") == policy.neighbors(reduce_replica(emb, ["a"]), "a")
+        assert [(t, round(s, 12)) for t, s in policy.neighbors(emb, "a")] == expected
+        if policy.mode == "none":
+            assert policy.neighbors(None, "a") == []
+        else:
+            with pytest.raises(ValueError, match=f"expansion mode '{policy.mode}' needs an embedding model"):
+                build_translation_table(["a"], policy)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             ExpansionPolicy(mode="threshold")
@@ -487,6 +503,24 @@ class TestRunIo:
         assert lines[1] == "301 Q0 d2 1 -1.5 tag1"
         assert lines[2] == "301 Q0 d1 2 -2.5 tag1"
         assert read_run(str(path)) == run
+
+    def test_one_module_owns_the_run_format(self):
+        assert retrieval.write_run is evaluation.write_run and retrieval.read_run is evaluation.read_run
+
+    @pytest.mark.parametrize("run, tag, bad", [
+        ({"1": [("d1", -1.0)], "2": [("d1", -1.0), ("d 2", -2.0)]}, "t", "d 2"),
+        ({"1": [("d1", -1.0)], "": [("d1", -1.0)]}, "t", ""),
+        ({"1 2": [("d1", -1.0)]}, "t", "1 2"),
+        ({"1": [("d1", -1.0)]}, "my tag", "my tag"),
+        ({"1": [("d1", -1.0)]}, "tag\n", "tag\n"),
+    ], ids=["doc-id", "empty-topic-id", "topic-id", "tag", "tag-newline"])
+    def test_field_a_run_cannot_hold_rejected_before_writing(self, tmp_path, run, tag, bad):
+        # read_run splits each line on whitespace: such a field would not read back
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError) as excinfo:
+            write_run(run, str(path), run_tag=tag)
+        assert str(excinfo.value) == f"run field {bad!r} is empty or holds whitespace"
+        assert not path.exists()
 
     def test_max_docs_cap(self, tmp_path):
         run = {"1": [(f"d{i:04d}", -float(i)) for i in range(1500)]}
