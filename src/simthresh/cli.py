@@ -227,11 +227,11 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     if not 0.0 < args.confidence < 1.0:  # aggregate_curves checks it too, but one probe makes no band
         raise ValueError("confidence must be in (0, 1)")
-    ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     if args.synsets:
         target = threshold.synonym_statistics(args.synsets)
     else:
         target = threshold.SynonymTarget(mean_synonyms=args.target)
+    ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
     result = threshold.solve_threshold(curve, target, dimensionality=ensemble.dimensionality)
@@ -275,6 +275,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
     if args.policy != "none":
         _require(args, "threshold" if args.policy == "threshold" else "k")
+        _require(args, "model")
     policy = retrieval.ExpansionPolicy(mode=args.policy, threshold=args.threshold, k=args.k)
     config = retrieval.LmConfig(mu=args.mu)
     if args.max_docs < 1:  # write_run checks it and the run tag too, but only after every topic is scored
@@ -286,7 +287,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if not any(len(index.postings(t)[0]) for t in terms):
             problem = "query has no terms with collection evidence" if terms else "query empty after preprocessing"
             raise ValueError(f"{args.topics}: topic {topic_id}: {problem}")
-    embedding = None if policy.mode == "none" else load_model(_require(args, "model"), args.format)
+    embedding = None if policy.mode == "none" else load_model(args.model, args.format)
     table = retrieval.build_translation_table([t for terms in queries.values() for t in terms], policy, embedding)
     run = {topic_id: retrieval.tlm_score(index, config, table, terms) for topic_id, terms in queries.items()}
     retrieval.write_run(run, args.out, run_tag=args.run_tag, max_docs=args.max_docs)
@@ -302,6 +303,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import evaluation
 
+    if args.cutoff < 1:  # checked before any file is read
+        raise ValueError("cutoff must be >= 1")
     run = evaluation.read_run(args.run)
     qrels = evaluation.read_qrels(args.qrels)
     ap = evaluation.evaluate_run(run, qrels, "map", args.cutoff, not args.no_condense)
@@ -317,6 +320,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import evaluation
 
+    if args.cutoff < 1:  # checked before any file is read, and under --metric map, which does not use it
+        raise ValueError("cutoff must be >= 1")
     qrels = evaluation.read_qrels(args.qrels)
     condense_lists = not args.no_condense
     a = evaluation.evaluate_run(evaluation.read_run(args.run_a), qrels, args.metric, args.cutoff, condense_lists)

@@ -45,16 +45,18 @@ def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: st
     """Reject non-finite and zero rows, then scale each row to unit length in
     place; rows already within ``_NORM_SKIP_TOL`` of it are divided by 1.0,
     which leaves them bit-identical. Messages number the rows from ``first``."""
-    finite = np.isfinite(vectors).all(axis=1)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))  # np.linalg.norm's arithmetic, one pass
+    finite = np.ones(len(norms), dtype=bool)
+    odd = np.flatnonzero(~np.isfinite(norms))  # a non-finite component, or squares that overflow
+    finite[odd] = np.isfinite(vectors[odd]).all(axis=1)
     faults = ~finite | (norms < _ZERO_NORM_TOL)
     if faults.any():
         bad = int(np.argmax(faults))  # the first faulty row, whatever the block size
         if not finite[bad]:
             raise ModelFormatError(f"{model_id}: record {first + bad}: non-finite vector component")
         raise ModelFormatError(f"{model_id}: record {first + bad}: zero-norm vector for token {vocabulary[bad]!r}")
-    for i in np.flatnonzero(np.isinf(norms)):  # its squares overflow: measure it scaled by its largest magnitude
+    for i in odd:  # its squares overflow: measure it scaled by its largest magnitude
         vectors[i] /= np.abs(vectors[i]).max()
         norms[i] = np.linalg.norm(vectors[i])
     needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
@@ -143,11 +145,6 @@ class EmbeddingModel(_Replica):
 
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self.row(token)]
-
-    def cosine(self, t1: str, t2: str) -> float:
-        """Cosine similarity of two vocabulary tokens, clamped to [-1, 1]."""
-        dot = float(np.dot(self.vector(t1), self.vector(t2)))
-        return min(1.0, max(-1.0, dot))
 
     def similarities_to(self, token: str) -> np.ndarray:
         """Cosine of ``token`` against the whole vocabulary (self included)."""
@@ -389,7 +386,13 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
     vec_bytes = 4 * dim
     buf, pos = bytearray(), 0
     tokens: list[str] = []
-    vectors: list[bytes] = []
+    starts: list[int] = []  # where each pending record's vector begins in ``buf``
+
+    def block() -> tuple[list[str], np.ndarray]:  # the pending records, their vectors joined in one copy
+        with memoryview(buf) as view:
+            vectors = b"".join([view[at : at + vec_bytes] for at in starts])
+        return tokens, np.frombuffer(vectors, "<f4").reshape(-1, dim)
+
     for n in range(count):
         # Read on until the buffer holds this record's token, vector and separator, or the file ends.
         while (space := buf.find(b" ", pos)) < 0 or len(buf) < space + vec_bytes + 2:
@@ -397,8 +400,8 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
             if not chunk:
                 break
             if tokens:  # the records this buffer completed, before the read moves it on
-                yield tokens, np.frombuffer(b"".join(vectors), "<f4").reshape(-1, dim)
-                tokens, vectors = [], []
+                yield block()
+                tokens, starts = [], []
             del buf[:pos]
             buf += chunk
             pos = 0
@@ -414,7 +417,7 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
         if len(buf) < pos:
             raise ModelFormatError(f"{path}: truncated vector in record {n}")
         tokens.append(token)
-        vectors.append(buf[space + 1 : pos])
+        starts.append(space + 1)
         sep = buf[pos : pos + 1]
         if sep not in (b"\n", b""):
             raise ModelFormatError(f"{path}: expected newline after record {n}")
@@ -423,7 +426,7 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
         pos += 1
     if pos < len(buf) or fh.read(1):
         raise ModelFormatError(f"{path}: trailing bytes after {count} records")
-    yield tokens, np.frombuffer(b"".join(vectors), "<f4").reshape(-1, dim)
+    yield block()
 
 
 def load_model(path: str, fmt: str = "word2vec_text") -> EmbeddingModel:

@@ -9,6 +9,7 @@ same binning machinery also produces plain similarity histograms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -30,10 +31,10 @@ __all__ = [
 class HistogramConfig:
     """Uniform binning of the similarity axis.
 
-    The default splits (-0.2, 1.0) into 500 equal bins. Bins are half-open
-    [low, high) with the final bin closed so the domain is covered exactly
-    once; similarities outside the domain are tallied separately, never
-    clamped into edge bins.
+    The default splits (-0.2, 1.0) into 500 equal bins. The bins are the rows
+    of ``edges``, the ones the reports print: half-open [low, high) with the
+    final bin closed, so the domain is covered exactly once; similarities
+    outside the domain are tallied separately, never clamped into edge bins.
     """
 
     domain_low: float = -0.2
@@ -48,20 +49,15 @@ class HistogramConfig:
             raise ValueError("bin_count must be positive")
 
     @property
-    def bin_width(self) -> float:
-        return (self.domain_high - self.domain_low) / self.bin_count
-
-    @property
     def edges(self) -> np.ndarray:
         return np.linspace(self.domain_low, self.domain_high, self.bin_count + 1)  # the last edge is domain_high
 
     def bin_indices(self, values: np.ndarray) -> np.ndarray:
         """Bin index per value; -1 marks out-of-domain values."""
         values = np.asarray(values, dtype=np.float64)
-        idx = np.floor((values - self.domain_low) / self.bin_width).astype(np.int64)
-        idx = np.minimum(idx, self.bin_count - 1)
-        out = (values < self.domain_low) | (values > self.domain_high)
-        idx[out] = -1
+        idx = np.searchsorted(self.edges, values, side="right") - 1
+        idx[values == self.domain_high] = self.bin_count - 1
+        idx[idx == self.bin_count] = -1  # above the domain
         return idx
 
 
@@ -96,6 +92,20 @@ class SimilarityHistogram:
         return int(self.counts.sum()) + self.out_of_domain_count
 
 
+def _tally(config: HistogramConfig, rows: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Per-bin counts and weight sums of (values, weights) rows, and the count
+    of out-of-domain values; rows whose weights are None add no sums."""
+    slots = config.bin_count + 1  # slot 0 takes the out-of-domain values, bin_indices' -1
+    counts = np.zeros(slots, dtype=np.int64)
+    sums = np.zeros(slots, dtype=np.float64)
+    for values, weights in rows:
+        idx = config.bin_indices(values) + 1
+        counts += np.bincount(idx, minlength=slots)
+        if weights is not None:
+            sums += np.bincount(idx, weights=weights, minlength=slots)
+    return counts[1:], sums[1:], int(counts[0])
+
+
 def uncertainty_curve(
     reference: EmbeddingModel | ReducedReplica,
     other: EmbeddingModel | ReducedReplica,
@@ -112,19 +122,8 @@ def uncertainty_curve(
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
     ensemble = ModelEnsemble([reference, other], probe_terms)
-
-    counts = np.zeros(config.bin_count, dtype=np.int64)
-    diff_sums = np.zeros(config.bin_count, dtype=np.float64)
-    out_of_domain = 0
-    for probe in probe_terms:
-        sims_ref, sims_oth = ensemble.similarities(probe)
-        idx = config.bin_indices(sims_ref)
-        out_of_domain += int(np.count_nonzero(idx < 0))
-        ok = idx >= 0
-        counts += np.bincount(idx[ok], minlength=config.bin_count)
-        diffs = np.abs(sims_ref - sims_oth)
-        diff_sums += np.bincount(idx[ok], weights=diffs[ok], minlength=config.bin_count)
-
+    rows = ((ref, np.abs(ref - oth)) for ref, oth in map(ensemble.similarities, probe_terms))
+    counts, diff_sums, out_of_domain = _tally(config, rows)
     with np.errstate(invalid="ignore"):
         mean = np.where(counts > 0, diff_sums / np.maximum(counts, 1), np.nan)
     return UncertaintyCurve(
@@ -141,13 +140,8 @@ def similarity_histogram(
     A reduced replica gives the rows it was reduced to, with no new product."""
     if not probe_terms:
         raise ValueError("probe_terms must be nonempty")
-    counts = np.zeros(config.bin_count, dtype=np.int64)
-    out_of_domain = 0
-    for probe in probe_terms:
-        sims = np.delete(model.similarities_to(probe), model.row(probe))
-        idx = config.bin_indices(sims)
-        out_of_domain += int(np.count_nonzero(idx < 0))
-        counts += np.bincount(idx[idx >= 0], minlength=config.bin_count)
+    rows = ((np.delete(model.similarities_to(probe), model.row(probe)), None) for probe in probe_terms)
+    counts, _, out_of_domain = _tally(config, rows)
     return SimilarityHistogram(config=config, counts=counts, out_of_domain_count=out_of_domain)
 
 

@@ -9,6 +9,7 @@ guards against regressions. Run from the repo root:
     python3 tests/data/make_golden_uncertainty.py
 """
 
+import bisect
 import math
 import sys
 from pathlib import Path
@@ -69,9 +70,11 @@ def brute_force_curve(path_ref: Path, path_other: Path, probes: list[str], confi
     row_r = {t: i for i, t in enumerate(vocab_r)}
     row_o = {t: i for i, t in enumerate(vocab_o)}
     shared = [t for t in vocab_r if t in row_o]
-    width = (config.domain_high - config.domain_low) / config.bin_count
-    counts = [0] * config.bin_count
-    sums = [0.0] * config.bin_count
+    # the printed edges, by np.linspace's arithmetic; a pair lands in the row whose [low, high) holds it
+    low, high, bins = config.domain_low, config.domain_high, config.bin_count
+    edges = [low + i * ((high - low) / bins) for i in range(bins)] + [high]
+    counts = [0] * bins
+    sums = [0.0] * bins
     out_of_domain = 0
     for probe in probes:
         for other in shared:
@@ -79,11 +82,8 @@ def brute_force_curve(path_ref: Path, path_other: Path, probes: list[str], confi
                 continue
             s_ref = cos(vecs_r[row_r[probe]], vecs_r[row_r[other]])
             s_oth = cos(vecs_o[row_o[probe]], vecs_o[row_o[other]])
-            if s_ref == config.domain_high:
-                idx = config.bin_count - 1
-            else:
-                idx = math.floor((s_ref - config.domain_low) / width)
-            if idx < 0 or idx >= config.bin_count or s_ref < config.domain_low:
+            idx = bins - 1 if s_ref == high else bisect.bisect_right(edges, s_ref) - 1
+            if idx < 0 or idx >= bins:
                 out_of_domain += 1
                 continue
             counts[idx] += 1

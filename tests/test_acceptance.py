@@ -50,6 +50,7 @@ from simthresh import porter
 
 from conftest import perturbed_replicas, random_model, word2vec_bytes
 from metrics_oracle import oracle_average_precision, oracle_condense, oracle_ndcg
+from pair_oracle import pair_cosine
 from planted_world import build_world
 from retrieval_oracle import dense_rank
 
@@ -389,7 +390,7 @@ def test_c12_end_to_end_planted_synonyms():
     curves = [expected_neighbors(world.ensemble, t, grid) for t in world.probe_terms]
     aggregated = aggregate_curves(curves)
     derived = solve_threshold(aggregated, 1.6, dimensionality=world.base.dimensionality)
-    assert 0.7 < derived.main < world.base.cosine("aa00", "cc00") + 0.01
+    assert 0.7 < derived.main < pair_cosine(world.base, "aa00", "cc00") + 0.01
 
     def mean_map(policy):
         run = world.run_policy(policy)

@@ -25,8 +25,9 @@ from simthresh.retrieval import (ExpansionPolicy, LmConfig, build_index, lm_scor
                                  read_topics, tlm_score, write_run)
 from simthresh.textproc import Pipeline
 from simthresh.threshold import solve_threshold
+from simthresh.uncertainty import HistogramConfig
 
-from conftest import word2vec_bytes
+from conftest import hub_model, word2vec_bytes
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -119,6 +120,18 @@ class TestHistogramAndNeighbors:
         comments, rows = read_csv(str(out))
         assert comments == ["out_of_domain_count=1"]
         assert sum(int(r["count"]) for r in rows) + 1 == 10
+
+    def test_histogram_counts_each_printed_edge_in_its_own_row(self, tmp_path):
+        # the hub's similarity to token i is exactly the default axis's edge i
+        edges = HistogramConfig().edges
+        model, probes, out = tmp_path / "edges.vec", tmp_path / "probes.txt", tmp_path / "hist.csv"
+        model.write_bytes(word2vec_bytes(hub_model({f"e{i:03d}": float(e) for i, e in enumerate(edges)})))
+        probes.write_text("a\n")
+        assert main(["histogram", "--model", str(model), "--probes", str(probes), "--out", str(out)]) == 0
+        comments, rows = read_csv(str(out))
+        assert comments == ["out_of_domain_count=0"]
+        assert [float(r["bin_low"]) for r in rows] == list(edges[:-1])
+        assert [int(r["count"]) for r in rows] == [1] * 499 + [2]  # the last row also holds the top edge
 
     def test_neighbors_threshold_listing(self, capsys):
         rc = main(["neighbors", "--model", REPLICAS[0], "--term", "alpha", "--threshold", "-1.0"])
@@ -897,6 +910,37 @@ class TestBadInputs:
         rc = main(["neighbors", "--model", str(path), "--format", fmt, "--term", "gamma", "--k", "1"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+class TestCheckedBeforeTheReads:
+    """Settings and small inputs are checked before the large files are read: every large
+    file named here is missing, so reading one first would report that file instead."""
+
+    @pytest.mark.parametrize("policy, setting", [("knn", ["--k", "10"]), ("threshold", ["--threshold", "0.7"])])
+    def test_search_asks_for_the_model_before_the_index(self, tmp_path, capsys, policy, setting):
+        rc = main(["search", "--index", str(tmp_path / "missing.npz"), "--topics", str(tmp_path / "missing.tsv"),
+                   "--policy", policy, *setting, "--out", str(tmp_path / "r.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: missing required setting 'model' (flag --model)\n"
+
+    def test_threshold_reads_the_synsets_before_the_replicas(self, tmp_path, capsys):
+        synsets, out = tmp_path / "missing_synsets.txt", tmp_path / "t.csv"
+        rc = main(["threshold", "--models", str(tmp_path / "missing_0.vec"), str(tmp_path / "missing_1.vec"),
+                   "--probes", PROBES, "--synsets", str(synsets), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: No such file or directory: {synsets}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, files", [
+        ("evaluate", ["--run", "run.txt", "--qrels", "qrels.txt"]),
+        ("compare", ["--run-a", "a.txt", "--run-b", "b.txt", "--qrels", "qrels.txt", "--metric", "map"]),
+    ])
+    def test_cutoff_checked_before_the_runs(self, tmp_path, capsys, command, files):
+        missing = [str(tmp_path / f) if f.endswith(".txt") else f for f in files]
+        rc = main([command, *missing, "--cutoff", "0", "--out", str(tmp_path / "report.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cutoff must be >= 1\n"
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestMoreEdges:

@@ -25,6 +25,7 @@ from simthresh.embeddings import (
 )
 
 from conftest import hub_model, random_model, word2vec_bytes
+from pair_oracle import pair_cosine
 
 SRC = Path(__file__).parent.parent / "src"
 BLOCK = embeddings._TEXT_BLOCK_LINES
@@ -98,7 +99,7 @@ class TestLoading:
         model = load_model(str(path))
         np.testing.assert_array_equal(model.vector("a"), np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
         np.testing.assert_array_equal(model.vector("b"), [0.0, 1.0, 0.0])
-        assert model.cosine("a", "b") == 0.7071067811865475
+        assert pair_cosine(model, "a", "b") == 0.7071067811865475
 
     def test_record_count_mismatch(self, tmp_path):
         path = tmp_path / "m.vec"
@@ -401,30 +402,6 @@ class TestRoundTrip:
         np.testing.assert_allclose(loaded.vectors, model.vectors, atol=1e-6)
 
 
-class TestCosine:
-    def test_self_similarity(self):
-        model = hub_model({"b": 0.9})
-        assert model.cosine("a", "a") == 1.0
-
-    def test_orthogonal(self):
-        model = EmbeddingModel.from_arrays(["a", "b"], np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-        assert model.cosine("a", "b") == 0.0
-
-    def test_hand_value(self):
-        model = EmbeddingModel.from_arrays(["a", "b"], np.array([[1.0, 0, 0], [1.0, 1.0, 0]]))
-        assert model.cosine("a", "b") == pytest.approx(np.sqrt(0.5), abs=1e-9)
-
-    def test_symmetry_exact(self, rng):
-        model = random_model(rng, 30, 9)
-        for t1, t2 in [("t0001", "t0015"), ("t0029", "t0003"), ("t0007", "t0007")]:
-            assert model.cosine(t1, t2) == model.cosine(t2, t1)
-
-    def test_unknown_token(self):
-        model = hub_model({"b": 0.5})
-        with pytest.raises(KeyError, match="zzz"):
-            model.cosine("a", "zzz")
-
-
 class TestNeighborQueries:
     def test_threshold_filtering(self):
         model = hub_model({"b": 0.9, "c": 0.7, "d": 0.2})
@@ -508,7 +485,7 @@ class TestNeighborQueries:
         model = random_model(rng, 30, 8)
         token = "t0012"
         expected = sorted(
-            ((model.cosine(token, t), t) for t in model.vocabulary if t != token),
+            ((pair_cosine(model, token, t), t) for t in model.vocabulary if t != token),
             key=lambda pair: (-pair[0], pair[1]),
         )
         got = model.neighbors_above(token, 0.0)
@@ -584,7 +561,7 @@ class TestEnsembleSimilarities:
             assert sims.shape == (3, len(others))
             for r, model in enumerate(replicas):
                 for j, u in enumerate(others):
-                    assert abs(sims[r, j] - model.cosine(t, u)) <= 1e-12
+                    assert abs(sims[r, j] - pair_cosine(model, t, u)) <= 1e-12
 
     def test_missing_term(self, rng):
         with pytest.raises(KeyError, match="t0007.*r2"):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simthresh.csvio import read_csv
 from simthresh.embeddings import EmbeddingModel
 from simthresh.uncertainty import (
     HistogramConfig,
+    UncertaintyCurve,
     similarity_histogram,
     uncertainty_curve,
     write_histogram_csv,
@@ -12,13 +15,15 @@ from simthresh.uncertainty import (
 )
 
 from conftest import hub_model, random_model
+from pair_oracle import pair_cosine
 
 
 class TestHistogramConfig:
     def test_defaults(self):
         config = HistogramConfig()
         assert config.bin_count == 500
-        assert config.bin_width == pytest.approx(0.0024)
+        assert (config.edges[0], config.edges[-1]) == (-0.2, 1.0)
+        np.testing.assert_allclose(np.diff(config.edges), 0.0024, rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -36,15 +41,29 @@ class TestHistogramConfig:
         assert config.bin_indices(np.array([1.0]))[0] == 499
 
     def test_one_ulp_below_top_edge_lands_in_last_bin(self):
-        # cosine 0.9999999999999999 divides out to exactly bin_count.
+        # cosine 0.9999999999999999, one ulp below the closed top edge
         angle = 1.5e-8
         model = EmbeddingModel.from_arrays(["a", "b"], np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]]))
-        assert model.cosine("a", "b") == np.nextafter(1.0, 0.0)
-        assert HistogramConfig().bin_indices(np.array([model.cosine("a", "b")]))[0] == 499
+        assert pair_cosine(model, "a", "b") == np.nextafter(1.0, 0.0)
+        assert HistogramConfig().bin_indices(np.array([pair_cosine(model, "a", "b")]))[0] == 499
         hist = similarity_histogram(model, ["a"])
         assert hist.counts[499] == 1 and hist.total == 1
         curve = uncertainty_curve(model, model, ["a"])
         assert curve.pair_counts[499] == 1 and curve.mean_abs_diff[499] == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(low=st.floats(-1.0, 1.0), span=st.floats(1e-3, 2.0), bins=st.integers(1, 1000),
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
+    @example(low=-0.2, span=1.2, bins=500, fractions=[])  # the default axis: -0.1952 is the low edge of row 2
+    def test_each_value_lands_in_the_printed_row_that_holds_it(self, low, span, bins, fractions):
+        config = HistogramConfig(low, low + span, bins)
+        printed = [row[:2] for row in UncertaintyCurve(config, np.zeros(bins), np.zeros(bins)).rows()]
+        high = config.domain_high
+        values = [*config.edges, *(min(high, low + f * (high - low)) for f in fractions)]
+        for value, row in zip(values, config.bin_indices(np.array(values))):
+            assert 0 <= row < bins, (value, row)
+            row_low, row_high = printed[row]
+            assert row_low <= value < row_high or (row == bins - 1 and value == row_high), (value, row, printed[row])
 
 
 class TestUncertaintyCurve:
