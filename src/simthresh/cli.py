@@ -231,6 +231,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         target = threshold.synonym_statistics(args.synsets)
     else:
         target = threshold.SynonymTarget(mean_synonyms=args.target)
+    if not 0.0 < target.mean_synonyms < float("inf"):  # solve_threshold checks it too, after every replica
+        where = f"{args.synsets}: mean synonym count" if args.synsets else "--target"
+        raise ValueError(f"{where} must be positive and finite, got {target.mean_synonyms:g}")
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]

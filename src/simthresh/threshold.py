@@ -100,8 +100,8 @@ def solve_threshold(
     """
     if isinstance(target, (int, float)):
         target = SynonymTarget(mean_synonyms=float(target))
-    if target.mean_synonyms <= 0:
-        raise TargetUnreachableError("target must be positive to cross a survival curve")
+    if not 0 < target.mean_synonyms < np.inf:
+        raise TargetUnreachableError(f"target must be positive and finite, got {target.mean_synonyms}")
     expected = np.asarray(curve.expected, dtype=np.float64)
     slack = _MONOTONE_SLACK * max(1.0, abs(float(expected[0])))
     if np.any(np.diff(expected) > slack):

@@ -52,14 +52,6 @@ class HistogramConfig:
     def edges(self) -> np.ndarray:
         return np.linspace(self.domain_low, self.domain_high, self.bin_count + 1)  # the last edge is domain_high
 
-    def bin_indices(self, values: np.ndarray) -> np.ndarray:
-        """Bin index per value; -1 marks out-of-domain values."""
-        values = np.asarray(values, dtype=np.float64)
-        idx = np.searchsorted(self.edges, values, side="right") - 1
-        idx[values == self.domain_high] = self.bin_count - 1
-        idx[idx == self.bin_count] = -1  # above the domain
-        return idx
-
 
 @dataclass(eq=False)
 class UncertaintyCurve:
@@ -94,16 +86,16 @@ class SimilarityHistogram:
 
 def _tally(config: HistogramConfig, rows: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-bin counts and weight sums of (values, weights) rows, and the count
-    of out-of-domain values; rows whose weights are None add no sums."""
-    slots = config.bin_count + 1  # slot 0 takes the out-of-domain values, bin_indices' -1
-    counts = np.zeros(slots, dtype=np.int64)
-    sums = np.zeros(slots, dtype=np.float64)
+    of out-of-domain values (NaN and +-inf among them); rows whose weights are
+    None add no sums. np.histogram's uniform bins are ``config.edges``, the top one closed."""
+    bins, domain = config.bin_count, (config.domain_low, config.domain_high)
+    counts, sums, total = np.zeros(bins, dtype=np.int64), np.zeros(bins), 0
     for values, weights in rows:
-        idx = config.bin_indices(values) + 1
-        counts += np.bincount(idx, minlength=slots)
+        counts += np.histogram(values, bins, domain)[0]
+        total += len(values)
         if weights is not None:
-            sums += np.bincount(idx, weights=weights, minlength=slots)
-    return counts[1:], sums[1:], int(counts[0])
+            sums += np.histogram(values, bins, domain, weights=weights)[0]
+    return counts, sums, total - int(counts.sum())
 
 
 def uncertainty_curve(

@@ -48,6 +48,19 @@ def write_replicas() -> list[Path]:
     return paths
 
 
+def printed_edges(low: float, high: float, bins: int) -> list[float]:
+    """The edges the reports print, by np.linspace's arithmetic: the last is ``high``."""
+    return [low + i * ((high - low) / bins) for i in range(bins)] + [high]
+
+
+def oracle_row(value: float, edges: list[float]) -> int | None:
+    """The row whose [low, high) holds ``value``, the last row closed at the top;
+    None outside the domain, NaN included."""
+    bins = len(edges) - 1
+    idx = bins - 1 if value == edges[-1] else bisect.bisect_right(edges, value) - 1
+    return idx if 0 <= idx < bins else None
+
+
 def brute_force_curve(path_ref: Path, path_other: Path, probes: list[str], config: HistogramConfig):
     """Pure-Python recomputation of the binned disagreement curve."""
 
@@ -70,11 +83,10 @@ def brute_force_curve(path_ref: Path, path_other: Path, probes: list[str], confi
     row_r = {t: i for i, t in enumerate(vocab_r)}
     row_o = {t: i for i, t in enumerate(vocab_o)}
     shared = [t for t in vocab_r if t in row_o]
-    # the printed edges, by np.linspace's arithmetic; a pair lands in the row whose [low, high) holds it
-    low, high, bins = config.domain_low, config.domain_high, config.bin_count
-    edges = [low + i * ((high - low) / bins) for i in range(bins)] + [high]
-    counts = [0] * bins
-    sums = [0.0] * bins
+    # a pair lands in the printed row whose [low, high) holds its reference similarity
+    edges = printed_edges(config.domain_low, config.domain_high, config.bin_count)
+    counts = [0] * config.bin_count
+    sums = [0.0] * config.bin_count
     out_of_domain = 0
     for probe in probes:
         for other in shared:
@@ -82,8 +94,8 @@ def brute_force_curve(path_ref: Path, path_other: Path, probes: list[str], confi
                 continue
             s_ref = cos(vecs_r[row_r[probe]], vecs_r[row_r[other]])
             s_oth = cos(vecs_o[row_o[probe]], vecs_o[row_o[other]])
-            idx = bins - 1 if s_ref == high else bisect.bisect_right(edges, s_ref) - 1
-            if idx < 0 or idx >= bins:
+            idx = oracle_row(s_ref, edges)
+            if idx is None:
                 out_of_domain += 1
                 continue
             counts[idx] += 1

@@ -931,6 +931,24 @@ class TestCheckedBeforeTheReads:
         assert capsys.readouterr().err == f"error: No such file or directory: {synsets}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["0", "nan", "inf"])
+    def test_threshold_checks_the_target_before_the_replicas(self, tmp_path, capsys, target):
+        out = tmp_path / "t.csv"
+        rc = main(["threshold", "--models", str(tmp_path / "missing_0.vec"), str(tmp_path / "missing_1.vec"),
+                   "--probes", PROBES, "--target", target, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --target must be positive and finite, got {target}\n"
+        assert not out.exists()
+
+    def test_threshold_checks_the_synset_target_before_the_replicas(self, tmp_path, capsys):
+        synsets, out = tmp_path / "lone_lemmas.txt", tmp_path / "t.csv"
+        synsets.write_text("alpha\nbeta\n")  # no lemma shares a synset: the mean synonym count is 0
+        rc = main(["threshold", "--models", str(tmp_path / "missing_0.vec"), str(tmp_path / "missing_1.vec"),
+                   "--probes", PROBES, "--synsets", str(synsets), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {synsets}: mean synonym count must be positive and finite, got 0\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, files", [
         ("evaluate", ["--run", "run.txt", "--qrels", "qrels.txt"]),
         ("compare", ["--run-a", "a.txt", "--run-b", "b.txt", "--qrels", "qrels.txt", "--metric", "map"]),

@@ -80,6 +80,13 @@ class TestSolve:
         with pytest.raises(TargetUnreachableError):
             solve_threshold(curve, 0.0)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf")])
+    def test_nonfinite_target(self, target):
+        grid = default_grid(points=25)
+        curve = NeighborCurve(grid=grid, expected=dense_mixture(grid, np.array([0.5]), np.array([0.05])))
+        with pytest.raises(TargetUnreachableError, match=f"positive and finite, got {target}$"):
+            solve_threshold(curve, target)
+
     def test_non_monotone_curve_rejected(self):
         curve = NeighborCurve(
             grid=np.array([0.0, 0.5, 1.0]), expected=np.array([1.0, 2.0, 0.0])

@@ -1,3 +1,7 @@
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +12,7 @@ from simthresh.embeddings import EmbeddingModel
 from simthresh.uncertainty import (
     HistogramConfig,
     UncertaintyCurve,
+    _tally,
     similarity_histogram,
     uncertainty_curve,
     write_histogram_csv,
@@ -16,6 +21,22 @@ from simthresh.uncertainty import (
 
 from conftest import hub_model, random_model
 from pair_oracle import pair_cosine
+
+# the pure-Python bin rule behind the golden CSVs: bisect over the printed edges
+_spec = importlib.util.spec_from_file_location("make_golden_uncertainty",
+                                               Path(__file__).parent / "data" / "make_golden_uncertainty.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def landing_rows(config: HistogramConfig, values) -> list[int]:
+    """The row each value is tallied in by the reports' accumulator, -1 when it is out of domain."""
+    rows = []
+    for value in values:
+        counts, _, out_of_domain = _tally(config, [(np.array([value], dtype=np.float64), None)])
+        assert counts.sum() + out_of_domain == 1
+        rows.append(-1 if out_of_domain else int(np.flatnonzero(counts)[0]))
+    return rows
 
 
 class TestHistogramConfig:
@@ -34,18 +55,18 @@ class TestHistogramConfig:
     def test_bin_indices_cover_domain(self):
         config = HistogramConfig(domain_low=0.0, domain_high=1.0, bin_count=4)
         values = np.array([0.0, 0.24, 0.25, 0.5, 0.99, 1.0, -0.01, 1.01])
-        np.testing.assert_array_equal(config.bin_indices(values), [0, 0, 1, 2, 3, 3, -1, -1])
+        np.testing.assert_array_equal(landing_rows(config, values), [0, 0, 1, 2, 3, 3, -1, -1])
 
     def test_top_edge_closed(self):
         config = HistogramConfig()
-        assert config.bin_indices(np.array([1.0]))[0] == 499
+        assert landing_rows(config, [1.0])[0] == 499
 
     def test_one_ulp_below_top_edge_lands_in_last_bin(self):
         # cosine 0.9999999999999999, one ulp below the closed top edge
         angle = 1.5e-8
         model = EmbeddingModel.from_arrays(["a", "b"], np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]]))
         assert pair_cosine(model, "a", "b") == np.nextafter(1.0, 0.0)
-        assert HistogramConfig().bin_indices(np.array([pair_cosine(model, "a", "b")]))[0] == 499
+        assert landing_rows(HistogramConfig(), [pair_cosine(model, "a", "b")])[0] == 499
         hist = similarity_histogram(model, ["a"])
         assert hist.counts[499] == 1 and hist.total == 1
         curve = uncertainty_curve(model, model, ["a"])
@@ -60,10 +81,44 @@ class TestHistogramConfig:
         printed = [row[:2] for row in UncertaintyCurve(config, np.zeros(bins), np.zeros(bins)).rows()]
         high = config.domain_high
         values = [*config.edges, *(min(high, low + f * (high - low)) for f in fractions)]
-        for value, row in zip(values, config.bin_indices(np.array(values))):
+        for value, row in zip(values, landing_rows(config, values)):
             assert 0 <= row < bins, (value, row)
             row_low, row_high = printed[row]
             assert row_low <= value < row_high or (row == bins - 1 and value == row_high), (value, row, printed[row])
+
+    @settings(max_examples=100, deadline=None)
+    @given(low=st.floats(-1.0, 1.0), span=st.floats(1e-3, 2.0), bins=st.integers(1, 600))
+    @example(low=-0.2, span=1.2, bins=500)
+    def test_counts_match_a_bisect_oracle_over_the_printed_edges(self, low, span, bins):
+        config = HistogramConfig(low, low + span, bins)
+        edges = golden.printed_edges(config.domain_low, config.domain_high, bins)
+        assert edges == config.edges.tolist()
+        near = [np.nextafter(e, toward) for e in edges for toward in (-np.inf, np.inf)]  # one ulp either side
+        values = np.array([*edges, config.domain_low, config.domain_high, *near, np.nan, np.inf, -np.inf])
+        counts, _, out_of_domain = _tally(config, [(values, None)])
+        want = [0] * bins
+        for value in values:
+            if (row := golden.oracle_row(float(value), edges)) is not None:
+                want[row] += 1
+        assert counts.tolist() == want
+        assert out_of_domain == len(values) - sum(want)
+
+    def test_row_longer_than_histogram_block(self, rng):
+        # np.histogram bins and sums a long row in blocks of 65536 values
+        config = HistogramConfig()
+        values = rng.uniform(-0.3, 1.1, 70_000)
+        values[::997] = np.nan
+        weights = rng.uniform(0.0, 0.5, len(values))
+        counts, sums, out_of_domain = _tally(config, [(values, weights)])
+        edges = config.edges.tolist()
+        want_counts, want_weights = [0] * config.bin_count, [[] for _ in range(config.bin_count)]
+        for value, weight in zip(values.tolist(), weights.tolist()):
+            if (row := golden.oracle_row(value, edges)) is not None:
+                want_counts[row] += 1
+                want_weights[row].append(weight)
+        assert counts.tolist() == want_counts
+        assert out_of_domain == len(values) - sum(want_counts)
+        np.testing.assert_allclose(sums, [math.fsum(w) for w in want_weights], rtol=1e-12, atol=0)
 
 
 class TestUncertaintyCurve:
@@ -79,8 +134,7 @@ class TestUncertaintyCurve:
         other = hub_model({"b": 0.84, "c": 0.30}, model_id="P")
         config = HistogramConfig()
         curve = uncertainty_curve(reference, other, ["a"], config)
-        bin_08 = int(config.bin_indices(np.array([0.80]))[0])
-        bin_01 = int(config.bin_indices(np.array([0.10]))[0])
+        bin_08, bin_01 = landing_rows(config, [0.80, 0.10])
         assert curve.pair_counts[bin_08] == 1
         assert curve.mean_abs_diff[bin_08] == pytest.approx(0.04, abs=1e-12)
         assert curve.pair_counts[bin_01] == 1
@@ -172,8 +226,7 @@ class TestSimilarityHistogram:
         model = hub_model({"b": 0.9, "c": 0.9, "d": 0.3})
         config = HistogramConfig()
         hist = similarity_histogram(model, ["a"], config)
-        bin_09 = int(config.bin_indices(np.array([0.9]))[0])
-        bin_03 = int(config.bin_indices(np.array([0.3]))[0])
+        bin_09, bin_03 = landing_rows(config, [0.9, 0.3])
         assert hist.counts[bin_09] == 2
         assert hist.counts[bin_03] == 1
 
