@@ -227,13 +227,12 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     if not 0.0 < args.confidence < 1.0:  # aggregate_curves checks it too, but one probe makes no band
         raise ValueError("confidence must be in (0, 1)")
-    if args.synsets:
-        target = threshold.synonym_statistics(args.synsets)
-    else:
-        target = threshold.SynonymTarget(mean_synonyms=args.target)
-    if not 0.0 < target.mean_synonyms < float("inf"):  # solve_threshold checks it too, after every replica
+    target = threshold.synonym_statistics(args.synsets) if args.synsets else None
+    mean = target.mean_synonyms if target else args.target
+    if not 0.0 < mean < float("inf"):  # solve_threshold checks it too, after every replica
         where = f"{args.synsets}: mean synonym count" if args.synsets else "--target"
-        raise ValueError(f"{where} must be positive and finite, got {target.mean_synonyms:g}")
+        raise ValueError(f"{where} must be positive and finite, got {mean:g}")
+    target = target or threshold.SynonymTarget(mean_synonyms=mean)
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]

@@ -278,11 +278,10 @@ class ModelEnsemble:
     dimensionality: int = field(init=False)
     replica_count: int = field(init=False, default=0)
     _rows: dict[str, list[np.ndarray]] = field(init=False, repr=False)  # probe -> per-replica shared cosines
-    _columns: dict[str, int] = field(init=False, repr=False)  # probe -> its column in the shared vocabulary
 
     def __post_init__(self, replicas: Iterable[EmbeddingModel | ReducedReplica]) -> None:
         self.probes = tuple(self.probes)
-        self._rows, self._columns = {t: [] for t in self.probes}, {}
+        self._rows = {t: [] for t in self.probes}
         for replica in replicas:
             if self.replica_count == 0:
                 self.dimensionality, shared = replica.dimensionality, np.asarray(replica.vocabulary, dtype=object)
@@ -292,15 +291,12 @@ class ModelEnsemble:
             record = replica._row
             cols = np.array([record.get(t, -1) for t in shared], dtype=np.int64)  # -1: not in this replica
             if not (keep := cols >= 0).all():
-                shared, cols, rank = shared[keep], cols[keep], np.cumsum(keep) - 1
+                shared, cols = shared[keep], cols[keep]
                 self._rows = {t: [r[keep] for r in rows] for t, rows in self._rows.items()}
-                self._columns = {t: int(rank[c]) for t, c in self._columns.items()}  # a dropped probe fails below
             for t, rows in self._rows.items():
                 if t not in replica:
                     raise KeyError(f"token {t!r} missing from replica {replica.model_id!r}")
                 rows.append(replica.similarities_to(t)[cols])
-            if self.replica_count == 0:  # the shared vocabulary is this replica's, so a probe's column is its row
-                self._columns = {t: record[t] for t in self._rows}
             self.replica_count += 1
             del replica, record  # lets a generator free this replica before producing the next
         if self.replica_count < 2:
@@ -314,7 +310,7 @@ class ModelEnsemble:
         one row per replica, columns in ``shared_vocabulary`` order without it."""
         if token not in self._rows:
             raise KeyError(f"token {token!r} is not a probe of this ensemble")
-        return np.delete(np.stack(self._rows[token]), self._columns[token], axis=1)
+        return np.delete(np.stack(self._rows[token]), self.shared_vocabulary.index(token), axis=1)
 
 
 def _parse_header(line: bytes, path: str) -> tuple[int, int]:

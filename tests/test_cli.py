@@ -931,7 +931,7 @@ class TestCheckedBeforeTheReads:
         assert capsys.readouterr().err == f"error: No such file or directory: {synsets}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["0", "nan", "inf"])
+    @pytest.mark.parametrize("target", ["0", "-1", "nan", "inf"])
     def test_threshold_checks_the_target_before_the_replicas(self, tmp_path, capsys, target):
         out = tmp_path / "t.csv"
         rc = main(["threshold", "--models", str(tmp_path / "missing_0.vec"), str(tmp_path / "missing_1.vec"),
