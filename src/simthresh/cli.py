@@ -227,21 +227,17 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     if not 0.0 < args.confidence < 1.0:  # aggregate_curves checks it too, but one probe makes no band
         raise ValueError("confidence must be in (0, 1)")
-    target = threshold.synonym_statistics(args.synsets) if args.synsets else None
-    mean = target.mean_synonyms if target else args.target
-    if not 0.0 < mean < float("inf"):  # solve_threshold checks it too, after every replica
-        where = f"{args.synsets}: mean synonym count" if args.synsets else "--target"
-        raise ValueError(f"{where} must be positive and finite, got {mean:g}")
-    target = target or threshold.SynonymTarget(mean_synonyms=mean)
+    mean = threshold.synonym_statistics(args.synsets).mean_synonyms if args.synsets else args.target
+    threshold.check_target(mean, f"{args.synsets}: mean synonym count" if args.synsets else "--target")
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
     curves = neighbors.probe_curves(ensemble, grid)
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
-    result = threshold.solve_threshold(curve, target, dimensionality=ensemble.dimensionality)
+    result = threshold.solve_threshold(curve, mean, dimensionality=ensemble.dimensionality)
     threshold.write_threshold_csv([result], args.out)
     if args.curve_out:
         neighbors.write_curve_csv(curve, args.curve_out)
     print(f"threshold[dim={result.dimensionality}]: main={result.main:.4f} lower={result.lower:.4f} "
-          f"upper={result.upper:.4f} (target {target.mean_synonyms:g})")
+          f"upper={result.upper:.4f} (target {mean:g})")
     return 0
 
 

@@ -180,22 +180,30 @@ def write_curve_csv(curve: NeighborCurve, path: str) -> None:
 
 
 def read_curve_csv(path: str) -> NeighborCurve:
+    """A curve file as ``write_curve_csv`` writes it; errors name the file and the data row or comment."""
     comments, rows = read_csv(path)
     if not rows:
         raise ValueError(f"{path}: no grid points found")
     source = dict(c.split("=", 1) for c in comments if "=" in c)
     n_terms = source.get("source n_terms")
-
-    def column(name: str) -> np.ndarray:
-        return np.array([float(r[name] or "nan") for r in rows])
-
-    lows, highs = column("band_low"), column("band_high")
+    try:
+        n_terms = None if n_terms is None else int(n_terms)
+    except ValueError as exc:
+        raise ValueError(f"{path}: comment '# source n_terms={n_terms}': {exc}") from None
+    points = []
+    for i, r in enumerate(rows, 1):
+        try:
+            points.append([float(r[name] or "nan") for name in ("grid_s", "expected", "band_low", "band_high")])
+        except (KeyError, ValueError) as exc:
+            what = f"no column {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}: data row {i}: {what}") from None
+    grid, expected, lows, highs = np.array(points).T
     has_band = not np.all(np.isnan(lows))
     return NeighborCurve(
-        grid=column("grid_s"),
-        expected=column("expected"),
+        grid=grid,
+        expected=expected,
         band_low=lows if has_band else None,
         band_high=highs if has_band else None,
         term=source.get("source term"),
-        n_terms=None if n_terms is None else int(n_terms),
+        n_terms=n_terms,
     )

@@ -21,6 +21,7 @@ __all__ = [
     "SynonymTarget",
     "ThresholdResult",
     "TargetUnreachableError",
+    "check_target",
     "solve_threshold",
     "synonym_statistics",
     "parse_synsets",
@@ -43,11 +44,10 @@ class SynonymTarget:
     std_synonyms: float = 0.0
     term_count: int = 0
 
-    def __post_init__(self) -> None:
-        if self.mean_synonyms < 0:
-            raise ValueError("mean_synonyms must be nonnegative")
-        if self.std_synonyms < 0:
-            raise ValueError("std_synonyms must be nonnegative")
+    def __post_init__(self) -> None:  # a zero mean is a statistic, though no solvable target
+        for name, value in (("mean_synonyms", self.mean_synonyms), ("std_synonyms", self.std_synonyms)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class ThresholdResult:
     main: float
     lower: float
     upper: float
-    target: SynonymTarget
 
     def __post_init__(self) -> None:
         if not self.lower <= self.main <= self.upper:
@@ -85,6 +84,12 @@ def _first_crossing(grid: np.ndarray, values: np.ndarray, target: float, label: 
     return lo + (hi - lo) * (v_lo - target) / (v_lo - v_hi)
 
 
+def check_target(mean: float, what: str = "target") -> None:
+    """The one rule for a solvable target: a positive finite mean synonym count."""
+    if not 0 < mean < np.inf:
+        raise TargetUnreachableError(f"{what} must be positive and finite, got {mean:g}")
+
+
 def solve_threshold(
     curve: NeighborCurve,
     target: SynonymTarget | float,
@@ -98,15 +103,12 @@ def solve_threshold(
     smaller similarity, giving the lower bound; the upper edge gives the upper
     bound. Curves without a band yield lower == main == upper.
     """
-    if isinstance(target, (int, float)):
-        target = SynonymTarget(mean_synonyms=float(target))
-    if not 0 < target.mean_synonyms < np.inf:
-        raise TargetUnreachableError(f"target must be positive and finite, got {target.mean_synonyms}")
+    goal = target.mean_synonyms if isinstance(target, SynonymTarget) else float(target)
+    check_target(goal)
     expected = np.asarray(curve.expected, dtype=np.float64)
     slack = _MONOTONE_SLACK * max(1.0, abs(float(expected[0])))
     if np.any(np.diff(expected) > slack):
         raise ValueError("expected-neighbor curve is not non-increasing")
-    goal = target.mean_synonyms
     main = _first_crossing(curve.grid, expected, goal, "expected")
     if curve.band_low is not None and curve.band_high is not None:
         lower = _first_crossing(curve.grid, np.asarray(curve.band_low), goal, "band_low")
@@ -116,9 +118,7 @@ def solve_threshold(
     # Guard against float jitter when the band is degenerate.
     lower = min(lower, main)
     upper = max(upper, main)
-    return ThresholdResult(
-        dimensionality=dimensionality, main=main, lower=lower, upper=upper, target=target
-    )
+    return ThresholdResult(dimensionality=dimensionality, main=main, lower=lower, upper=upper)
 
 
 def parse_synsets(path: str) -> list[list[str]]:

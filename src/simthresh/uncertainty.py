@@ -62,14 +62,6 @@ class UncertaintyCurve:
     mean_abs_diff: np.ndarray  # float64 per bin, NaN where pair_counts == 0
     out_of_domain_count: int = 0
 
-    def rows(self) -> list[tuple[float, float, int, float]]:
-        """(bin_low, bin_high, pair_count, mean_abs_diff) per bin, in order."""
-        edges = self.config.edges
-        return [
-            (float(edges[i]), float(edges[i + 1]), int(self.pair_counts[i]), float(self.mean_abs_diff[i]))
-            for i in range(self.config.bin_count)
-        ]
-
 
 @dataclass(eq=False)
 class SimilarityHistogram:
@@ -143,10 +135,12 @@ def write_uncertainty_csv(curve: UncertaintyCurve, path: str) -> None:
     The mean field is empty for unpopulated bins. A leading comment line
     records the out-of-domain pair count.
     """
+    edges = curve.config.edges
+    rows = zip(edges[:-1], edges[1:], curve.pair_counts, curve.mean_abs_diff)
     write_csv(
         path,
         ["bin_low", "bin_high", "pair_count", "mean_abs_diff"],
-        [(low, high, count, None if count == 0 else mean) for low, high, count, mean in curve.rows()],
+        [(low, high, count, None if count == 0 else mean) for low, high, count, mean in rows],
         [f"out_of_domain_pairs={curve.out_of_domain_count}"],
     )
 
@@ -156,6 +150,6 @@ def write_histogram_csv(hist: SimilarityHistogram, path: str) -> None:
     write_csv(
         path,
         ["bin_low", "bin_high", "count"],
-        [(edges[i], edges[i + 1], int(hist.counts[i])) for i in range(hist.config.bin_count)],
+        zip(edges[:-1], edges[1:], hist.counts),
         [f"out_of_domain_count={hist.out_of_domain_count}"],
     )

@@ -326,7 +326,7 @@ class TestThresholdCommand:
         ])
         assert rc == 0
 
-    def test_synset_file_target(self, tmp_path):
+    def test_synset_file_target(self, tmp_path, capsys):
         synsets = tmp_path / "synsets.txt"
         # mean synonym count 2.0 over {a, b, c, d}
         synsets.write_text("a b c\na d\n")
@@ -336,6 +336,13 @@ class TestThresholdCommand:
             "--synsets", str(synsets), "--out", str(out),
         ])
         assert rc == 0
+        summary = capsys.readouterr().out
+        # the file's mean is the target: the same report and summary as --target 2
+        rc = main(["threshold", "--models", *REPLICAS, "--probes", PROBES, "--target", "2",
+                   "--out", str(tmp_path / "t_2.csv")])
+        assert rc == 0
+        assert (tmp_path / "t_2.csv").read_bytes() == out.read_bytes()
+        assert capsys.readouterr().out == summary
 
 
 class TestThresholdDeterminism:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from simthresh.csvio import _cell, format_csv, read_csv, read_lines, write_csv
 from simthresh.evaluation import RunScores, write_metric_report
 from simthresh.neighbors import NeighborCurve, read_curve_csv, write_curve_csv
-from simthresh.threshold import SynonymTarget, ThresholdResult, write_threshold_csv
+from simthresh.threshold import ThresholdResult, write_threshold_csv
 from simthresh.uncertainty import (
     HistogramConfig,
     SimilarityHistogram,
@@ -106,7 +106,7 @@ def _curve(path):
 
 
 def _threshold(path):
-    write_threshold_csv([ThresholdResult(300, 0.7, 0.6, 0.8, SynonymTarget(1.6))], path)
+    write_threshold_csv([ThresholdResult(300, 0.7, 0.6, 0.8)], path)
 
 
 def _metric_report(path):

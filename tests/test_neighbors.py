@@ -434,6 +434,27 @@ class TestCurveCsv:
         lines = path.read_text().splitlines()
         assert lines[1] == "grid_s,expected,band_low,band_high"
 
+    def test_bad_number_names_file_and_row(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# source term=t\ngrid_s,expected,band_low,band_high\n0.0,1.0,,\n1.0,abc,,\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_curve_csv(str(path))
+        assert str(excinfo.value) == f"{path}: data row 2: could not convert string to float: 'abc'"
+
+    def test_missing_column_names_file_and_row(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# source term=t\ngrid_s,expected,band_high\n0.0,1.0,\n1.0,0.0,\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_curve_csv(str(path))
+        assert str(excinfo.value) == f"{path}: data row 1: no column 'band_low'"
+
+    def test_bad_term_count_names_file_and_comment(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("# source n_terms=x\ngrid_s,expected,band_low,band_high\n0.0,1.0,0.5,1.5\n1.0,0.0,0.0,0.0\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_curve_csv(str(path))
+        assert str(excinfo.value) == f"{path}: comment '# source n_terms=x': invalid literal for int() with base 10: 'x'"
+
 
 class TestGrid:
     def test_default_grid_shape(self):

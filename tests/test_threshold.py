@@ -148,10 +148,7 @@ class TestSolve:
 
     def test_result_invariant_enforced(self):
         with pytest.raises(ValueError, match="out of order"):
-            ThresholdResult(
-                dimensionality=100, main=0.5, lower=0.6, upper=0.7,
-                target=SynonymTarget(mean_synonyms=1.6),
-            )
+            ThresholdResult(dimensionality=100, main=0.5, lower=0.6, upper=0.7)
 
 
 @st.composite
@@ -229,17 +226,30 @@ class TestSynonymStatistics:
         with pytest.raises(ValueError, match="single-word"):
             synonym_statistics([["big_cat", "large_feline"]])
 
+    @pytest.mark.parametrize("field", ["mean_synonyms", "std_synonyms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_target_rejects_a_bad_statistic(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative and finite, got {value:g}$"):
+            SynonymTarget(**{"mean_synonyms": 1.6, field: value})
+
+    def test_zero_mean_is_a_statistic_but_no_target(self):
+        # lone lemmas have no synonyms: synonym-stats prints the zero mean, the solver refuses it
+        target = synonym_statistics([["alpha"], ["beta"]])
+        assert (target.mean_synonyms, target.std_synonyms, target.term_count) == (0.0, 0.0, 2)
+        curve = NeighborCurve(grid=np.array([0.0, 1.0]), expected=np.array([2.0, 1.0]))
+        with pytest.raises(TargetUnreachableError, match="^target must be positive and finite, got 0$"):
+            solve_threshold(curve, target)
+
 
 class TestThresholdCsv:
     def test_round_trip_with_reference_shape(self, tmp_path):
         # Format check using the documented reference values for trained
         # 100..400-dimensional replicas.
-        target = SynonymTarget(mean_synonyms=1.6, std_synonyms=3.1, term_count=147306)
         rows = [
-            ThresholdResult(100, 0.818, 0.802, 0.829, target),
-            ThresholdResult(200, 0.756, 0.737, 0.767, target),
-            ThresholdResult(300, 0.708, 0.692, 0.726, target),
-            ThresholdResult(400, 0.675, 0.655, 0.693, target),
+            ThresholdResult(100, 0.818, 0.802, 0.829),
+            ThresholdResult(200, 0.756, 0.737, 0.767),
+            ThresholdResult(300, 0.708, 0.692, 0.726),
+            ThresholdResult(400, 0.675, 0.655, 0.693),
         ]
         path = tmp_path / "thresholds.csv"
         write_threshold_csv(rows, str(path))

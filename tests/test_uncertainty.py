@@ -76,9 +76,11 @@ class TestHistogramConfig:
     @given(low=st.floats(-1.0, 1.0), span=st.floats(1e-3, 2.0), bins=st.integers(1, 1000),
            fractions=st.lists(st.floats(0.0, 1.0), max_size=20))
     @example(low=-0.2, span=1.2, bins=500, fractions=[])  # the default axis: -0.1952 is the low edge of row 2
-    def test_each_value_lands_in_the_printed_row_that_holds_it(self, low, span, bins, fractions):
+    def test_each_value_lands_in_the_printed_row_that_holds_it(self, tmp_path_factory, low, span, bins, fractions):
         config = HistogramConfig(low, low + span, bins)
-        printed = [row[:2] for row in UncertaintyCurve(config, np.zeros(bins), np.zeros(bins)).rows()]
+        path = tmp_path_factory.getbasetemp() / "printed_rows.csv"
+        write_uncertainty_csv(UncertaintyCurve(config, np.zeros(bins), np.zeros(bins)), str(path))
+        printed = [(float(row["bin_low"]), float(row["bin_high"])) for row in read_csv(str(path))[1]]
         high = config.domain_high
         edges = golden.printed_edges(config.domain_low, high, bins)
         assert edges == config.edges.tolist()
