@@ -66,8 +66,11 @@ def _normalize_rows(vocabulary: Sequence[str], vectors: np.ndarray, model_id: st
 
 class _Replica:
     """Token lookup and ranking shared by whole and reduced replicas. A
-    subclass gives ``model_id``, ``vocabulary``, its record map ``_row`` and
-    ``similarities_to``."""
+    subclass gives ``model_id``, ``vocabulary`` and ``similarities_to``."""
+
+    @cached_property
+    def _row(self) -> dict[str, int]:  # the record map, built on first use, so a worker does not send it back
+        return dict(zip(self.vocabulary, range(len(self.vocabulary))))
 
     def __contains__(self, token: str) -> bool:
         return token in self._row
@@ -91,9 +94,9 @@ class _Replica:
         if k is not None and k < len(sims):
             threshold = max(threshold, np.partition(sims, len(sims) - k)[len(sims) - k])
         kept = np.flatnonzero(sims >= threshold)
-        tokens = np.asarray([self.vocabulary[i] for i in kept + (kept >= row)], dtype=np.str_)
+        tokens = np.asarray([self.vocabulary[i] for i in kept + (kept >= row)], dtype=object)  # np.str_ drops trailing NUL
         order = np.lexsort((tokens, -sims[kept]))[:k]
-        return [(str(tokens[i]), float(sims[kept[i]])) for i in order]
+        return [(tokens[i], float(sims[kept[i]])) for i in order]
 
     def neighbors_above(self, token: str, threshold: float) -> list[tuple[str, float]]:
         """Every other token with similarity >= threshold, most similar first.
@@ -120,15 +123,14 @@ class EmbeddingModel(_Replica):
     model_id: str
     vocabulary: list[str]
     vectors: np.ndarray  # shape (len(vocabulary), dimensionality), float64, unit rows
-    _row: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.vocabulary):
             raise ValueError("vectors must be a (len(vocabulary), dim) matrix")
-        self._row = {}
-        for i, t in enumerate(self.vocabulary):
-            if (first := self._row.setdefault(t, i)) != i:
-                raise ModelFormatError(f"{self.model_id}: record {i}: duplicate token {t!r} (first in record {first})")
+        if len(self._row) != len(self.vocabulary):  # a token repeats: name its first repeat
+            first = {t: i for i, t in reversed(list(enumerate(self.vocabulary)))}
+            i, t = next((i, t) for i, t in enumerate(self.vocabulary) if first[t] != i)
+            raise ModelFormatError(f"{self.model_id}: record {i}: duplicate token {t!r} (first in record {first[t]})")
 
     @classmethod
     def from_arrays(
@@ -162,10 +164,6 @@ class ReducedReplica(_Replica):
     vocabulary: list[str]
     dimensionality: int
     rows: dict[str, np.ndarray]  # probe -> similarities_to(probe) of the full model
-
-    @cached_property
-    def _row(self) -> dict[str, int]:  # built on first use, so a worker does not send it back
-        return dict(zip(self.vocabulary, range(len(self.vocabulary))))
 
     def similarities_to(self, token: str) -> np.ndarray:
         """Cosine of probe ``token`` against the whole vocabulary (self included)."""
@@ -386,22 +384,15 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
     vec_bytes = 4 * dim
     buf, pos = bytearray(), 0
     tokens: list[str] = []
-    starts: list[int] = []  # where each pending record's vector begins in ``buf``
-
-    def block() -> tuple[list[str], np.ndarray]:  # the pending records, their vectors joined in one copy
-        with memoryview(buf) as view:
-            vectors = b"".join([view[at : at + vec_bytes] for at in starts])
-        return tokens, np.frombuffer(vectors, "<f4").reshape(-1, dim)
-
+    vectors: list[bytearray] = []  # each pending record's vector, copied out of ``buf``
     for n in range(count):
         # Read on until the buffer holds this record's token, vector and separator, or the file ends.
         while (space := buf.find(b" ", pos)) < 0 or len(buf) < space + vec_bytes + 2:
-            chunk = fh.read(_BINARY_CHUNK_BYTES)
-            if not chunk:
+            if not (chunk := fh.read(_BINARY_CHUNK_BYTES)):
                 break
-            if tokens:  # the records this buffer completed, before the read moves it on
-                yield block()
-                tokens, starts = [], []
+            if tokens:  # a block per read, yielded first: load_model checks each in turn, so this fixes which fault wins
+                yield tokens, np.frombuffer(b"".join(vectors), "<f4").reshape(-1, dim)
+                tokens, vectors = [], []
             del buf[:pos]
             buf += chunk
             pos = 0
@@ -417,7 +408,7 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
         if len(buf) < pos:
             raise ModelFormatError(f"{path}: truncated vector in record {n}")
         tokens.append(token)
-        starts.append(space + 1)
+        vectors.append(buf[space + 1 : pos])
         sep = buf[pos : pos + 1]
         if sep not in (b"\n", b""):
             raise ModelFormatError(f"{path}: expected newline after record {n}")
@@ -426,7 +417,7 @@ def _binary_blocks(path: str, fh: BinaryIO, count: int, dim: int) -> Iterator[tu
         pos += 1
     if pos < len(buf) or fh.read(1):
         raise ModelFormatError(f"{path}: trailing bytes after {count} records")
-    yield block()
+    yield tokens, np.frombuffer(b"".join(vectors), "<f4").reshape(-1, dim)
 
 
 def load_model(path: str, fmt: str = "word2vec_text") -> EmbeddingModel:

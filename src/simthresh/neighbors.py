@@ -30,6 +30,8 @@ __all__ = [
 # Degenerate zero-variance pairs become near-step survival functions instead
 # of divisions by zero.
 STD_FLOOR = 1e-6
+# The curve file's columns, as write_curve_csv prints them and read_curve_csv needs them.
+_CURVE_COLUMNS = ("grid_s", "expected", "band_low", "band_high")
 
 
 def default_grid(low: float = -0.2, high: float = 1.0, points: int = 2401) -> np.ndarray:
@@ -58,7 +60,7 @@ class NeighborCurve:
     n_terms: int | None = None
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.grid) <= 0):
+        if not np.all(np.diff(self.grid) > 0):  # a NaN step fails too
             raise ValueError("grid must be strictly increasing")
         if len(self.grid) != len(self.expected):
             raise ValueError("grid and expected lengths differ")
@@ -173,14 +175,15 @@ def write_curve_csv(curve: NeighborCurve, path: str) -> None:
     highs = [None] * n if curve.band_high is None else curve.band_high
     write_csv(
         path,
-        ["grid_s", "expected", "band_low", "band_high"],
+        _CURVE_COLUMNS,
         zip(curve.grid, curve.expected, lows, highs),
         [f"source {label}"],
     )
 
 
 def read_curve_csv(path: str) -> NeighborCurve:
-    """A curve file as ``write_curve_csv`` writes it; errors name the file and the data row or comment."""
+    """A curve file as ``write_curve_csv`` writes it: ``grid_s`` and ``expected`` on every row, the band
+    on every row or on none. Errors name the file, and the data row or comment."""
     comments, rows = read_csv(path)
     if not rows:
         raise ValueError(f"{path}: no grid points found")
@@ -193,17 +196,19 @@ def read_curve_csv(path: str) -> NeighborCurve:
     points = []
     for i, r in enumerate(rows, 1):
         try:
-            points.append([float(r[name] or "nan") for name in ("grid_s", "expected", "band_low", "band_high")])
+            cells = [r[name] for name in _CURVE_COLUMNS]
+            if i == 1:  # the first row says whether the curve has a band
+                width = 4 if any(cells[2:]) else 2
+            if "" in cells[:width]:
+                raise ValueError(f"empty {_CURVE_COLUMNS[cells.index('')]}")
+            if any(cells[width:]):
+                raise ValueError("a band value, but data row 1 has no band")
+            points.append([float(c) for c in cells[:width]])
         except (KeyError, ValueError) as exc:
             what = f"no column {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}: data row {i}: {what}") from None
-    grid, expected, lows, highs = np.array(points).T
-    has_band = not np.all(np.isnan(lows))
-    return NeighborCurve(
-        grid=grid,
-        expected=expected,
-        band_low=lows if has_band else None,
-        band_high=highs if has_band else None,
-        term=source.get("source term"),
-        n_terms=n_terms,
-    )
+    grid, expected, *band = np.array(points).T
+    try:
+        return NeighborCurve(grid, expected, *band, term=source.get("source term"), n_terms=n_terms)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

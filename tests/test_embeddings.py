@@ -137,11 +137,18 @@ class TestLoading:
         with pytest.raises(ModelFormatError, match="non-finite"):
             load_model(str(path))
 
-    def test_duplicate_token(self, tmp_path):
-        path = tmp_path / "m.vec"
-        path.write_text("2 2\na 1 0\na 0 1\n")
-        with pytest.raises(ModelFormatError, match="duplicate"):
-            load_model(str(path))
+    @pytest.mark.parametrize("form", ["word2vec_text", "word2vec_binary", "from_arrays"])
+    def test_duplicate_token(self, tmp_path, form):
+        # Several tokens repeat: the first record whose token came before is named, with that earlier record.
+        tokens, vecs = ["a", "b", "b", "a"], np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
+        path = tmp_path / "m.vec"  # also the id of the model built from arrays, so every form names it
+        with pytest.raises(ModelFormatError) as excinfo:
+            if form == "from_arrays":
+                EmbeddingModel.from_arrays(tokens, vecs, str(path))
+            else:
+                path.write_bytes(word2vec_bytes(zip(tokens, vecs), form))
+                load_model(str(path), form)
+        assert str(excinfo.value) == f"{path}: record 2: duplicate token 'b' (first in record 1)"
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
@@ -452,6 +459,14 @@ class TestNeighborQueries:
         model = EmbeddingModel.from_arrays(["hub", "zed", "abc", "mid"], vecs)
         ranked = [t for t, _ in model.knn("hub", 3)]
         assert ranked == ["mid", "abc", "zed"]
+
+    def test_tokens_with_trailing_nul_are_returned_as_they_are(self):
+        # numpy's str_ arrays drop trailing NULs, so a ranking that goes through one names 'a' for 'a\x00'.
+        vecs = np.array([[1.0, 0.0], [0.6, 0.8], [0.8, 0.6], [0.6, 0.8]])
+        model = EmbeddingModel.from_arrays(["hub", "a", "a\x00", "a\x00\x00"], vecs)
+        for replica in (model, reduce_replica(model, ["hub"])):
+            assert [t for t, _ in replica.knn("hub", 3)] == ["a\x00", "a", "a\x00\x00"]
+            assert [t for t, _ in replica.neighbors_above("hub", 0.7)] == ["a\x00"]
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), size=st.integers(1, 12))

@@ -455,6 +455,24 @@ class TestCurveCsv:
             read_curve_csv(str(path))
         assert str(excinfo.value) == f"{path}: comment '# source n_terms=x': invalid literal for int() with base 10: 'x'"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,2.0,,\n1.0,,,\n", "data row 2: empty expected"),
+            ("0.0,2.0,,\n,1.0,,\n", "data row 2: empty grid_s"),
+            ("0.0,2.0,1.5,2.5\n1.0,1.0,,1.5\n", "data row 2: empty band_low"),
+            ("0.0,2.0,,\n1.0,1.0,0.5,1.5\n", "data row 2: a band value, but data row 1 has no band"),
+            ("1.0,2.0,,\n0.0,1.0,,\n", "grid must be strictly increasing"),
+        ],
+        ids=["empty-expected", "empty-grid", "band-with-a-hole", "band-on-a-later-row", "grid-not-increasing"],
+    )
+    def test_malformed_curve_names_file_and_row(self, tmp_path, rows, message):
+        path = tmp_path / "c.csv"
+        path.write_text("# source n_terms=2\ngrid_s,expected,band_low,band_high\n" + rows)
+        with pytest.raises(ValueError) as excinfo:
+            read_curve_csv(str(path))
+        assert str(excinfo.value) == f"{path}: {message}"
+
 
 class TestGrid:
     def test_default_grid_shape(self):
@@ -469,3 +487,8 @@ class TestGrid:
             default_grid(points=1)
         with pytest.raises(ValueError):
             NeighborCurve(grid=np.array([0.0, 0.0]), expected=np.array([1.0, 1.0]))
+
+    def test_nan_grid_rejected(self):
+        # Every comparison with NaN is false, so only a check that each step is > 0 catches it.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            NeighborCurve(grid=np.array([0.0, np.nan, 1.0]), expected=np.array([2.0, 1.0, 0.0]))
