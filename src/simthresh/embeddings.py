@@ -193,11 +193,11 @@ def _worker_count(tasks: int) -> int:
 def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Iterator[ReducedReplica]:
     """``reduce_replica(load_model(path, fmt), probes)`` for each path, in path order.
 
-    Two or more paths load in forked workers, one process and one pipe per replica, at most
-    one per CPU of the affinity mask alive at once; one path, or no ``fork``, loads here. The
-    first error in path order is raised, ``ChildProcessError`` for a dead worker. Workers ignore
-    SIGINT, die with this process and are terminated on the way out. Start no thread while
-    iterating: they fork then."""
+    Two or more paths load in W forked workers, one per CPU of the affinity mask and at most
+    one per path, all forked before the first result is read; worker w loads ``paths[w::W]``
+    in order and sends each replica, or its exception, on a pipe of its own. One path, or no
+    ``fork``, loads here. The first error in path order is raised, ``ChildProcessError`` for a
+    dead worker. Workers ignore SIGINT, die with this process and are terminated on the way out."""
     import multiprocessing  # imported here: commands that load no replica skip it
     import threading
 
@@ -205,50 +205,45 @@ def load_reduced(paths: Sequence[str], fmt: str, probes: Sequence[str]) -> Itera
         yield from (reduce_replica(load_model(path, fmt), probes) for path in paths)
         return
     # fork, not the default of later Pythons (forkserver), which imports numpy again in every worker
-    context, pending, running = multiprocessing.get_context("fork"), iter(paths), []
+    context, count, workers = multiprocessing.get_context("fork"), _worker_count(len(paths)), []
     lifeline, alive = os.pipe()  # only this process keeps ``alive`` open, so its death ends ``lifeline``
 
-    def load(path: str, receive, send) -> None:
+    def load(share: Sequence[str], receive, send) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # blocked by start() until it was ignored
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})  # the command blocks it while it forks
         os.close(alive)  # os.read below returns only at end of file, once this process has died
         threading.Thread(target=lambda: os.read(lifeline, 1) or os._exit(1), daemon=True).start()
-        for reader in [receive, *(r for _, r in running)]:  # with no read end here, a dead command breaks the pipe
+        for reader in [receive, *(r for _, r in workers)]:  # with no read end here, a dead command breaks the pipe
             reader.close()
         try:
-            result = reduce_replica(load_model(path, fmt), probes)
-        except Exception as exc:
-            result = exc
-        send.send(result)
+            for path in share:
+                send.send(reduce_replica(load_model(path, fmt), probes))
+        except Exception as exc:  # sent in place of the replica; the paths after it are not loaded
+            send.send(exc)
 
-    def start(count: int) -> None:  # forks the next ``count`` paths' workers
-        for path in islice(pending, count):
+    try:
+        for w in range(count):
             receive, send = context.Pipe(duplex=False)
-            worker = context.Process(target=load, args=(path, receive, send), daemon=True)
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # a Ctrl-C waits for ``running``
+            worker = context.Process(target=load, args=(paths[w::count], receive, send), daemon=True)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # a Ctrl-C waits for ``workers``
             try:
                 worker.start()
-                running.append((worker, receive))
+                workers.append((worker, receive))
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             send.close()  # the worker holds the only send end, so its death reads as end of file
-
-    try:
-        start(_worker_count(len(paths)))
-        while running:
-            worker, receive = running[0]
+        for k in range(len(paths)):
+            worker, receive = workers[k % count]
             try:
                 result = receive.recv()
             except (EOFError, OSError):  # end of file before or in the result: the worker died
                 result = None
-            worker.join()  # it has died, or exits once its result is read; the next path takes its place
-            running.pop(0)[1].close()
             if not isinstance(result, ReducedReplica):  # the worker's exception, or its death
+                worker.join()
                 raise result or ChildProcessError(f"a worker loading replicas died (exit code {worker.exitcode})")
-            start(1)
             yield result
     finally:
-        for worker, receive in running:
+        for worker, receive in workers:
             worker.terminate()
             worker.join()
             receive.close()

@@ -64,6 +64,8 @@ class NeighborCurve:
             raise ValueError("grid must be strictly increasing")
         if len(self.grid) != len(self.expected):
             raise ValueError("grid and expected lengths differ")
+        if not all(v is None or np.isfinite(v).all() for v in (self.grid, self.expected, self.band_low, self.band_high)):
+            raise ValueError("grid, expected and band values must be finite")
 
 
 def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[np.ndarray, np.ndarray]:

@@ -713,6 +713,41 @@ class TestLoadReduced:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == before
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_workers_forked_once_for_the_whole_ensemble(self, tmp_path, monkeypatch, count):
+        # Worker w loads paths[w::count], so five paths take min(count, 5) processes, not one each.
+        paths, started, reduce = self.write(tmp_path, "word2vec_binary"), [], embeddings.reduce_replica
+        start = multiprocessing.process.BaseProcess.start
+
+        def served(model, probes):  # runs in the worker, which sends its pid back with the replica
+            replica = reduce(model, probes)
+            replica.served_by = os.getpid()
+            return replica
+
+        monkeypatch.setattr(embeddings, "_worker_count", lambda tasks: min(count, tasks))
+        monkeypatch.setattr(embeddings, "reduce_replica", served)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", lambda p: started.append(p) or start(p))
+        got = list(load_reduced(paths, "word2vec_binary", self.PROBES))
+        assert [r.model_id for r in got] == paths
+        assert len(started) == min(count, 5)
+        for w, worker in enumerate(started):
+            assert {r.served_by for r in got[w::len(started)]} == {worker.pid}
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+    @pytest.mark.parametrize("truncated, loaded", [((2, 3), 2), ((3,), 3)], ids=["both-second", "path-3-only"])
+    def test_first_error_in_path_order_across_workers(self, tmp_path, monkeypatch, truncated, loaded):
+        # Two workers: paths 2 and 3 are each one's second replica, so either may fail first.
+        paths, before, got = self.write(tmp_path, "word2vec_binary"), threading.active_count(), []
+        for k in truncated:
+            Path(paths[k]).write_bytes(Path(paths[k]).read_bytes()[:-6])
+        monkeypatch.setattr(embeddings, "_worker_count", lambda tasks: 2)
+        with pytest.raises(ModelFormatError) as excinfo:
+            got.extend(r.model_id for r in load_reduced(paths, "word2vec_binary", self.PROBES))
+        assert str(excinfo.value).startswith(f"{paths[loaded]}: truncated")
+        assert got == paths[:loaded]
+        assert multiprocessing.active_children() == [] and threading.active_count() == before
+
     def test_clean_under_dev_mode_and_warnings_as_errors(self, tmp_path):
         paths = self.write(tmp_path, "word2vec_binary")
         code = (

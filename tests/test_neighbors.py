@@ -463,8 +463,18 @@ class TestCurveCsv:
             ("0.0,2.0,1.5,2.5\n1.0,1.0,,1.5\n", "data row 2: empty band_low"),
             ("0.0,2.0,,\n1.0,1.0,0.5,1.5\n", "data row 2: a band value, but data row 1 has no band"),
             ("1.0,2.0,,\n0.0,1.0,,\n", "grid must be strictly increasing"),
+            ("0.0,2.0,,\nnan,1.0,,\n", "grid must be strictly increasing"),
+            ("0.0,2.0,,\ninf,1.0,,\n", "grid, expected and band values must be finite"),
+            ("0.0,nan,,\n0.5,1.0,,\n1.0,0.0,,\n", "grid, expected and band values must be finite"),
+            ("0.0,2.0,,\n1.0,inf,,\n", "grid, expected and band values must be finite"),
+            ("0.0,2.0,nan,2.5\n1.0,1.0,0.5,1.5\n", "grid, expected and band values must be finite"),
+            ("0.0,2.0,1.5,2.5\n1.0,1.0,-inf,1.5\n", "grid, expected and band values must be finite"),
+            ("0.0,2.0,1.5,2.5\n1.0,1.0,0.5,nan\n", "grid, expected and band values must be finite"),
+            ("0.0,2.0,1.5,inf\n1.0,1.0,0.5,1.5\n", "grid, expected and band values must be finite"),
         ],
-        ids=["empty-expected", "empty-grid", "band-with-a-hole", "band-on-a-later-row", "grid-not-increasing"],
+        ids=["empty-expected", "empty-grid", "band-with-a-hole", "band-on-a-later-row", "grid-not-increasing",
+             "grid-nan", "grid-inf", "expected-nan", "expected-inf", "band_low-nan", "band_low-minus-inf",
+             "band_high-nan", "band_high-inf"],
     )
     def test_malformed_curve_names_file_and_row(self, tmp_path, rows, message):
         path = tmp_path / "c.csv"
@@ -492,3 +502,14 @@ class TestGrid:
         # Every comparison with NaN is false, so only a check that each step is > 0 catches it.
         with pytest.raises(ValueError, match="strictly increasing"):
             NeighborCurve(grid=np.array([0.0, np.nan, 1.0]), expected=np.array([2.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["grid", "expected", "band_low", "band_high"])
+    def test_non_finite_value_rejected(self, field, value):
+        # each field's first value: a NaN or +inf first grid point already breaks the increasing rule
+        values = {"grid": [0.0, 0.5, 1.0], "expected": [2.0, 1.0, 0.0],
+                  "band_low": [1.5, 0.5, 0.0], "band_high": [2.5, 1.5, 0.5]}
+        values[field][0] = value
+        message = "must be finite" if field != "grid" or value == -np.inf else "strictly increasing"
+        with pytest.raises(ValueError, match=message):
+            NeighborCurve(**{name: np.array(v) for name, v in values.items()})
