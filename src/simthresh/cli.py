@@ -256,11 +256,11 @@ def cmd_synonym_stats(args: argparse.Namespace) -> int:
 @command("index", "build an inverted index from a corpus", "corpus out", "stopwords no_stem")
 def cmd_index(args: argparse.Namespace) -> int:
     from . import retrieval
-    from .textproc import Pipeline
+    from .textproc import Pipeline, default_stopwords, load_stopwords
 
     corpus = retrieval.read_corpus(args.corpus)
-    pipeline = Pipeline.from_stopword_file(args.stopwords, stem_enabled=not args.no_stem)
-    index = retrieval.build_index(corpus, pipeline)
+    stopwords = load_stopwords(args.stopwords) if args.stopwords is not None else default_stopwords()
+    index = retrieval.build_index(corpus, Pipeline(stopwords, not args.no_stem))
     retrieval.save_index(index, args.out)
     print(f"indexed {index.doc_count} documents, {index.total_tokens} tokens")
     return 0

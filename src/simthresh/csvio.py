@@ -75,10 +75,11 @@ def read_csv(path: str) -> tuple[list[str], list[dict[str, str]]]:
 
 def read_lines(path: str) -> Iterator[tuple[int, str]]:
     r"""(line number, line) for each '\n'-ended line of a UTF-8 text file,
-    line ending kept (a '\r' before the '\n' too). A file that is not valid
-    UTF-8 raises ``ValueError`` naming the file and its first bad line."""
+    line ending kept (a '\r' before the '\n' too), a leading byte order mark
+    skipped (model files, read as binary, still reject one). A file that is not
+    valid UTF-8 raises ``ValueError`` naming the file and its first bad line."""
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             yield from enumerate(fh, 1)
     except UnicodeDecodeError:
         # The decoder works ahead in blocks, so the bad line is found in the bytes.

@@ -66,6 +66,12 @@ class NeighborCurve:
             raise ValueError("grid and expected lengths differ")
         if not all(v is None or np.isfinite(v).all() for v in (self.grid, self.expected, self.band_low, self.band_high)):
             raise ValueError("grid, expected and band values must be finite")
+        if (self.band_low is None) != (self.band_high is None):
+            raise ValueError("a band needs both band_low and band_high")
+        if self.band_low is not None and not len(self.band_low) == len(self.band_high) == len(self.grid):
+            raise ValueError("band and grid lengths differ")
+        if self.band_low is not None and not np.all((self.band_low <= self.expected) & (self.expected <= self.band_high)):
+            raise ValueError("band must hold band_low <= expected <= band_high")
 
 
 def pair_statistics(ensemble: ModelEnsemble, term: str) -> tuple[np.ndarray, np.ndarray]:

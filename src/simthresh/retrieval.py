@@ -195,13 +195,6 @@ class TranslationTable:
         except KeyError:
             raise KeyError(f"query term {query_term!r} missing from translation table") from None
 
-    @classmethod
-    def self_only(cls, query_terms: Iterable[str]) -> "TranslationTable":
-        table = cls()
-        for t in query_terms:
-            table.entries.setdefault(t, [(t, 1.0)])
-        return table
-
 
 @dataclass(frozen=True)
 class ExpansionPolicy:
@@ -299,12 +292,11 @@ def tlm_score(
 
 
 def lm_score(index: Index, config: LmConfig, query_terms: list[str]) -> list[tuple[str, float]]:
-    """Basic query-likelihood ranking with Dirichlet smoothing.
-
-    Implemented as the translation model with self-only tables, which makes
-    the reduction identity exact by construction.
+    """Basic query-likelihood ranking with Dirichlet smoothing: the translation
+    model on the table ``search --policy none`` scores with, whose self-only
+    entries make the reduction identity exact by construction.
     """
-    return tlm_score(index, config, TranslationTable.self_only(query_terms), query_terms)
+    return tlm_score(index, config, build_translation_table(query_terms, ExpansionPolicy()), query_terms)
 
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.DOTALL)

@@ -53,11 +53,6 @@ class Pipeline:
     stopwords: frozenset[str] = field(default_factory=default_stopwords)
     stem_enabled: bool = True
 
-    @classmethod
-    def from_stopword_file(cls, path: str | None, stem_enabled: bool = True) -> "Pipeline":
-        stopwords = default_stopwords() if path is None else load_stopwords(path)
-        return cls(stopwords=stopwords, stem_enabled=stem_enabled)
-
     def process(self, text: str) -> list[str]:
         terms = [t for t in tokenize(text) if t not in self.stopwords]
         if self.stem_enabled:

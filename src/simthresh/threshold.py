@@ -110,7 +110,7 @@ def solve_threshold(
     if np.any(np.diff(expected) > slack):
         raise ValueError("expected-neighbor curve is not non-increasing")
     main = _first_crossing(curve.grid, expected, goal, "expected")
-    if curve.band_low is not None and curve.band_high is not None:
+    if curve.band_low is not None:
         lower = _first_crossing(curve.grid, np.asarray(curve.band_low), goal, "band_low")
         upper = _first_crossing(curve.grid, np.asarray(curve.band_high), goal, "band_high")
     else:

@@ -38,6 +38,7 @@ from simthresh.retrieval import (
     LmConfig,
     TranslationTable,
     build_index,
+    build_translation_table,
     lm_score,
     read_run,
     save_index,
@@ -256,7 +257,8 @@ def test_c07_translation_lm_reduction():
         vocab = sorted({t for terms in docs.values() for t in terms})
         query = [vocab[int(i)] for i in rng.integers(0, len(vocab), size=int(rng.integers(1, 5)))]
         base = lm_score(index, LmConfig(), query)
-        table = TranslationTable.self_only(query)
+        table = build_translation_table(query, ExpansionPolicy())
+        assert table.entries == {t: [(t, 1.0)] for t in query}
         translated = tlm_score(index, LmConfig(), table, query)
         assert [d for d, _ in base] == [d for d, _ in translated]
         for (_, s1), (_, s2) in zip(base, translated):
@@ -288,7 +290,7 @@ def test_c08_dense_oracle_equivalence():
         for (_, log_score), (_, linear) in zip(got, want):
             assert math.exp(log_score) == pytest.approx(linear, rel=1e-10)
         base_got = lm_score(index, LmConfig(mu=mu), query)
-        base_want = dense_rank(docs, mu, TranslationTable.self_only(query).entries, query)
+        base_want = dense_rank(docs, mu, build_translation_table(query, ExpansionPolicy()).entries, query)
         assert [d for d, _ in base_got] == [d for d, _ in base_want]
         for (_, log_score), (_, linear) in zip(base_got, base_want):
             assert math.exp(log_score) == pytest.approx(linear, rel=1e-10)

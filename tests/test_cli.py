@@ -23,7 +23,7 @@ from simthresh.embeddings import EmbeddingModel, load_model
 from simthresh.neighbors import read_curve_csv
 from simthresh.retrieval import (ExpansionPolicy, LmConfig, build_index, lm_score, load_index, read_corpus, read_run,
                                  read_topics, tlm_score, write_run)
-from simthresh.textproc import Pipeline
+from simthresh.textproc import Pipeline, default_stopwords, load_stopwords
 from simthresh.threshold import solve_threshold
 from simthresh.uncertainty import HistogramConfig
 
@@ -606,7 +606,7 @@ class TestSearchUsesTheIndexPipeline:
         index, run = tmp_path / "index.npz", tmp_path / "run.txt"
         assert main(["index", "--corpus", str(corpus), *flags, "--out", str(index)]) == 0
         assert main(["search", "--index", str(index), "--topics", str(topics), "--out", str(run)]) == 0
-        pipeline = Pipeline.from_stopword_file(None if stopwords is None else str(stop), stem_enabled=not no_stem)
+        pipeline = Pipeline(default_stopwords() if stopwords is None else load_stopwords(str(stop)), not no_stem)
         assert load_index(str(index)).pipeline == pipeline
         assert run.read_bytes() == self.expected_run(tmp_path / "want.txt", corpus, topics, pipeline)
         assert run.read_bytes() != self.expected_run(tmp_path / "default.txt", corpus, topics, Pipeline())
@@ -884,6 +884,42 @@ class TestBadInputs:
         assert main([str(a) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {bad}:2: not valid UTF-8\n"
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("which", ["probes", "config", "topics", "qrels", "run", "stopwords", "synsets",
+                                       "corpus", "trec"])
+    def test_byte_order_mark_reads_like_the_plain_file(self, tmp_path, capsys, which):
+        w = pipeline_world(tmp_path)
+        w.update(probes=Path(PROBES), config=tmp_path / "run.cfg", run=w["runs"][0])
+        w["config"].write_text(f"probes = {PROBES}\nbins = 10\n")
+        marked = tmp_path / f"bom_{which}"
+        marked.write_bytes(b"\xef\xbb\xbf" + w[which].read_bytes())
+        results = []
+        for given in (w[which], marked):
+            out = tmp_path / f"out_{len(results)}"
+            pair = ["--reference", REPLICAS[0], "--other", REPLICAS[1], "--curve-out", out]
+            argv = {
+                "probes": ["uncertainty", "--probes", given, *pair],
+                "config": ["uncertainty", "--config", given, *pair],
+                "topics": ["search", "--index", w["index"], "--topics", given, "--out", out],
+                "qrels": ["evaluate", "--run", w["run"], "--qrels", given, "--out", out],
+                "run": ["evaluate", "--run", given, "--qrels", w["qrels"], "--out", out],
+                "stopwords": ["index", "--corpus", w["corpus"], "--stopwords", given, "--out", out],
+                "synsets": ["synonym-stats", "--synsets", given, "--out", out],
+                "corpus": ["index", "--corpus", given, "--out", out],
+                "trec": ["index", "--corpus", given, "--out", out],
+            }[which]
+            capsys.readouterr()
+            rc = main([str(a) for a in argv])
+            if not out.exists():
+                written = None
+            elif which in ("stopwords", "corpus", "trec"):  # the archive's bytes hold its write time
+                with np.load(out) as archive:
+                    written = {name: archive[name].tobytes() for name in archive.files}
+            else:
+                written = out.read_bytes()
+            results.append((rc, capsys.readouterr().out, written))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
 
     @pytest.mark.parametrize("fmt", ["word2vec_text", "word2vec_binary"])
     def test_non_utf8_token_names_file_and_record(self, tmp_path, capsys, fmt):

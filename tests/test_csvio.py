@@ -147,6 +147,21 @@ def test_non_utf8_line_names_file_and_line(tmp_path, kind):
     assert str(excinfo.value) == f"{path}:{len(lines)}: not valid UTF-8"
 
 
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_byte_order_mark_reads_like_the_plain_file(tmp_path, kind):
+    write, read, _ = READERS[kind]
+    path, marked = tmp_path / f"{kind}.csv", tmp_path / f"bom_{kind}.csv"
+    write(str(path))
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert repr(read(str(marked))) == repr(read(str(path)))
+
+
+def test_read_lines_skips_only_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("\ufeffa\n\ufeffb\n".encode())
+    assert list(read_lines(str(path))) == [(1, "a\n"), (2, "\ufeffb\n")]
+
+
 def test_read_lines_splits_at_newline_only(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes("a\r\nb\rc\u2028d\ne".encode())

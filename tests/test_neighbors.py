@@ -391,6 +391,16 @@ class TestAggregation:
         np.testing.assert_allclose(a.band_low, b.band_low, atol=1e-15)
         np.testing.assert_allclose(a.band_high, b.band_high, atol=1e-15)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.lists(
+        hnp.arrays(np.float64, n, elements=st.floats(0.0, 1e6)).map(lambda a: np.sort(a)[::-1]),
+        min_size=2, max_size=6)))
+    def test_aggregated_band_holds_the_mean_exactly(self, values):
+        # the CLI's curves come from here, so the band rule can never reject one it builds
+        grid = np.linspace(0.0, 1.0, len(values[0]))
+        agg = aggregate_curves([NeighborCurve(grid=grid, expected=v, term=f"t{i}") for i, v in enumerate(values)])
+        assert np.all(agg.band_low <= agg.expected) and np.all(agg.expected <= agg.band_high)
+
     def test_band_ordering(self, rng):
         values = rng.uniform(0, 5, size=(4, 3))
         values.sort(axis=1)
@@ -471,10 +481,11 @@ class TestCurveCsv:
             ("0.0,2.0,1.5,2.5\n1.0,1.0,-inf,1.5\n", "grid, expected and band values must be finite"),
             ("0.0,2.0,1.5,2.5\n1.0,1.0,0.5,nan\n", "grid, expected and band values must be finite"),
             ("0.0,2.0,1.5,inf\n1.0,1.0,0.5,1.5\n", "grid, expected and band values must be finite"),
+            ("0.0,2.0,2.5,1.5\n1.0,1.0,0.5,1.5\n", "band must hold band_low <= expected <= band_high"),
         ],
         ids=["empty-expected", "empty-grid", "band-with-a-hole", "band-on-a-later-row", "grid-not-increasing",
              "grid-nan", "grid-inf", "expected-nan", "expected-inf", "band_low-nan", "band_low-minus-inf",
-             "band_high-nan", "band_high-inf"],
+             "band_high-nan", "band_high-inf", "band-inverted"],
     )
     def test_malformed_curve_names_file_and_row(self, tmp_path, rows, message):
         path = tmp_path / "c.csv"
@@ -513,3 +524,19 @@ class TestGrid:
         message = "must be finite" if field != "grid" or value == -np.inf else "strictly increasing"
         with pytest.raises(ValueError, match=message):
             NeighborCurve(**{name: np.array(v) for name, v in values.items()})
+
+    @pytest.mark.parametrize("band, message", [
+        (dict(band_low=[1.5, 0.5, 0.0]), "a band needs both band_low and band_high"),
+        (dict(band_high=[2.5, 1.5, 0.5]), "a band needs both band_low and band_high"),
+        (dict(band_low=[1.5, 0.5], band_high=[2.5, 1.5]), "band and grid lengths differ"),
+        (dict(band_low=[1.5, 0.5, 0.0], band_high=[2.5, 1.5]), "band and grid lengths differ"),
+        (dict(band_low=[2.5, 1.5, 0.5], band_high=[1.5, 0.5, 0.0]), "band must hold band_low <= expected"),
+        (dict(band_low=[1.5, 1.0 + 1e-15, 0.0], band_high=[2.5, 1.5, 0.5]), "band must hold band_low <= expected"),
+        (dict(band_low=[1.5, 0.5, 0.0], band_high=[2.5, 1.5, -1e-300]), "band must hold band_low <= expected"),
+    ], ids=["low-only", "high-only", "short-band", "short-high", "inverted", "low-above-by-a-hair",
+            "high-below-by-a-hair"])
+    def test_band_rules(self, band, message):
+        # without these a short band writes a short file, and a one-sided or inverted band solves silently
+        with pytest.raises(ValueError, match=message):
+            NeighborCurve(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0, 0.0]),
+                          **{name: np.array(v) for name, v in band.items()})

@@ -281,7 +281,7 @@ class TestTranslationTable:
             ExpansionPolicy(mode="fuzzy")
 
     def test_missing_table_entry(self):
-        table = TranslationTable.self_only(["cat"])
+        table = build_translation_table(["cat"], ExpansionPolicy())
         with pytest.raises(KeyError, match="dog"):
             tlm_score(toy_index(), LmConfig(), table, ["cat", "dog"])
 
@@ -294,7 +294,8 @@ class TestTlmScore:
             vocab = sorted({t for terms in docs.values() for t in terms})
             query = [vocab[i] for i in rng.integers(0, len(vocab), size=3)]
             base = lm_score(index, LmConfig(), query)
-            table = TranslationTable.self_only(query)
+            table = build_translation_table(query, ExpansionPolicy())
+            assert table.entries == {t: [(t, 1.0)] for t in query}
             translated = tlm_score(index, LmConfig(), table, query)
             assert base == translated
 
@@ -364,7 +365,7 @@ class TestTlmScore:
         # With equal document lengths the candidate ordering depends only on
         # term frequencies, so collection-model dilution cannot flip it.
         docs = {f"d{i}": ["q"] * i + ["x"] * (6 - i) for i in range(1, 6)}
-        table = TranslationTable.self_only(["q"])
+        table = build_translation_table(["q"], ExpansionPolicy())
         mu = 700.0
         base = [d for d, _ in dense_rank(docs, mu, table.entries, ["q"])]
         docs_more = dict(docs)

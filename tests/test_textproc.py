@@ -82,7 +82,7 @@ class TestPipeline:
     def test_from_stopword_file(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("books\n")
-        pipeline = Pipeline.from_stopword_file(str(path))
+        pipeline = Pipeline(load_stopwords(str(path)))
         assert pipeline.process("books running") == ["run"]
 
     @settings(max_examples=100, deadline=None)
