@@ -15,7 +15,7 @@ import numpy as np
 
 from simthresh.embeddings import EmbeddingModel, ModelEnsemble
 from simthresh.neighbors import (
-    aggregate_curves, default_grid, pair_statistics, probe_curves, write_curve_csv,
+    aggregate_curves, default_grid, expected_neighbors, pair_statistics, write_curve_csv,
 )
 from simthresh.threshold import solve_threshold, synonym_statistics, write_threshold_csv
 
@@ -46,7 +46,7 @@ print(f"pair ({probes[0]}, {other}): mean {means[0]:+.4f}, std {stds[0]:.5f} "
 
 # %% Per-term expected-neighbor curves, then the aggregated curve with band.
 grid = default_grid()
-curves = probe_curves(ensemble, grid)  # one per probe, in probe order
+curves = [expected_neighbors(ensemble, t, grid) for t in ensemble.probes]  # one per probe, in probe order
 aggregated = aggregate_curves(curves, confidence=0.95)
 write_curve_csv(aggregated, str(OUT / "expected_neighbors_aggregated.csv"))
 for s in (0.0, 0.2, 0.4, 0.6):

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from planted_world import build_world  # noqa: E402
 
 from simthresh.evaluation import evaluate_run, paired_ttest  # noqa: E402
-from simthresh.neighbors import aggregate_curves, default_grid, probe_curves  # noqa: E402
+from simthresh.neighbors import aggregate_curves, default_grid, expected_neighbors  # noqa: E402
 from simthresh.retrieval import ExpansionPolicy  # noqa: E402
 from simthresh.threshold import solve_threshold  # noqa: E402
 
@@ -28,7 +28,7 @@ print(f"corpus: {world.index.doc_count} docs, {world.index.total_tokens} tokens,
 
 # %% Derive the threshold from the replica ensemble.
 grid = default_grid()
-curves = probe_curves(world.ensemble, grid)  # the ensemble's probes are world.probe_terms
+curves = [expected_neighbors(world.ensemble, t, grid) for t in world.ensemble.probes]
 aggregated = aggregate_curves(curves)
 derived = solve_threshold(aggregated, 1.6, dimensionality=world.base.dimensionality)
 print(f"derived threshold: {derived.main:.4f} in [{derived.lower:.4f}, {derived.upper:.4f}]")

@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _MODULES = {name: module for module, names in {  # public name -> the module that defines it
     "embeddings": "EmbeddingModel ModelEnsemble load_model",
     "uncertainty": "HistogramConfig UncertaintyCurve SimilarityHistogram uncertainty_curve similarity_histogram",
-    "neighbors": "NeighborCurve default_grid expected_neighbors probe_curves aggregate_curves",
+    "neighbors": "NeighborCurve default_grid expected_neighbors aggregate_curves",
     "threshold": "SynonymTarget ThresholdResult solve_threshold synonym_statistics",
     "textproc": "Pipeline tokenize",
     "retrieval": "Index LmConfig TranslationTable ExpansionPolicy build_index build_translation_table "

@@ -12,6 +12,7 @@ numpy or scipy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -130,8 +131,8 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill each setting the flags left unset from the config file, else its
-    declared default, and check that every required setting has a value."""
+    """Fill each setting the flags left unset from the config file, else its declared default; before any
+    file is read, check that required settings have values and outputs are distinct files in existing directories."""
     _, _, required, optional = COMMANDS[args.command]
     given = read_config(args.config) if args.config else {}
     for name in required + optional:
@@ -139,6 +140,13 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, name, given.get(name, OPTIONS[name].default))
     for name in required:
         _require(args, name)
+    outputs: dict[str, str] = {}  # the real path of each output given -> its flag
+    for name, path in ((n, getattr(args, n)) for n in ("out", "curve_out", "histogram_out") if getattr(args, n, None)):
+        flag, real = "--" + name.replace("_", "-"), os.path.realpath(path)
+        if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"{flag} {path}: {'is a directory' if os.path.isdir(real) else 'no such directory'}")
+        if outputs.setdefault(real, flag) != flag and (os.path.isfile(real) or not os.path.exists(real)):
+            raise ValueError(f"{flag} {path}: the same file as {outputs[real]}")  # a device may take both
     return args
 
 
@@ -223,6 +231,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
+    reals = [os.path.realpath(p) for p in args.models]  # one replica counted twice would skew the spread
+    for i, real in enumerate(reals):
+        if reals.index(real) < i:
+            raise ValueError(f"--models {args.models[i]}: given twice (positions {reals.index(real) + 1} and {i + 1})")
     probes = _read_terms(args.probes)
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     if not 0.0 < args.confidence < 1.0:  # aggregate_curves checks it too, but one probe makes no band
@@ -230,7 +242,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     mean = threshold.synonym_statistics(args.synsets).mean_synonyms if args.synsets else args.target
     threshold.check_target(mean, f"{args.synsets}: mean synonym count" if args.synsets else "--target")
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
-    curves = neighbors.probe_curves(ensemble, grid)
+    curves = [neighbors.expected_neighbors(ensemble, t, grid) for t in ensemble.probes]
     curve = neighbors.aggregate_curves(curves, confidence=args.confidence) if len(curves) >= 2 else curves[0]
     result = threshold.solve_threshold(curve, mean, dimensionality=ensemble.dimensionality)
     threshold.write_threshold_csv([result], args.out)
@@ -373,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        name = f": {exc.filename}" if getattr(exc, "filename", None) else ""
+        name = "" if exc.filename is None else f": {exc.filename or repr(exc.filename)}"
         print(f"error: {exc.strerror or exc}{name}", file=sys.stderr)
         return 1
     except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the size it could not allocate

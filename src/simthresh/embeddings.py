@@ -103,7 +103,7 @@ class _Replica:
 
         Thresholds above 1 are legal and yield an empty list (used to disable
         expansion); thresholds at or below -1 return the full vocabulary. NaN
-        is rejected: every comparison with it is false, so it would select all.
+        is rejected: every comparison with it is false, so it would silently select nothing.
         """
         if np.isnan(threshold):
             raise ValueError(f"threshold must be a number, got {threshold}")

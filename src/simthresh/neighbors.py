@@ -21,7 +21,6 @@ __all__ = [
     "default_grid",
     "pair_statistics",
     "expected_neighbors",
-    "probe_curves",
     "aggregate_curves",
     "write_curve_csv",
     "read_curve_csv",
@@ -129,19 +128,11 @@ def mixture_survival(grid: np.ndarray, means: np.ndarray, stds: np.ndarray) -> n
     return total
 
 
-def expected_neighbors(ensemble: ModelEnsemble, term: str, grid: np.ndarray | None = None) -> NeighborCurve:
+def expected_neighbors(ensemble: ModelEnsemble, term: str, grid: np.ndarray) -> NeighborCurve:
     """Per-term expected-neighbor curve E(s) = sum of pair survivals at s."""
-    if grid is None:
-        grid = default_grid()
     means, stds = pair_statistics(ensemble, term)
     expected = mixture_survival(grid, means, stds)
     return NeighborCurve(grid=np.asarray(grid, dtype=np.float64), expected=expected, term=term)
-
-
-def probe_curves(ensemble: ModelEnsemble, grid: np.ndarray | None = None) -> list[NeighborCurve]:
-    """``expected_neighbors`` of every probe of ``ensemble``, in probe order.
-    Each curve's mixture is spread over the CPUs by ``mixture_survival``."""
-    return [expected_neighbors(ensemble, t, grid) for t in ensemble.probes]
 
 
 def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> NeighborCurve:

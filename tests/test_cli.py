@@ -295,6 +295,13 @@ class TestThresholdCommand:
         assert main([command, "--probes", PROBES, *argv]) == 1
         assert capsys.readouterr().err == f"error: No such file or directory: {missing}\n"
 
+    def test_empty_file_name_is_printed_quoted(self, tmp_path, capsys):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "i.npz"
+        corpus.write_text('{"id": "d1", "text": "alpha beta"}\n')
+        assert main(["index", "--corpus", str(corpus), "--stopwords", "", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: No such file or directory: ''\n"
+        assert not out.exists()
+
     def test_confidence_checked_with_one_probe(self, tmp_path, capsys):
         # One probe makes no band, so nothing downstream would look at the confidence.
         probe_file, out = tmp_path / "probes.txt", tmp_path / "t.csv"
@@ -991,6 +998,39 @@ class TestCheckedBeforeTheReads:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {synsets}: mean synonym count must be positive and finite, got 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dot-segment", "symlink"])
+    def test_threshold_rejects_a_replica_given_twice(self, tmp_path, capsys, spelling):
+        first, out = str(tmp_path / "missing_0.vec"), tmp_path / "t.csv"
+        again = {"same": first, "dot-segment": str(tmp_path / "." / "missing_0.vec"),
+                 "symlink": str(tmp_path / "link.vec")}[spelling]
+        os.symlink(first, tmp_path / "link.vec")  # a dangling link resolves to the same missing file
+        rc = main(["threshold", "--models", first, str(tmp_path / "missing_1.vec"), again,
+                   "--probes", PROBES, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --models {again}: given twice (positions 1 and 3)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, outputs, reported, message", [
+        ("threshold", ["--out", "t.csv", "--curve-out", "t.csv"], 1, "the same file as --out"),
+        ("uncertainty", ["--curve-out", "c.csv", "--histogram-out", "./c.csv"], 1, "the same file as --curve-out"),
+        ("threshold", ["--out", "nodir/t.csv", "--curve-out", "c.csv"], 0, "no such directory"),
+        ("uncertainty", ["--curve-out", "c.csv", "--histogram-out", "nodir/h.csv"], 1, "no such directory"),
+        ("index", ["--out", "nodir/i.npz"], 0, "no such directory"),
+        ("index", ["--out", "."], 0, "is a directory"),
+    ], ids=["threshold-same-file", "uncertainty-same-file", "threshold-no-directory", "uncertainty-no-directory",
+            "index-no-directory", "index-a-directory"])
+    def test_outputs_checked_before_the_reads(self, tmp_path, capsys, command, outputs, reported, message):
+        inputs = {
+            "threshold": ["--models", "m0.vec", "m1.vec", "--probes", "p.txt"],
+            "uncertainty": ["--reference", "m0.vec", "--other", "m1.vec", "--probes", "p.txt"],
+            "index": ["--corpus", "c.jsonl"],
+        }[command]
+        argv = [a if a.startswith("--") else os.path.join(tmp_path, a) for a in inputs + outputs]
+        flag, path = argv[len(inputs) + 2 * reported:][:2]
+        assert main([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: {flag} {path}: {message}\n"
+        assert list(tmp_path.iterdir()) == []  # no output written
 
     @pytest.mark.parametrize("command, files", [
         ("evaluate", ["--run", "run.txt", "--qrels", "qrels.txt"]),

@@ -66,6 +66,8 @@ TEXT_HOSTILE = {
     "utf8-bom": (b"\xef\xbb\xbf2 3\na 1 0 0\nb 0 1 0\n", "malformed header " + repr(b"\xef\xbb\xbf2 3\n")),
     "tiny-then-zero-norm": (b"2 3\na 0 0 2e-16\nb 0 0 0\n", "record 0: zero-norm vector for token 'a'"),
     "zero-norm-then-non-finite": (b"2 3\na 0 0 0\nb 0 0 inf\n", "record 0: zero-norm vector for token 'a'"),
+    "zero-count-header": (b"0 3\n", "header counts must be positive, got 0 x 3"),
+    "zero-dim-header": (b"2 0\na\nb\n", "header counts must be positive, got 2 x 0"),
 }
 
 UNIT = [1.0, 0.0, 0.0]
@@ -81,6 +83,8 @@ BINARY_HOSTILE = {
     "wrong-separator": (word2vec_bytes(AB, BINARY, sep=b"x"), "expected newline after record 0"),
     "empty-token": (word2vec_bytes([(b"a", UNIT), (b"", UNIT)], BINARY), "empty token in record 1"),
     "bad-utf8-token": (word2vec_bytes([(b"a", UNIT), (b"\xffb", UNIT)], BINARY), "record 1: token is not valid UTF-8"),
+    "zero-count-header": (word2vec_bytes(AB, BINARY, 0), "header counts must be positive, got 0 x 3"),
+    "zero-dim-header": (b"2 0\na \nb \n", "header counts must be positive, got 2 x 0"),
 }
 
 
@@ -487,6 +491,12 @@ class TestNeighborQueries:
                 assert replica.knn(probe, k) == reference[:k]
             for theta in thresholds:
                 assert replica.neighbors_above(probe, theta) == [p for p in reference if p[1] >= theta]
+
+    def test_nan_threshold_rejected(self):
+        model = hub_model({"b": 0.4, "c": 0.1})
+        for replica in (model, reduce_replica(model, ["a"])):
+            with pytest.raises(ValueError, match="^threshold must be a number, got nan$"):
+                replica.neighbors_above("a", float("nan"))
 
     def test_reduced_replica_lookup_errors_name_the_model(self):
         reduced = reduce_replica(hub_model({"b": 0.4, "c": 0.1}), ["a"])

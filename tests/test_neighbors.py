@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
-from simthresh import neighbors
+from simthresh import cli, neighbors
 from simthresh.embeddings import EmbeddingModel, ModelEnsemble
 from simthresh.neighbors import (
     STD_FLOOR,
@@ -24,7 +23,6 @@ from simthresh.neighbors import (
     expected_neighbors,
     mixture_survival,
     pair_statistics,
-    probe_curves,
     read_curve_csv,
     write_curve_csv,
     NeighborCurve,
@@ -117,7 +115,7 @@ class TestExpectedNeighbors:
     def test_unknown_token(self, rng):
         ensembles = pair_ensemble([0.5, 0.6])
         with pytest.raises(KeyError):
-            expected_neighbors(ensembles, "zzz")
+            expected_neighbors(ensembles, "zzz", default_grid())
 
     def test_monte_carlo_mixture_consistency(self, rng):
         # Independent route: sample each pair's normal directly and count
@@ -150,62 +148,58 @@ class TestExpectedNeighbors:
 
 
 class TestProbeCurves:
-    """``probe_curves`` is the sequential loop over the probes."""
+    """``threshold`` computes one curve per probe, in probe order, through
+    ``neighbors.expected_neighbors``: the first probe that fails or is
+    interrupted ends the command, and no later probe starts."""
 
-    def test_bitwise_equal_to_sequential_loop(self, rng):
-        base = random_model(rng, 300, 16)
-        probes = [f"t{i:04d}" for i in range(5)]
-        ensemble = ModelEnsemble(perturbed_replicas(base, rng, 4, 0.02), probes)
-        grid = default_grid(points=601)
-        curves = probe_curves(ensemble, grid)
-        sequential = [expected_neighbors(ensemble, t, grid) for t in probes]
-        assert [c.term for c in curves] == probes
-        for a, b in zip(curves, sequential):
-            assert a.grid.tobytes() == b.grid.tobytes() and a.expected.tobytes() == b.expected.tobytes()
+    DATA = Path(__file__).parent / "data"
+    TERMS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]  # the toy replicas' vocabulary
 
-    def test_no_probes(self):
-        assert probe_curves(SimpleNamespace(probes=())) == []
-
-    @staticmethod
-    def fake_probes(monkeypatch, behaviour) -> tuple[SimpleNamespace, list[int]]:
-        """An ensemble stand-in with six probes, each probe's curve replaced
-        by ``behaviour(index)``, and the list of probe indices that start,
-        filled as they do."""
+    def run_threshold(self, tmp_path, monkeypatch, behaviour) -> tuple[int, list[int]]:
+        """``threshold`` on two toy replicas with six probes, each probe's curve
+        replaced by ``behaviour(index)``: its exit status, and the probe
+        indices that started, in the order they did."""
         started: list[int] = []
 
-        def fake(ensemble, term, grid=None):
-            started.append(int(term[1:]))
-            return behaviour(int(term[1:]))
+        def fake(ensemble, term, grid):
+            started.append(self.TERMS.index(term))
+            return behaviour(self.TERMS.index(term))
 
         monkeypatch.setattr(neighbors, "expected_neighbors", fake)
-        return SimpleNamespace(probes=[f"p{i}" for i in range(6)]), started
+        probes = tmp_path / "probes.txt"
+        probes.write_text("\n".join(self.TERMS) + "\n")
+        rc = cli.main(["threshold", "--models", str(self.DATA / "toy_replica_0.vec"),
+                       str(self.DATA / "toy_replica_1.vec"), "--probes", str(probes),
+                       "--out", str(tmp_path / "t.csv")])
+        assert not (tmp_path / "t.csv").exists()
+        return rc, started
 
     @pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
-    def test_failure_raises_the_first_in_probe_order(self, monkeypatch, failing):
+    def test_failure_raises_the_first_in_probe_order(self, tmp_path, monkeypatch, capsys, failing):
         def behaviour(i):
             if i in failing:
                 raise ValueError(f"probe {i}")
 
-        ensemble, started = self.fake_probes(monkeypatch, behaviour)
+        rc, started = self.run_threshold(tmp_path, monkeypatch, behaviour)
         first = min(failing)
-        with pytest.raises(ValueError, match=f"^probe {first}$"):
-            probe_curves(ensemble)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: probe {first}\n"
         assert started == list(range(first + 1))  # no later probe starts after a failure
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
-    def test_interrupt_cancels_queued_probes(self, monkeypatch):
+    def test_interrupt_cancels_queued_probes(self, tmp_path, monkeypatch, capsys):
         # Ctrl-C reaches the main thread while it computes the first curve.
         def behaviour(i):
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             time.sleep(10)  # cut short by the interrupt
 
-        ensemble, started = self.fake_probes(monkeypatch, behaviour)
         previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
-            with pytest.raises(KeyboardInterrupt):
-                probe_curves(ensemble)
+            rc, started = self.run_threshold(tmp_path, monkeypatch, behaviour)
         finally:
             signal.signal(signal.SIGINT, previous)
+        assert rc == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
         assert started == [0]
 
 

@@ -87,6 +87,22 @@ class TestSolve:
         with pytest.raises(TargetUnreachableError, match=f"positive and finite, got {target}$"):
             solve_threshold(curve, target)
 
+    @pytest.mark.parametrize("label", ["expected", "band_high"])
+    def test_curve_that_never_descends_to_the_target(self, label):
+        grid, stays_above = np.array([0.0, 0.5, 1.0]), np.array([3.0, 2.5, 2.0])
+        if label == "expected":
+            curve = NeighborCurve(grid=grid, expected=stays_above)
+        else:
+            curve = NeighborCurve(grid=grid, expected=np.array([3.0, 2.0, 0.5]),
+                                  band_low=np.array([3.0, 1.5, 0.0]), band_high=stays_above, n_terms=2)
+        with pytest.raises(TargetUnreachableError, match=rf"^{label}: curve never descends to target 1.0 \(ends at 2\)$"):
+            solve_threshold(curve, 1.0)
+
+    def test_flat_crossing_solves_to_its_left_end(self):
+        curve = NeighborCurve(grid=np.array([0.0, 0.5, 1.0]), expected=np.array([1.0, 1.0, 0.0]))
+        result = solve_threshold(curve, 1.0)
+        assert (result.main, result.lower, result.upper) == (0.0, 0.0, 0.0)
+
     def test_non_monotone_curve_rejected(self):
         curve = NeighborCurve(
             grid=np.array([0.0, 0.5, 1.0]), expected=np.array([1.0, 2.0, 0.0])
