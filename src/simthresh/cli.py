@@ -84,6 +84,8 @@ OPTIONS: dict[str, Option] = {
     "metric": Option("metric to compare", default="map", choices=("map", "ndcg")),
 }
 
+INPUTS = set("reference other model models probes synsets stopwords corpus index topics run qrels run_a run_b".split())
+
 # name -> (function, help, required settings, other settings)
 COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[str], list[str]]] = {}
 
@@ -131,8 +133,8 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill each setting the flags left unset from the config file, else its declared default; before any
-    file is read, check that required settings have values and outputs are distinct files in existing directories."""
+    """Fill each setting the flags left unset from the config file, else its declared default; before any file is
+    read, check that required settings have values and outputs are distinct files in existing directories, no input."""
     _, _, required, optional = COMMANDS[args.command]
     given = read_config(args.config) if args.config else {}
     for name in required + optional:
@@ -140,13 +142,20 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, name, given.get(name, OPTIONS[name].default))
     for name in required:
         _require(args, name)
-    outputs: dict[str, str] = {}  # the real path of each output given -> its flag
-    for name, path in ((n, getattr(args, n)) for n in ("out", "curve_out", "histogram_out") if getattr(args, n, None)):
-        flag, real = "--" + name.replace("_", "-"), os.path.realpath(path)
+    files: dict[str, str] = {}  # the real path of each input, then of each output given -> its flag
+    for name in ("config", *(n for n in required + optional if n in INPUTS)):
+        value = getattr(args, name)
+        for path in filter(None, value if isinstance(value, list) else [value]):
+            files.setdefault(os.path.realpath(path), "--" + name.replace("_", "-"))
+    for name in (n for n in ("out", "curve_out", "histogram_out") if getattr(args, n, None) or n in required):
+        flag, path = "--" + name.replace("_", "-"), getattr(args, name)
+        if not path:  # a required output; an empty optional one is unset (neighbors --out '' prints to stdout)
+            raise ValueError(f"{flag} '': empty path")
+        real = os.path.realpath(path)
         if os.path.isdir(real) or not os.path.isdir(os.path.dirname(real)):
             raise ValueError(f"{flag} {path}: {'is a directory' if os.path.isdir(real) else 'no such directory'}")
-        if outputs.setdefault(real, flag) != flag and (os.path.isfile(real) or not os.path.exists(real)):
-            raise ValueError(f"{flag} {path}: the same file as {outputs[real]}")  # a device may take both
+        if files.setdefault(real, flag) != flag and (os.path.isfile(real) or not os.path.exists(real)):
+            raise ValueError(f"{flag} {path}: the same file as {files[real]}")  # a device may take both
     return args
 
 
@@ -237,8 +246,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             raise ValueError(f"--models {args.models[i]}: given twice (positions {reals.index(real) + 1} and {i + 1})")
     probes = _read_terms(args.probes)
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
-    if not 0.0 < args.confidence < 1.0:  # aggregate_curves checks it too, but one probe makes no band
-        raise ValueError("confidence must be in (0, 1)")
+    threshold.check_confidence(args.confidence)  # aggregate_curves checks it too, but one probe makes no band
     mean = threshold.synonym_statistics(args.synsets).mean_synonyms if args.synsets else args.target
     threshold.check_target(mean, f"{args.synsets}: mean synonym count" if args.synsets else "--target")
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)

@@ -142,11 +142,11 @@ def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> N
     at zero since neighbor counts cannot be negative.
     """
     from scipy.special import ndtri
+    from .threshold import check_confidence  # imported here: threshold imports this module
 
     if len(curves) < 2:
         raise ValueError("aggregation needs at least 2 curves")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    check_confidence(confidence)
     grid = curves[0].grid
     for c in curves[1:]:
         if len(c.grid) != len(grid) or not np.array_equal(c.grid, grid):

@@ -179,6 +179,19 @@ class TestHistogramAndNeighbors:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_a_closed_standard_output_ends_the_command_quietly(self):
+        # a reader that stops early (say, ``| head``) closes the pipe: exit 1 and nothing on stderr
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "simthresh.cli", "neighbors", "--model", REPLICAS[0],
+                                   "--term", "alpha", "--k", "3"], env=env, stdout=write, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     @pytest.mark.parametrize("command, flags, message", [
         ("uncertainty", ["--bins", "0"], "bin_count must be positive"),
         ("uncertainty", ["--domain-low", "1", "--domain-high", "0.5"],
@@ -196,6 +209,7 @@ class TestHistogramAndNeighbors:
         ("threshold", ["--grid-low", "0.5", "--grid-high", "0.5"],
          "grid needs finite ends with grid_low < grid_high, got 0.5 and 0.5"),
         ("threshold", ["--grid-high", "inf"], "grid needs finite ends with grid_low < grid_high, got -0.2 and inf"),
+        ("threshold", ["--confidence", "0.9999999999999999"], "confidence must be in (0, 1)"),  # 0.5 + c / 2 rounds to 1
     ])
     @pytest.mark.filterwarnings("error")  # a bad axis must not reach numpy, which warns before it fails
     def test_settings_checked_before_the_replicas(self, tmp_path, capsys, command, flags, message):
@@ -682,6 +696,14 @@ def _offsets_overrun(path):
     _rewrite_archive(path, change)
 
 
+def _duplicate_posting(path):
+    def change(m):  # the second posting of a term with two names its first document again
+        start = m["offsets"][np.flatnonzero(np.diff(m["offsets"]) >= 2)[0]]
+        m["docs"] = m["docs"].copy()
+        m["docs"][start + 1] = m["docs"][start]
+    _rewrite_archive(path, change)
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("damage, message", [
         (_json_file, "not a readable index archive (not a zip archive)"),
@@ -689,7 +711,8 @@ class TestBadInputs:
         (_truncated, "not a readable index archive"),
         (_missing_member, "tfs"),
         (_offsets_overrun, "postings offsets disagree with the postings"),
-    ], ids=["json", "random-bytes", "truncated", "missing-member", "offsets-overrun"])
+        (_duplicate_posting, "postings are not unique (term, document) pairs with positive counts"),
+    ], ids=["json", "random-bytes", "truncated", "missing-member", "offsets-overrun", "duplicate-posting"])
     def test_bad_index_names_file(self, tmp_path, capsys, damage, message):
         _, topics, _, _, index_path = search_world(tmp_path)
         capsys.readouterr()
@@ -701,6 +724,15 @@ class TestBadInputs:
         assert err.startswith(f"error: {index_path}: ") and message in err
         assert err.count("\n") == 1
         assert "pickle" not in err
+
+    def test_topics_of_comments_only_rejected(self, tmp_path, capsys):
+        _, topics, _, _, index_path = search_world(tmp_path)
+        topics.write_text("# 1\tsimilarity threshold\n\n")
+        out = tmp_path / "r.txt"
+        capsys.readouterr()
+        assert main(["search", "--index", str(index_path), "--topics", str(topics), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {topics}: no topics found\n"
+        assert not out.exists()
 
     def test_max_docs_below_one_rejected(self, tmp_path, capsys):
         # checked before any input is read: the index and the topics are missing
@@ -1018,19 +1050,45 @@ class TestCheckedBeforeTheReads:
         ("uncertainty", ["--curve-out", "c.csv", "--histogram-out", "nodir/h.csv"], 1, "no such directory"),
         ("index", ["--out", "nodir/i.npz"], 0, "no such directory"),
         ("index", ["--out", "."], 0, "is a directory"),
+        ("evaluate", ["--out", "run.txt"], 0, "the same file as --run"),
+        ("compare", ["--out", "./b.txt"], 0, "the same file as --run-b"),
+        ("threshold", ["--out", "m1.vec"], 0, "the same file as --models"),
+        ("uncertainty", ["--curve-out", "c.csv", "--histogram-out", "p.txt"], 1, "the same file as --probes"),
+        ("search", ["--out", "t.tsv"], 0, "the same file as --topics"),
+        ("evaluate", ["--config", "cfg.txt", "--out", "cfg.txt"], 1, "the same file as --config"),
+        ("threshold", ["--out", ""], 0, "empty path"),
+        ("uncertainty", ["--curve-out", ""], 0, "empty path"),
+        ("histogram", ["--out", ""], 0, "empty path"),
+        ("index", ["--out", ""], 0, "empty path"),
     ], ids=["threshold-same-file", "uncertainty-same-file", "threshold-no-directory", "uncertainty-no-directory",
-            "index-no-directory", "index-a-directory"])
+            "index-no-directory", "index-a-directory", "evaluate-the-run", "compare-a-run", "threshold-a-replica",
+            "uncertainty-the-probes", "search-the-topics", "evaluate-the-config", "threshold-empty",
+            "uncertainty-empty", "histogram-empty", "index-empty"])
     def test_outputs_checked_before_the_reads(self, tmp_path, capsys, command, outputs, reported, message):
         inputs = {
             "threshold": ["--models", "m0.vec", "m1.vec", "--probes", "p.txt"],
             "uncertainty": ["--reference", "m0.vec", "--other", "m1.vec", "--probes", "p.txt"],
+            "histogram": ["--model", "m0.vec", "--probes", "p.txt"],
             "index": ["--corpus", "c.jsonl"],
+            "search": ["--index", "i.npz", "--topics", "t.tsv"],
+            "evaluate": ["--run", "run.txt", "--qrels", "q.txt"],
+            "compare": ["--run-a", "a.txt", "--run-b", "b.txt", "--qrels", "q.txt"],
         }[command]
-        argv = [a if a.startswith("--") else os.path.join(tmp_path, a) for a in inputs + outputs]
+        argv = [a if a.startswith("--") or not a else os.path.join(tmp_path, a) for a in inputs + outputs]
+        if "--config" in argv:  # the one input read before the check, which needs its settings
+            Path(argv[argv.index("--config") + 1]).write_text("cutoff = 5\n")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
         flag, path = argv[len(inputs) + 2 * reported:][:2]
         assert main([command, *argv]) == 1
-        assert capsys.readouterr().err == f"error: {flag} {path}: {message}\n"
-        assert list(tmp_path.iterdir()) == []  # no output written
+        assert capsys.readouterr().err == f"error: {flag} {path or repr(path)}: {message}\n"
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before  # no output written
+
+    def test_an_empty_optional_output_is_unset(self, tmp_path, capsys):
+        assert main(["neighbors", "--model", REPLICAS[0], "--term", "alpha", "--k", "2", "--out", ""]) == 0
+        assert capsys.readouterr().out.startswith("token,similarity\n")
+        out = tmp_path / "t.csv"
+        assert main(["threshold", "--models", *REPLICAS, "--probes", PROBES, "--out", str(out), "--curve-out", ""]) == 0
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("command, files", [
         ("evaluate", ["--run", "run.txt", "--qrels", "qrels.txt"]),

@@ -62,6 +62,7 @@ TEXT_HOSTILE = {
     "underscore-digits": (b"2 3\na 1 0 0\nb 0 1_0 0\n", "unparseable float in record 1"),
     "non-ascii-digit": ("2 3\na 1 0 0\nb 0 \u0661 0\n".encode(), "unparseable float in record 1"),
     "bare-carriage-return": (b"2 3\na 1 0 0\nb 0\r1 0\n", "unparseable float in record 1"),
+    "blank-line-before-a-bad-record": (b"3 3\na 1 0 0\n\nb 0 1 0\nc 0 x 0\n", "unparseable float in record 2"),
     "bad-utf8-token": (b"2 3\na 1 0 0\n\xffb 0 1 0\n", "record 1: token is not valid UTF-8"),
     "utf8-bom": (b"\xef\xbb\xbf2 3\na 1 0 0\nb 0 1 0\n", "malformed header " + repr(b"\xef\xbb\xbf2 3\n")),
     "tiny-then-zero-norm": (b"2 3\na 0 0 2e-16\nb 0 0 0\n", "record 0: zero-norm vector for token 'a'"),
@@ -153,6 +154,12 @@ class TestLoading:
                 path.write_bytes(word2vec_bytes(zip(tokens, vecs), form))
                 load_model(str(path), form)
         assert str(excinfo.value) == f"{path}: record 2: duplicate token 'b' (first in record 1)"
+
+    @pytest.mark.parametrize("vectors", [np.eye(3), np.ones(2), np.ones((2, 3, 1))],
+                             ids=["a-row-too-many", "one-dimensional", "three-dimensional"])
+    def test_vectors_must_be_one_row_per_token(self, vectors):
+        with pytest.raises(ValueError, match=r"vectors must be a \(len\(vocabulary\), dim\) matrix"):
+            EmbeddingModel(model_id="m", vocabulary=["a", "b"], vectors=vectors)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):

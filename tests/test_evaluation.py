@@ -19,8 +19,10 @@ from simthresh.evaluation import (
     ndcg_at,
     paired_ttest,
     read_qrels,
+    read_run,
     write_comparison_report,
     write_metric_report,
+    write_run,
 )
 
 
@@ -55,6 +57,20 @@ class TestQrels:
         path.write_text("301 0 d1\n")
         with pytest.raises(ValueError, match="4 fields"):
             read_qrels(str(path))
+
+
+class TestRunFile:
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("1 Q0 d1 1 2.0 t\n\n  \n1 Q0 d2 2 1.0 t\n")
+        assert read_run(str(path)) == {"1": [("d1", 2.0), ("d2", 1.0)]}
+
+    @pytest.mark.parametrize("max_docs", [0, -1])
+    def test_write_keeps_at_least_one_document(self, tmp_path, max_docs):
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="max_docs must be >= 1"):
+            write_run({"1": [("d1", 1.0)]}, str(path), max_docs=max_docs)
+        assert not path.exists()
 
 
 class TestCondense:
@@ -170,6 +186,9 @@ class TestEvaluateRun:
         assert condensed.per_topic["1"] == pytest.approx(1.0)
         assert raw.per_topic["1"] == pytest.approx(0.5 * (1 / 2 + 2 / 3))
 
+    def test_mean_of_no_topics_is_zero(self):
+        assert RunScores(metric="map", per_topic={}).mean == 0.0
+
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             evaluate_run({}, make_qrels({"1": {"d": 1}}), "bpref")
@@ -265,6 +284,17 @@ class TestReports:
         assert rows[2]["topic"] == "all"
         assert float(rows[2]["map"]) == pytest.approx(0.5)
         assert float(rows[2]["ndcg"]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("scores, message", [
+        ([], "nothing to report"),
+        ([RunScores(metric="map", per_topic={"1": 0.5}), RunScores(metric="ndcg", per_topic={"2": 0.5})],
+         "metric reports must share a topic set"),
+    ], ids=["no-scores", "topic-sets-differ"])
+    def test_metric_report_rejected(self, tmp_path, scores, message):
+        path = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match=message):
+            write_metric_report(str(path), scores)
+        assert not path.exists()
 
     def test_comparison_report(self, tmp_path):
         a = RunScores(metric="map", per_topic={"1": 0.6, "2": 0.7, "3": 0.9})

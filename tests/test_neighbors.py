@@ -371,6 +371,16 @@ class TestAggregation:
         with pytest.raises(ValueError, match="at least 2"):
             aggregate_curves(self._curves([[1.0, 0.5, 0.2]]))
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, np.nan, 0.9999999999999999])
+    def test_confidence_rule(self, confidence):
+        # just below 1, 0.5 + c / 2 rounds to 1, whose normal quantile is infinite
+        with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)$"):
+            aggregate_curves(self._curves([[3.0, 2.0, 1.0], [4.0, 2.0, 1.0]]), confidence=confidence)
+
+    def test_largest_confidence_gives_a_finite_band(self):
+        agg = aggregate_curves(self._curves([[3.0, 2.0, 1.0], [4.0, 2.0, 1.0]]), confidence=0.9999999999999998)
+        assert np.isfinite(agg.band_high).all() and agg.band_high[0] > 4.0
+
     def test_grid_mismatch(self):
         a = NeighborCurve(grid=np.array([0.0, 1.0]), expected=np.array([1.0, 0.0]))
         b = NeighborCurve(grid=np.array([0.0, 2.0]), expected=np.array([1.0, 0.0]))
@@ -476,10 +486,11 @@ class TestCurveCsv:
             ("0.0,2.0,1.5,2.5\n1.0,1.0,0.5,nan\n", "grid, expected and band values must be finite"),
             ("0.0,2.0,1.5,inf\n1.0,1.0,0.5,1.5\n", "grid, expected and band values must be finite"),
             ("0.0,2.0,2.5,1.5\n1.0,1.0,0.5,1.5\n", "band must hold band_low <= expected <= band_high"),
+            ("", "no grid points found"),
         ],
         ids=["empty-expected", "empty-grid", "band-with-a-hole", "band-on-a-later-row", "grid-not-increasing",
              "grid-nan", "grid-inf", "expected-nan", "expected-inf", "band_low-nan", "band_low-minus-inf",
-             "band_high-nan", "band_high-inf", "band-inverted"],
+             "band_high-nan", "band_high-inf", "band-inverted", "header-only"],
     )
     def test_malformed_curve_names_file_and_row(self, tmp_path, rows, message):
         path = tmp_path / "c.csv"
@@ -518,6 +529,11 @@ class TestGrid:
         message = "must be finite" if field != "grid" or value == -np.inf else "strictly increasing"
         with pytest.raises(ValueError, match=message):
             NeighborCurve(**{name: np.array(v) for name, v in values.items()})
+
+    @pytest.mark.parametrize("expected", [[2.0, 1.0], [2.0, 1.0, 0.5, 0.0]], ids=["short", "long"])
+    def test_expected_one_value_per_grid_point(self, expected):
+        with pytest.raises(ValueError, match="grid and expected lengths differ"):
+            NeighborCurve(np.array([0.0, 0.5, 1.0]), np.array(expected))
 
     @pytest.mark.parametrize("band, message", [
         (dict(band_low=[1.5, 0.5, 0.0]), "a band needs both band_low and band_high"),

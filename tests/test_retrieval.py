@@ -213,6 +213,14 @@ class TestLmScore:
 
 
 class TestTranslationTable:
+    @pytest.mark.parametrize("weighted", [[], [("a", 0.0)], [("a", 1.0), ("b", -1.0)]],
+                             ids=["no-terms", "zero-weight", "weights-cancel"])
+    def test_add_needs_positive_mass(self, weighted):
+        table = TranslationTable()
+        with pytest.raises(ValueError, match="no positive translation mass for 'q'"):
+            table.add("q", weighted)
+        assert table.entries == {}
+
     def test_self_only_when_no_neighbors(self):
         emb = hub_model({"b": 0.3})
         policy = ExpansionPolicy(mode="threshold", threshold=0.9)
@@ -434,6 +442,13 @@ class TestReaders:
         path = tmp_path / "topics.tsv"
         path.write_text("  # comment\tthreshold\n\t# tab-indented\n301\tcrime\n1\t\n")
         assert read_topics(str(path)) == [("301", "crime"), ("1", "")]
+
+    def test_topics_of_comments_only(self, tmp_path):
+        path = tmp_path / "topics.tsv"
+        path.write_text("# 301\tcrime\n\n  # 302\tpoliosis\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_topics(str(path))
+        assert str(excinfo.value) == f"{path}: no topics found"
 
     def test_topics_malformed(self, tmp_path):
         path = tmp_path / "topics.tsv"

@@ -224,6 +224,10 @@ class TestSimilarityHistogram:
         assert hist.counts[bin_09] == 2
         assert hist.counts[bin_03] == 1
 
+    def test_empty_probes(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            similarity_histogram(hub_model({"b": 0.3}), [])
+
     def test_unknown_probe(self):
         model = hub_model({"b": 0.3})
         with pytest.raises(KeyError):
