@@ -246,7 +246,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             raise ValueError(f"--models {args.models[i]}: given twice (positions {reals.index(real) + 1} and {i + 1})")
     probes = _read_terms(args.probes)
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
-    threshold.check_confidence(args.confidence)  # aggregate_curves checks it too, but one probe makes no band
+    neighbors.check_confidence(args.confidence)  # aggregate_curves checks it too, but one probe makes no band
     mean = threshold.synonym_statistics(args.synsets).mean_synonyms if args.synsets else args.target
     threshold.check_target(mean, f"{args.synsets}: mean synonym count" if args.synsets else "--target")
     ensemble = ModelEnsemble(load_reduced(args.models, args.format, probes), probes)
@@ -382,8 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(resolve(args))
-    except BrokenPipeError:
+        code = args.func(resolve(args))
+        sys.stdout.flush()  # here, so that a reader who closed the pipe ends in the handler, not at exit
+        return code
+    except BrokenPipeError:  # the exit's own flush would fail again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

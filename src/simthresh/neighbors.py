@@ -21,6 +21,7 @@ __all__ = [
     "default_grid",
     "pair_statistics",
     "expected_neighbors",
+    "check_confidence",
     "aggregate_curves",
     "write_curve_csv",
     "read_curve_csv",
@@ -135,6 +136,13 @@ def expected_neighbors(ensemble: ModelEnsemble, term: str, grid: np.ndarray) -> 
     return NeighborCurve(grid=np.asarray(grid, dtype=np.float64), expected=expected, term=term)
 
 
+def check_confidence(confidence: float) -> None:
+    """The one rule for a band's confidence: 0 < c, and 0.5 + c / 2 below 1, so its quantile is finite."""
+    if not (0.0 < confidence and 0.5 + confidence / 2.0 < 1.0):
+        raise ValueError("confidence must be in (0, 1)" if not 0.0 < confidence < 1.0 else
+                         f"confidence {confidence!r}: 0.5 + confidence / 2 rounds to 1, whose quantile is infinite")
+
+
 def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> NeighborCurve:
     """Pointwise mean over per-term curves with a confidence band on the mean.
 
@@ -142,7 +150,6 @@ def aggregate_curves(curves: list[NeighborCurve], confidence: float = 0.95) -> N
     at zero since neighbor counts cannot be negative.
     """
     from scipy.special import ndtri
-    from .threshold import check_confidence  # imported here: threshold imports this module
 
     if len(curves) < 2:
         raise ValueError("aggregation needs at least 2 curves")

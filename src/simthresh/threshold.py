@@ -22,7 +22,6 @@ __all__ = [
     "ThresholdResult",
     "TargetUnreachableError",
     "check_target",
-    "check_confidence",
     "solve_threshold",
     "synonym_statistics",
     "parse_synsets",
@@ -89,12 +88,6 @@ def check_target(mean: float, what: str = "target") -> None:
     """The one rule for a solvable target: a positive finite mean synonym count."""
     if not 0 < mean < np.inf:
         raise TargetUnreachableError(f"{what} must be positive and finite, got {mean:g}")
-
-
-def check_confidence(confidence: float) -> None:
-    """The one rule for a band's confidence: 0 < c, and 0.5 + c / 2 below 1, so its quantile is finite."""
-    if not (0.0 < confidence and 0.5 + confidence / 2.0 < 1.0):
-        raise ValueError("confidence must be in (0, 1)")
 
 
 def solve_threshold(

@@ -183,7 +183,9 @@ class TestHistogramAndNeighbors:
         # a reader that stops early (say, ``| head``) closes the pipe: exit 1 and nothing on stderr
         read, write = os.pipe()
         os.close(read)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        # buffered, as in a shell: the three lines reach the pipe only when standard output is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
         try:
             proc = subprocess.run([sys.executable, "-m", "simthresh.cli", "neighbors", "--model", REPLICAS[0],
                                    "--term", "alpha", "--k", "3"], env=env, stdout=write, stderr=subprocess.PIPE,
@@ -209,7 +211,8 @@ class TestHistogramAndNeighbors:
         ("threshold", ["--grid-low", "0.5", "--grid-high", "0.5"],
          "grid needs finite ends with grid_low < grid_high, got 0.5 and 0.5"),
         ("threshold", ["--grid-high", "inf"], "grid needs finite ends with grid_low < grid_high, got -0.2 and inf"),
-        ("threshold", ["--confidence", "0.9999999999999999"], "confidence must be in (0, 1)"),  # 0.5 + c / 2 rounds to 1
+        ("threshold", ["--confidence", "0.9999999999999999"],
+         "confidence 0.9999999999999999: 0.5 + confidence / 2 rounds to 1, whose quantile is infinite"),
     ])
     @pytest.mark.filterwarnings("error")  # a bad axis must not reach numpy, which warns before it fails
     def test_settings_checked_before_the_replicas(self, tmp_path, capsys, command, flags, message):

@@ -371,10 +371,16 @@ class TestAggregation:
         with pytest.raises(ValueError, match="at least 2"):
             aggregate_curves(self._curves([[1.0, 0.5, 0.2]]))
 
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, np.nan, 0.9999999999999999])
-    def test_confidence_rule(self, confidence):
+    @pytest.mark.parametrize("confidence, message", [
+        (0.0, r"^confidence must be in \(0, 1\)$"),
+        (1.0, r"^confidence must be in \(0, 1\)$"),
+        (-0.5, r"^confidence must be in \(0, 1\)$"),
+        (np.nan, r"^confidence must be in \(0, 1\)$"),
         # just below 1, 0.5 + c / 2 rounds to 1, whose normal quantile is infinite
-        with pytest.raises(ValueError, match=r"^confidence must be in \(0, 1\)$"):
+        (0.9999999999999999, r"^confidence 0\.9999999999999999: 0\.5 \+ confidence / 2 rounds to 1, "),
+    ])
+    def test_confidence_rule(self, confidence, message):
+        with pytest.raises(ValueError, match=message):
             aggregate_curves(self._curves([[3.0, 2.0, 1.0], [4.0, 2.0, 1.0]]), confidence=confidence)
 
     def test_largest_confidence_gives_a_finite_band(self):

@@ -1,7 +1,7 @@
 """The statements of ``src/simthresh`` that the tier-1 tests never run.
 
-    python tests/uncovered.py [pytest args]                        # print them, one a line
-    python tests/uncovered.py --check tests/data/uncovered.txt [pytest args]
+    python tests/uncovered.py                                   # print them, one a line
+    python tests/uncovered.py --check tests/data/uncovered.txt
 
 Runs pytest over ``tests/`` in this process under ``sys.settrace`` and ``threading.settrace``, with
 the standard library only. Forked children trace too and write what they ran before they leave,
@@ -10,10 +10,12 @@ through this file, linked as ``sitecustomize.py`` into a directory put at the fr
 ``PYTHONPATH`` for the run; it imports no numpy and prints nothing.
 
 A statement is an ``ast`` statement of a module, docstrings left out; it ran if any of its lines
-did. It is named ``file: text``, the text its first line (decorators left out) as ``ast.unparse``
-writes it, so a statement that only moves keeps its name. ``--check`` fails unless the statements
-that never ran are exactly those on the list: one ``file: text`` a line, each under a ``#`` line
-that says why it stays; an entry listed n times stands for n statements of that name.
+did. It is named ``file: scope: text``: the scope is the qualified name of the function or class
+it sits in (left out at module level), the text its first line (decorators left out) as
+``ast.unparse`` writes it, so a statement that only moves keeps its name, and one in another
+function has another. ``--check`` fails unless the statements that never ran are exactly those on
+the list: one name a line, each under a ``#`` line that says why it stays; an entry listed n
+times stands for n statements of that name.
 """
 
 import atexit
@@ -80,6 +82,15 @@ def statements() -> list[tuple[str, int, int, str]]:
     """(path, first line, last line, name) of every statement of the package, in file order."""
     import ast
 
+    scope_types = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def scoped(node, scope):  # (statement, the qualified name of the function or class it sits in)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                yield child, scope
+            inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, scope_types) else scope
+            yield from scoped(child, inner)
+
     found = []
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -87,13 +98,13 @@ def statements() -> list[tuple[str, int, int, str]]:
         path = os.path.join(PACKAGE, name)
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        scopes = (n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+        scopes = (n for n in ast.walk(tree) if isinstance(n, scope_types))
         docstrings = {id(n.body[0]) for n in scopes if ast.get_docstring(n, clean=False) is not None}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.stmt) and id(node) not in docstrings:
+        for node, scope in scoped(tree, ""):
+            if id(node) not in docstrings:
                 first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
                 text = next(t for t in ast.unparse(node).splitlines() if not t.startswith("@"))
-                found.append((path, first, node.end_lineno, f"{name}: {text}"))
+                found.append((path, first, node.end_lineno, f"{name}: {scope + ': ' if scope else ''}{text}"))
     return sorted(found)
 
 
@@ -118,15 +129,16 @@ def main(argv: list[str]) -> int:
 
     import pytest
 
-    listed = read_list(argv[1]) if argv[:1] == ["--check"] else None
-    args = argv[2 if listed is not None else 0:] or [os.path.join(ROOT, "tests")]
+    if argv and (len(argv) != 2 or argv[0] != "--check"):
+        raise SystemExit("usage: python tests/uncovered.py [--check LIST]")
+    listed = read_list(argv[1]) if argv else None
     with tempfile.TemporaryDirectory() as hits:
         os.symlink(os.path.realpath(__file__), os.path.join(hits, "sitecustomize.py"))
         os.environ[HITS] = hits
         os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [hits, os.environ.get("PYTHONPATH")]))
         sys.path.insert(0, os.path.dirname(PACKAGE))
         ran = start(hits)
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")])
         sys.settrace(None)
         threading.settrace(None)
         for name in os.listdir(hits):
