@@ -1,12 +1,12 @@
 """Command-line entry points for the analysis and retrieval workflows.
 
 Every command is deterministic given its inputs; errors exit nonzero with a
-message on stderr. Each setting is declared once, in ``OPTIONS``: its flag is
-``--`` plus its name with ``-`` for ``_``, and a flat ``key = value`` config
-file (``--config``) gives it under its name. ``resolve`` fills each setting
-from the flag, else the config file, else the declared default. Each command
-imports the modules it runs, so ``evaluate`` and ``compare`` start without
-numpy or scipy.
+message on stderr. Each setting is declared once, in ``OPTIONS``, with the role
+of a file it names: its flag is ``--`` plus its name with ``-`` for ``_``, and
+a flat ``key = value`` config file (``--config``) gives it under its name.
+``resolve`` fills each setting from the flag, else the config file, else the
+declared default. Each command imports only the modules it runs, so
+``evaluate`` and ``compare`` start without numpy or scipy.
 """
 
 from __future__ import annotations
@@ -41,50 +41,59 @@ class Option(NamedTuple):
     default: object = None
     choices: tuple[str, ...] = ()
     nargs: str | None = None
+    role: str = ""  # of a file: "input", "output", or "compared" (set against the command's other compared files)
+
+    def parse(self, raw: str, where: str) -> object:
+        """``raw`` converted and checked (word by word, for a list); an error starts with ``where``."""
+        try:
+            value = [self.type(v) for v in raw.split()] if self.nargs else self.type(raw)
+        except ValueError:
+            raise ValueError(f"{where}: invalid {self.type.__name__} value: {raw!r}") from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{where}: invalid choice: {raw!r} (choose from {', '.join(self.choices)})")
+        return value
 
 
 OPTIONS: dict[str, Option] = {
-    "reference": Option("reference replica model file"),
-    "other": Option("second replica model file"),
-    "model": Option("embedding model file (search: for the expansion policies)"),
-    "models": Option("replica model files (at least 2)", nargs="+"),
+    "reference": Option("reference replica model file", role="compared"),
+    "other": Option("second replica model file", role="compared"),
+    "model": Option("embedding model file (search: for the expansion policies)", role="input"),
+    "models": Option("replica model files (at least 2)", nargs="+", role="compared"),
     "format": Option("embedding model file format", default="word2vec_text",
                      choices=("word2vec_text", "word2vec_binary")),
-    "probes": Option("probe terms file, one per line"),
+    "probes": Option("probe terms file, one per line", role="input"),
     "bins": Option("histogram bin count", int, 500),
     "domain_low": Option("low edge of the binned similarity domain", float, -0.2),
     "domain_high": Option("high edge of the binned similarity domain", float, 1.0),
-    "curve_out": Option("curve CSV to write"),
-    "histogram_out": Option("similarity histogram CSV to write"),
-    "out": Option("output file"),
+    "curve_out": Option("curve CSV to write", role="output"),
+    "histogram_out": Option("similarity histogram CSV to write", role="output"),
+    "out": Option("output file", role="output"),
     "term": Option("term whose neighbors to list"),
     "threshold": Option("similarity threshold", float),
     "k": Option("number of nearest neighbors", int),
-    "synsets": Option("synset file for the synonym target"),
+    "synsets": Option("synset file for the synonym target", role="input"),
     "target": Option("synonym target when no synset file is given", float, 1.6),
     "confidence": Option("confidence of the aggregated band", float, 0.95),
     "grid_low": Option("lowest similarity of the curve grid", float, -0.2),
     "grid_high": Option("highest similarity of the curve grid", float, 1.0),
     "grid_points": Option("points of the curve grid", int, 2401),
-    "corpus": Option("corpus file: JSON objects one per line, or TREC <DOC> blocks"),
-    "stopwords": Option("stopword file, one per line (default: the bundled English list)"),
+    "corpus": Option("corpus file: JSON objects one per line, or TREC <DOC> blocks", role="input"),
+    "stopwords": Option("stopword file, one per line (default: the bundled English list)", role="input"),
     "no_stem": Option("skip Porter stemming", boolean, False),
-    "index": Option("index archive written by 'index'"),
-    "topics": Option("topics file, 'topic_id<TAB>query text' per line"),
+    "index": Option("index archive written by 'index'", role="input"),
+    "topics": Option("topics file, 'topic_id<TAB>query text' per line", role="input"),
     "policy": Option("query expansion policy", default="none", choices=("none", "threshold", "knn")),
     "mu": Option("Dirichlet smoothing weight", float, 1000.0),
     "run_tag": Option("run tag written in the run file", default="simthresh"),
     "max_docs": Option("documents kept per topic", int, MAX_RUN_DOCS),
-    "run": Option("run file, TREC format"),
-    "qrels": Option("relevance judgments file"),
+    "run": Option("run file, TREC format", role="input"),
+    "qrels": Option("relevance judgments file", role="input"),
     "cutoff": Option("NDCG rank cutoff", int, 20),
     "no_condense": Option("score the full run lists, not the judged-only ones", boolean, False),
-    "run_a": Option("first run file"),
-    "run_b": Option("second run file"),
+    "run_a": Option("first run file", role="compared"),
+    "run_b": Option("second run file", role="compared"),
     "metric": Option("metric to compare", default="map", choices=("map", "ndcg")),
 }
-
-INPUTS = set("reference other model models probes synsets stopwords corpus index topics run qrels run_a run_b".split())
 
 # name -> (function, help, required settings, other settings)
 COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], str, list[str], list[str]]] = {}
@@ -113,15 +122,7 @@ def read_config(path: str) -> dict[str, object]:
             raise ValueError(f"{path}:{lineno}: {key}: unknown setting")
         if key in lines:
             raise ValueError(f"{path}:{lineno}: {key}: set twice (first on line {lines[key]})")
-        try:
-            value = [opt.type(v) for v in raw.split()] if opt.nargs else opt.type(raw)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {key}: invalid {opt.type.__name__} value: {raw!r}") from None
-        if opt.choices and value not in opt.choices:
-            raise ValueError(
-                f"{path}:{lineno}: {key}: invalid choice: {raw!r} (choose from {', '.join(opt.choices)})"
-            )
-        values[key], lines[key] = value, lineno
+        values[key], lines[key] = opt.parse(raw, f"{path}:{lineno}: {key}"), lineno
     return values
 
 
@@ -133,21 +134,27 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill each setting the flags left unset from the config file, else its declared default; before any file is
-    read, check that required settings have values and outputs are distinct files in existing directories, no input."""
+    """Fill each setting the flags left unset from the config file, else its declared default. Before any file is read,
+    check required settings, compared files (no file twice), outputs (distinct, in existing directories, no input)."""
     _, _, required, optional = COMMANDS[args.command]
+    for name in (n for n in ("config", *required, *optional) if getattr(args, n) == []):  # argparse < 3.13: --flag=--
+        setattr(args, name, "--" if name == "config" else OPTIONS[name].parse("--", "--" + name.replace("_", "-")))
     given = read_config(args.config) if args.config else {}
     for name in required + optional:
         if getattr(args, name) is None:
             setattr(args, name, given.get(name, OPTIONS[name].default))
     for name in required:
         _require(args, name)
-    files: dict[str, str] = {}  # the real path of each input, then of each output given -> its flag
-    for name in ("config", *(n for n in required + optional if n in INPUTS)):
-        value = getattr(args, name)
-        for path in filter(None, value if isinstance(value, list) else [value]):
-            files.setdefault(os.path.realpath(path), "--" + name.replace("_", "-"))
-    for name in (n for n in ("out", "curve_out", "histogram_out") if getattr(args, n, None) or n in required):
+    files = {os.path.realpath(args.config): "--config"} if args.config else {}  # real path -> flag: inputs, outputs
+    compared: dict[str, tuple[str, int]] = {}  # real path -> flag and position in its list: the compared files
+    for name in (n for n in required + optional if OPTIONS[n].role in ("input", "compared") and getattr(args, n)):
+        value, flag = getattr(args, name), "--" + name.replace("_", "-")
+        for i, path in enumerate(value if isinstance(value, list) else [value], 1):
+            files.setdefault(real := os.path.realpath(path), flag)
+            if OPTIONS[name].role == "compared" and (first := compared.setdefault(real, (flag, i))) != (flag, i):
+                raise ValueError(f"{flag} {path}: " + (f"the same file as {first[0]}" if first[0] != flag
+                                                        else f"given twice (positions {first[1]} and {i})"))
+    for name in (n for n in required + optional if OPTIONS[n].role == "output" and (getattr(args, n) or n in required)):
         flag, path = "--" + name.replace("_", "-"), getattr(args, name)
         if not path:  # a required output; an empty optional one is unset (neighbors --out '' prints to stdout)
             raise ValueError(f"{flag} '': empty path")
@@ -240,10 +247,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     if len(args.models) < 2:
         raise ValueError("need at least 2 replica model paths")
-    reals = [os.path.realpath(p) for p in args.models]  # one replica counted twice would skew the spread
-    for i, real in enumerate(reals):
-        if reals.index(real) < i:
-            raise ValueError(f"--models {args.models[i]}: given twice (positions {reals.index(real) + 1} and {i + 1})")
     probes = _read_terms(args.probes)
     grid = neighbors.default_grid(low=args.grid_low, high=args.grid_high, points=args.grid_points)
     neighbors.check_confidence(args.confidence)  # aggregate_curves checks it too, but one probe makes no band

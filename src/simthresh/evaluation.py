@@ -8,9 +8,7 @@ usual trec_eval ndcg_cut convention; AP treats grade >= 1 as relevant.
 
 from __future__ import annotations
 
-import logging
 import math
-import statistics
 from dataclasses import dataclass, field
 
 from .csvio import read_lines, write_csv
@@ -31,8 +29,6 @@ __all__ = [
     "write_metric_report",
     "write_comparison_report",
 ]
-
-logger = logging.getLogger(__name__)
 
 SIGNIFICANCE_LEVEL = 0.05
 MAX_RUN_DOCS = 1000  # documents per topic in a TREC run
@@ -245,6 +241,8 @@ def paired_ttest(a: RunScores, b: RunScores) -> SignificanceResult:
     nonzero mean difference is reported as significant with p=0 and a warning
     (the statistic diverges).
     """
+    import statistics  # imported here, like logging below: only compare runs a t-test
+
     if set(a.per_topic) != set(b.per_topic):
         raise ValueError("runs were evaluated on different topic sets")
     topics = sorted(a.per_topic)
@@ -257,7 +255,8 @@ def paired_ttest(a: RunScores, b: RunScores) -> SignificanceResult:
     if std == 0.0:
         if mean == 0.0:
             return SignificanceResult(t_statistic=0.0, p_value=1.0, significant=False, n_topics=n)
-        logger.warning("paired t-test: constant nonzero difference, statistic diverges")
+        import logging
+        logging.getLogger(__name__).warning("paired t-test: constant nonzero difference, statistic diverges")
         t = math.inf if mean > 0 else -math.inf
         return SignificanceResult(t_statistic=t, p_value=0.0, significant=True, n_topics=n)
     t = mean / (std / math.sqrt(n))

@@ -18,14 +18,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .csvio import read_lines
-from .embeddings import EmbeddingModel, ReducedReplica
 from .evaluation import check_run_fields, read_run, write_run  # noqa: F401  (the run format lives in evaluation)
 from .textproc import Pipeline
+
+if TYPE_CHECKING:  # annotations only: index and search without a model never load the embeddings
+    from .embeddings import EmbeddingModel, ReducedReplica
 
 __all__ = [
     "Index",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from simthresh import retrieval
@@ -61,9 +61,10 @@ class TestUncertaintyCommand:
         assert hist_out.read_bytes() == (DATA / "golden_histogram.csv").read_bytes()
 
     def test_identical_models_zero_curve(self, tmp_path):
-        out = tmp_path / "curve.csv"
+        out, copy = tmp_path / "curve.csv", tmp_path / "copy.vec"
+        copy.write_bytes(Path(REPLICAS[2]).read_bytes())  # a byte copy: the one file given twice is rejected
         rc = main([
-            "uncertainty", "--reference", REPLICAS[2], "--other", REPLICAS[2],
+            "uncertainty", "--reference", REPLICAS[2], "--other", str(copy),
             "--probes", PROBES, "--curve-out", str(out),
         ])
         assert rc == 0
@@ -568,8 +569,9 @@ class TestSearchWorkflow:
         assert {r.pop("topic") for r in rows} == {"1", "2", "all"}
         assert all(0.0 <= float(v) <= 1.0 for r in rows for v in r.values())
 
-        cmp_csv = tmp_path / "cmp.csv"
-        rc = main(["compare", "--run-a", str(run), "--run-b", str(run),
+        cmp_csv, copy = tmp_path / "cmp.csv", tmp_path / "copy.txt"
+        copy.write_bytes(run.read_bytes())  # a byte copy: the one file given twice is rejected
+        rc = main(["compare", "--run-a", str(run), "--run-b", str(copy),
                    "--qrels", str(qrels), "--out", str(cmp_csv)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -1046,6 +1048,29 @@ class TestCheckedBeforeTheReads:
         assert capsys.readouterr().err == f"error: --models {again}: given twice (positions 1 and 3)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, spelling", [("uncertainty", "same"), ("uncertainty", "symlink"),
+                                                   ("uncertainty", "config"), ("compare", "same")])
+    def test_a_file_is_not_compared_with_itself(self, tmp_path, capsys, command, spelling):
+        """The files a command sets against each other are distinct files: the replicas of ``uncertainty``
+        and the runs of ``compare``. A symlink names the same file. Every file here is missing, and the output's
+        directory too: the compared files are checked first."""
+        out = str(tmp_path / "nodir" / "o.csv")
+        first, second, rest = {
+            "uncertainty": ("--reference", "--other", ["--probes", PROBES, "--curve-out", out]),
+            "compare": ("--run-a", "--run-b", ["--qrels", str(tmp_path / "q.txt"), "--out", out]),
+        }[command]
+        path = str(tmp_path / "missing")
+        again = str(tmp_path / "link") if spelling == "symlink" else path
+        os.symlink(path, tmp_path / "link")  # a dangling link resolves to the same missing file
+        if spelling == "config":  # the second file comes from the config file, the first from its flag
+            (tmp_path / "cfg.txt").write_text(f"{second[2:].replace('-', '_')} = {path}\n")
+            rest += ["--config", str(tmp_path / "cfg.txt")]
+        else:
+            rest += [second, again]
+        assert main([command, first, path, *rest]) == 1
+        assert capsys.readouterr().err == f"error: {second} {again}: the same file as {first}\n"
+        assert {p.name for p in tmp_path.iterdir()} <= {"link", "cfg.txt"}  # nothing written
+
     @pytest.mark.parametrize("command, outputs, reported, message", [
         ("threshold", ["--out", "t.csv", "--curve-out", "t.csv"], 1, "the same file as --out"),
         ("uncertainty", ["--curve-out", "c.csv", "--histogram-out", "./c.csv"], 1, "the same file as --curve-out"),
@@ -1103,6 +1128,33 @@ class TestCheckedBeforeTheReads:
         assert rc == 1
         assert capsys.readouterr().err == "error: cutoff must be >= 1\n"
         assert not (tmp_path / "report.csv").exists()
+
+
+class TestDoubleDashValue:
+    """``--flag=--`` gives a setting the value ``--`` on every supported Python: argparse before 3.13 hands
+    it over as an empty list, which used to end these commands with a ``TypeError`` traceback."""
+
+    def test_search_writes_the_run_tag(self, tmp_path, capsys):
+        _, topics, _, _, index_path = search_world(tmp_path)
+        run = tmp_path / "run.txt"
+        assert main(["search", "--index", str(index_path), "--topics", str(topics), "--run-tag=--",
+                     "--out", str(run)]) == 0
+        assert {line.split()[5] for line in run.read_text().splitlines()} == {"--"}
+
+    @pytest.mark.parametrize("argv, err", [
+        (["evaluate", "--run=--", "--qrels", "q.txt"], "No such file or directory: --"),
+        (["evaluate", "--config=--", "--run", "r.txt", "--qrels", "q.txt"], "No such file or directory: --"),
+        (["threshold", "--probes=--", "--models", "a.vec", "b.vec", "--out", "t.csv"], "No such file or directory: --"),
+        (["histogram", "--bins=--", "--model", "m.vec", "--probes", "p.txt", "--out", "h.csv"],
+         "--bins: invalid int value: '--'"),
+        (["neighbors", "--term=--", "--model", REPLICAS[0], "--k", "2"],
+         f"token '--' not in vocabulary of model '{REPLICAS[0]}'"),
+    ], ids=["evaluate-run", "evaluate-config", "threshold-probes", "histogram-bins", "neighbors-term"])
+    def test_fails_in_one_line(self, tmp_path, capsys, monkeypatch, argv, err):
+        monkeypatch.chdir(tmp_path)  # every relative file named is missing
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestMoreEdges:
@@ -1332,15 +1384,19 @@ class TestImportedModules:
     ``sys.modules`` is read when it ends."""
 
     NUMERIC = {"numpy", "scipy"}
+    TTEST = {"logging", "statistics"}  # only compare's t-test uses them (index and search log through retrieval)
     CASES = {  # case -> (modules it must not load, a module it must load)
         "import-simthresh": (NUMERIC, "simthresh"),
         "import-cli": (NUMERIC, "simthresh.cli"),
-        "evaluate": (NUMERIC, "simthresh.evaluation"),
-        "compare": (NUMERIC, "simthresh.evaluation"),
-        "search": ({"scipy", "numpy.ma"}, "numpy"),
-        "threshold": (set(), "scipy.special"),
-        **{command: ({"scipy"}, "numpy") for command in ("uncertainty", "histogram", "neighbors", "synonym-stats",
-                                                          "index")},
+        "evaluate": (NUMERIC | TTEST, "simthresh.evaluation"),
+        "compare": (NUMERIC, "statistics"),
+        "search": ({"scipy", "numpy.ma", "statistics"}, "numpy"),
+        "threshold": ({"statistics"}, "scipy.special"),
+        "uncertainty": ({"scipy"} | TTEST, "numpy"),
+        "histogram": ({"scipy"} | TTEST, "numpy"),
+        "neighbors": ({"scipy", "statistics"}, "numpy"),
+        "synonym-stats": ({"scipy"} | TTEST, "numpy"),
+        "index": ({"scipy", "statistics", "simthresh.embeddings"}, "numpy"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1430,8 +1486,7 @@ class TestInputContract:
 
     CASES = 30  # seeded cases per command, plus one huge-field case, so about 340 in all
     BOUND_S = 20
-    INPUTS = {"reference", "other", "probes", "model", "models", "synsets", "corpus", "stopwords", "index",
-              "topics", "run", "run_a", "run_b", "qrels"}
+    INPUTS = {name for name, opt in OPTIONS.items() if opt.role in ("input", "compared")}
     KINDS = ["flip", "truncate", "insert", "field", "duplicate", "delete", "swap"]
 
     @staticmethod
@@ -1524,6 +1579,7 @@ class TestRunFields:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc_ids=st.lists(FIELD, min_size=2, max_size=2), topic_ids=st.lists(FIELD, min_size=2, max_size=2),
            tag=FIELD)
+    @example(doc_ids=["1", "0"], topic_ids=["", ""], tag="--")
     def test_search_writes_only_runs_evaluate_reads(self, tmp_path, capsys, doc_ids, topic_ids, tag):
         corpus, topics, qrels, index, run = (tmp_path / name for name in ("c.jsonl", "t.tsv", "q.txt", "i.npz", "r"))
         for path in (index, run):
@@ -1584,6 +1640,18 @@ class TestConfigFile:
         path.write_text("no equals sign\n")
         with pytest.raises(ValueError):
             read_config(str(path))
+
+    def test_file_roles(self):
+        """Each file setting's role, from which ``resolve`` derives the file rules it checks before any read."""
+        roles: dict[str, set[str]] = {}
+        for name, opt in OPTIONS.items():
+            roles.setdefault(opt.role, set()).add(name)
+        del roles[""]  # the settings that name no file
+        assert roles == {
+            "compared": {"models", "reference", "other", "run_a", "run_b"},
+            "input": {"model", "probes", "synsets", "stopwords", "corpus", "index", "topics", "run", "qrels"},
+            "output": {"out", "curve_out", "histogram_out"},
+        }
 
     def test_cases_cover_every_setting(self, tmp_path):
         cases = command_settings(pipeline_world(tmp_path), tmp_path)
@@ -1703,15 +1771,16 @@ class TestReadme:
         assert read_config(str(path))
 
     def test_settings_table_lists_every_default(self):
-        rows, commands = {}, {}
+        rows, roles, commands = {}, {}, {}
         for line in README.read_text(encoding="utf-8").splitlines():
             cells = [c.strip() for c in line.split("|")[1:-1]]
-            for name in re.findall(r"`(\w+)`", cells[0]) if len(cells) == 3 else []:
-                rows[name] = cells[1]
-                listed = set(cells[2].removeprefix("all but ").split(", "))
-                commands[name] = set(COMMANDS) - listed if cells[2].startswith("all but ") else listed
+            for name in re.findall(r"`(\w+)`", cells[0]) if len(cells) == 4 else []:
+                rows[name], roles[name] = cells[1], cells[2]
+                listed = set(cells[3].removeprefix("all but ").split(", "))
+                commands[name] = set(COMMANDS) - listed if cells[3].startswith("all but ") else listed
         assert set(rows) == set(OPTIONS)
         for name, opt in OPTIONS.items():
+            assert roles[name] == opt.role, name
             if opt.default is not None:
                 assert rows[name].lower() == str(opt.default).lower(), name
             registered = {c for c, (_, _, required, optional) in COMMANDS.items() if name in required + optional}

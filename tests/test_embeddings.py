@@ -190,9 +190,11 @@ class TestLoading:
         data = path.read_bytes()
         path.write_bytes(b"1000000000000 3" + data[data.index(b"\n"):])
         probes.write_text("a\n")
+        copy = tmp_path / "copy.vec"
+        copy.write_bytes(path.read_bytes())  # a byte copy: the one file given twice is rejected
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "simthresh.cli", "uncertainty", "--reference", str(path), "--other", str(path),
+            [sys.executable, "-m", "simthresh.cli", "uncertainty", "--reference", str(path), "--other", str(copy),
              "--probes", str(probes), "--format", fmt, "--curve-out", str(tmp_path / "curve.csv")],
             env=env, capture_output=True, text=True, timeout=120,
         )

@@ -300,7 +300,9 @@ class TestKernelWorkers:
                 time.sleep(0.1)  # lets the main thread queue every block and wait for the first
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             assert interrupted.wait(10)
-            time.sleep(0.05)  # keeps every worker busy until the queued blocks are cancelled
+            # keeps every worker busy until the queued blocks are cancelled, also when the main thread stalls
+            # first, as in a gen-2 collection of the whole suite's heap (up to 0.19 s measured)
+            time.sleep(1.0)
             return ndtr_of(*args, **kwargs)
 
         monkeypatch.setattr(scipy.special, "ndtr", slow)

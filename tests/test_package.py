@@ -1,9 +1,13 @@
-"""The package resolves its public names on first access, every Python file parses as 3.10, and the
-never-run list names statements the package has."""
+"""The package resolves its public names on first access, its annotations name types, every Python file
+parses as 3.10, and the never-run list names statements the package has."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -56,6 +60,27 @@ def test_parses_as_python_3_10(path):
     """``requires-python`` says 3.10. This checks syntax only, such as ``except*`` or a generic class
     (3.11 and 3.12); a 3.11-only API, say ``datetime.UTC`` or ``tomllib``, still parses."""
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_every_annotation_names_a_type():
+    """``from __future__ import annotations`` leaves annotations unevaluated, and a module may import a name
+    for them only under ``typing.TYPE_CHECKING``. A fresh process sets that flag before it imports the
+    package, so those imports run, and then evaluates the annotations of every function and class."""
+    code = textwrap.dedent("""
+        import importlib, inspect, pkgutil, typing
+        typing.TYPE_CHECKING = True
+        import simthresh
+        for info in pkgutil.iter_modules(simthresh.__path__):
+            module = importlib.import_module(f"simthresh.{info.name}")
+            for value in vars(module).values():
+                if getattr(value, "__module__", None) == module.__name__ and callable(value):
+                    typing.get_type_hints(value)
+                    for method in vars(value).values() if inspect.isclass(value) else ():
+                        if inspect.isfunction(method):
+                            typing.get_type_hints(method)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_every_never_run_entry_names_a_statement():
